@@ -97,7 +97,7 @@ func (m *Model) L3LatencyNanos(core int, coreGHz, uncoreGHz float64) float64 {
 	if coreGHz <= 0 || uncoreGHz <= 0 {
 		return 0
 	}
-	mm := m.Spec.Mem
+	mm := &m.Spec.Mem
 	return mm.L3CoreCycles/coreGHz + (mm.L3UncoreCycles+m.l3Hop(core))/uncoreGHz
 }
 
@@ -106,7 +106,7 @@ func (m *Model) memLatencyNanos(core int, coreGHz, uncoreGHz float64) float64 {
 	if coreGHz <= 0 || uncoreGHz <= 0 {
 		return 0
 	}
-	mm := m.Spec.Mem
+	mm := &m.Spec.Mem
 	return mm.MemCoreCycles/coreGHz + (mm.MemUncoreCycles+m.imcHop(core))/uncoreGHz + mm.MemDRAMNanos
 }
 
@@ -123,7 +123,7 @@ func (m *Model) L3CapacityGBs(uncoreGHz float64) float64 {
 // outstanding: per-thread demand misses plus prefetcher coverage, capped
 // by the line-fill buffers.
 func (m *Model) inFlightLines(threads int) float64 {
-	mm := m.Spec.Mem
+	mm := &m.Spec.Mem
 	lines := float64(mm.MLPPerThread*threads) + mm.PrefetchLines
 	if max := float64(mm.LFBPerCore); lines > max {
 		lines = max
@@ -147,7 +147,7 @@ func (m *Model) SolveInto(dst []CoreResult, loads []CoreLoad, uncoreGHz float64)
 		res = make([]CoreResult, len(loads))
 	}
 	// Pass 1: per-core latency/MLP limits. Loads are passed by pointer:
-	// a CoreLoad embeds the 96-byte Profile and the copies dominate the
+	// a CoreLoad embeds the 80-byte Profile and the copies dominate the
 	// solver's cost at fleet scale.
 	for i := range loads {
 		res[i] = m.solveCore(&loads[i], uncoreGHz)

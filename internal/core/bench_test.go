@@ -47,6 +47,32 @@ func BenchmarkSystemRunSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemRunMprime measures one millisecond of virtual time
+// under the phase-varying mprime load of Table V (all 24 cores, after a
+// 20 ms warm-up): its profile drifts every segment, so most segments
+// take the full integration path.
+func BenchmarkSystemRunMprime(b *testing.B) {
+	sys := tableVSystem(b, workload.Mprime())
+	sys.Run(20 * sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Run(sim.Millisecond)
+	}
+}
+
+// BenchmarkSystemRunLinpack is BenchmarkSystemRunMprime under LINPACK,
+// whose profile switches between its update and panel phases.
+func BenchmarkSystemRunLinpack(b *testing.B) {
+	sys := tableVSystem(b, workload.Linpack())
+	sys.Run(20 * sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Run(sim.Millisecond)
+	}
+}
+
 // BenchmarkSystemRunIdle measures the all-idle platform (both packages
 // in deep sleep): the floor every idle-power measurement pays.
 func BenchmarkSystemRunIdle(b *testing.B) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+
 	"hswsim/internal/cstate"
 	"hswsim/internal/fivr"
 	"hswsim/internal/perfctr"
@@ -67,18 +69,24 @@ type Core struct {
 	resid residency
 
 	// Profile memo: profileNow is called several times per segment with
-	// the same timestamp (telemetry + integration).
+	// the same timestamp (telemetry + integration), and hands out a
+	// pointer into it so no caller copies the 80-byte Profile.
 	profCacheAt  sim.Time
 	profCacheOK  bool
 	profCacheVal workload.Profile
 
 	// Constant-kernel memo (workload.ConstantKernel): the profile can
-	// never drift, so the steady-segment check and the telemetry loop
-	// skip the ProfileAt call and the 96-byte Profile copy entirely.
-	// profAVX/profMem cache the two profile predicates telemetry needs.
+	// never drift, so the memo filled at assignment stays valid and the
+	// steady-segment check skips the compare entirely.
 	constProf bool
-	profAVX   bool
-	profMem   bool
+
+	// profLeader is the socket-local index of the core whose memo this
+	// core reads: the lowest-indexed core on the socket running an equal
+	// phase-varying kernel from the same start instant (itself if none).
+	// Such cores see identical profiles, so one ProfileAt per socket per
+	// instant serves them all. assign recomputes it for every core on
+	// the socket; being an index, it survives a fork's struct copy.
+	profLeader int
 }
 
 func newCore(sk *Socket, index int, voltOffset float64) *Core {
@@ -124,21 +132,30 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	c.profCacheOK = false
 	c.constProf = false
 	if ck, ok := k.(workload.ConstantKernel); ok {
-		p := ck.ConstantProfile()
 		c.constProf = true
-		c.profCacheVal, c.profCacheOK = p, true
-		c.profAVX = p.AVXFrac > 0
-		c.profMem = p.MemoryBound()
+		c.profCacheVal, c.profCacheOK = ck.ConstantProfile(), true
 	}
 	c.sk.markDirty()
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
 	c.sk.loadsStale = true
 	cacheable := true
-	for _, cc := range c.sk.cores {
-		if cc.kernel != nil && !cc.constProf {
-			cacheable = false
-			break
+	for i, cc := range c.sk.cores {
+		cc.profLeader = i
+		if cc.kernel == nil || cc.constProf {
+			continue
+		}
+		cacheable = false
+		if debugNoProfileShare || !reflect.ValueOf(cc.kernel).Comparable() {
+			// A kernel whose == would panic (a user kernel type holding
+			// a slice, say) does not share.
+			continue
+		}
+		for j, lc := range c.sk.cores[:i] {
+			if lc.profLeader == j && lc.kernStart == cc.kernStart && lc.kernel == cc.kernel {
+				cc.profLeader = j
+				break
+			}
 		}
 	}
 	c.sk.telCacheable = cacheable
@@ -168,22 +185,27 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	}
 }
 
-// profileNow returns the kernel profile at time t.
-func (c *Core) profileNow(t sim.Time) workload.Profile {
-	if c.kernel == nil {
-		return workload.Profile{}
+// profileNow returns the profile of the core's kernel (which must be
+// set) at time t. The result points into the memo of the core's profile
+// leader and is read-only; it stays valid until the next profileNow
+// call on any core sharing that leader.
+func (c *Core) profileNow(t sim.Time) *workload.Profile {
+	m := c.sk.cores[c.profLeader]
+	if !m.profCacheOK || (!m.constProf && m.profCacheAt != t) {
+		rel := t - m.kernStart
+		if rel < 0 {
+			rel = 0
+		}
+		m.profCacheVal = m.kernel.ProfileAt(rel)
+		m.profCacheAt, m.profCacheOK = t, true
 	}
-	if c.profCacheOK && (c.constProf || c.profCacheAt == t) {
-		return c.profCacheVal
-	}
-	rel := t - c.kernStart
-	if rel < 0 {
-		rel = 0
-	}
-	p := c.kernel.ProfileAt(rel)
-	c.profCacheAt, c.profCacheVal, c.profCacheOK = t, p, true
-	return p
+	return &m.profCacheVal
 }
+
+// debugNoProfileShare makes every core read only its own profile memo
+// (test seam: the profile-sharing equivalence test runs the same
+// scenario with and without it and requires identical output).
+var debugNoProfileShare = false
 
 // slowdown returns the current execution multiplier (AVX voltage ramp).
 func (c *Core) slowdown() float64 {

@@ -12,9 +12,7 @@ import (
 
 // integrateFingerprint runs a mixed scenario (steady phases, p-state
 // changes, c-state transitions, a cross-core wake, a phase-varying
-// kernel) and renders every observable output — RAPL counters, core
-// performance counters, die temperature, AC power, meter samples — with
-// bit-exact float formatting.
+// kernel) and renders its outputs with renderOutputs.
 func integrateFingerprint(t *testing.T) string {
 	t.Helper()
 	sys, err := NewSystem(DefaultConfig())
@@ -42,11 +40,21 @@ func integrateFingerprint(t *testing.T) string {
 		t.Fatal(err)
 	}
 	sys.Run(140 * sim.Millisecond)
+	return renderOutputs(t, sys)
+}
 
+// renderOutputs renders every observable output of sys — RAPL counters,
+// package c-states, die temperatures, core performance counters and
+// frequencies, AC power, meter samples — with bit-exact float
+// formatting.
+func renderOutputs(t *testing.T, sys *System) string {
+	t.Helper()
 	var b strings.Builder
 	for i := 0; i < sys.Sockets(); i++ {
 		r, err := sys.ReadRAPL(i)
-		must(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(&b, "socket%d rapl pkg=%d dram=%d pcustate=%v temp=%x\n",
 			i, r.Pkg, r.DRAM, sys.Socket(i).PkgCState(), sys.Socket(i).Power.TempC())
 	}
@@ -62,6 +70,20 @@ func integrateFingerprint(t *testing.T) string {
 	return b.String()
 }
 
+// firstDiff describes the first line where two renders differ.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := range wl {
+		if i >= len(gl) {
+			return fmt.Sprintf("line %d missing, want %q", i, wl[i])
+		}
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\n want: %s\n  got: %s", i, wl[i], gl[i])
+		}
+	}
+	return "got has extra lines"
+}
+
 // TestIntegrateSteadyReplayBitwise is the determinism contract of the
 // change-driven integrator: forcing every segment through the full
 // recomputation path must produce byte-for-byte the same outputs as the
@@ -74,15 +96,6 @@ func TestIntegrateSteadyReplayBitwise(t *testing.T) {
 	full := integrateFingerprint(t)
 
 	if fast != full {
-		fastLines := strings.Split(fast, "\n")
-		fullLines := strings.Split(full, "\n")
-		for i := range fastLines {
-			if i >= len(fullLines) || fastLines[i] != fullLines[i] {
-				t.Fatalf("steady replay diverges from full integration at line %d:\n fast: %s\n full: %s",
-					i, fastLines[i], fullLines[i])
-			}
-		}
-		t.Fatalf("steady replay diverges from full integration (length %d vs %d)",
-			len(fast), len(full))
+		t.Fatalf("steady replay diverges from full integration: %s", firstDiff(fast, full))
 	}
 }

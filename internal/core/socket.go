@@ -308,13 +308,11 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 		active := c.cstateNow == cstate.C0 && c.kernel != nil
 		avxNow, memBound := false, false
 		if active {
-			if c.constProf {
-				avxNow, memBound = c.profAVX, c.profMem
-			} else {
-				prof := c.profileNow(now)
-				avxNow = prof.AVXFrac > 0
-				memBound = prof.MemoryBound()
-			}
+			// Read in place: Profile.MemoryBound's value receiver would
+			// copy the whole profile.
+			prof := c.profileNow(now)
+			avxNow = prof.AVXFrac > 0
+			memBound = prof.L3BytesPerInst > 0 || prof.MemBytesPerInst > 0
 		}
 		tel.Cores[i] = pcu.CoreTelemetry{
 			Active:     active,
@@ -371,8 +369,8 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 			return false
 		}
 		// Constant kernels cannot drift; only phase-varying profiles need
-		// the (96-byte) compare against the memoized load.
-		if !c.constProf && c.profileNow(from) != sk.loadsBuf[j].Prof {
+		// the (80-byte) compare against the memoized load.
+		if !c.constProf && *c.profileNow(from) != sk.loadsBuf[j].Prof {
 			return false
 		}
 	}
@@ -417,7 +415,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 	// case: the PCU regranting frequencies under a power cap), the load
 	// entries are refreshed in place — frequency and threads always,
 	// profile only for phase-varying kernels — instead of re-copying
-	// every 96-byte Profile through a rebuild.
+	// every 80-byte Profile through a rebuild.
 	old := sk.coresBuf
 	loadCores := sk.coresBuf[:0]
 	same := !sk.loadsStale
@@ -436,7 +434,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 			loads[j].FreqGHz = c.dom.Granted().GHz()
 			loads[j].Threads = c.threads
 			if !c.constProf {
-				loads[j].Prof = c.profileNow(from)
+				loads[j].Prof = *c.profileNow(from)
 			}
 		}
 	} else {
@@ -446,7 +444,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 				CoreID:  c.Index,
 				FreqGHz: c.dom.Granted().GHz(),
 				Threads: c.threads,
-				Prof:    c.profileNow(from),
+				Prof:    *c.profileNow(from),
 			})
 		}
 	}

@@ -66,7 +66,10 @@ func (p Profile) MemoryBound() bool {
 type Kernel interface {
 	Name() string
 	// ProfileAt returns the execution profile at virtual time t (time
-	// since the kernel started).
+	// since the kernel started). It must be a pure function of t: cores
+	// on one socket running an equal kernel from the same instant share
+	// one evaluation, so a kernel whose result depended on how often or
+	// by which core it was called would see its calls merged.
 	ProfileAt(t sim.Time) Profile
 }
 
@@ -419,8 +422,24 @@ func NameOf(k Kernel) string {
 	return k.Name()
 }
 
-// Validate sanity-checks a profile for model-breaking values.
+// Validate sanity-checks a profile for model-breaking values: every
+// field must be finite (a NaN passes every range comparison, so it is
+// rejected first), and fractions, rates and bounds must lie in their
+// physical ranges.
 func (p Profile) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"IPC1", p.IPC1}, {"IPC2", p.IPC2}, {"AVXFrac", p.AVXFrac},
+		{"Activity", p.Activity}, {"L3BytesPerInst", p.L3BytesPerInst},
+		{"MemBytesPerInst", p.MemBytesPerInst}, {"RemoteMemFrac", p.RemoteMemFrac},
+		{"UncoreSens", p.UncoreSens}, {"UncoreRefGHz", p.UncoreRefGHz},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s is %v, not finite", f.name, f.v)
+		}
+	}
 	if p.IPC1 < 0 || p.IPC2 < 0 || p.IPC2 < p.IPC1*0.5 {
 		return fmt.Errorf("workload: implausible IPC pair %v/%v", p.IPC1, p.IPC2)
 	}
@@ -432,6 +451,18 @@ func (p Profile) Validate() error {
 	}
 	if p.L3BytesPerInst < 0 || p.MemBytesPerInst < 0 {
 		return fmt.Errorf("workload: negative traffic")
+	}
+	if p.RemoteMemFrac < 0 || p.RemoteMemFrac > 1 {
+		return fmt.Errorf("workload: remote memory fraction %v outside [0,1]", p.RemoteMemFrac)
+	}
+	if p.UncoreSens < 0 || p.UncoreSens > 1 {
+		return fmt.Errorf("workload: uncore sensitivity %v outside [0,1]", p.UncoreSens)
+	}
+	if p.UncoreRefGHz < 0 {
+		return fmt.Errorf("workload: negative uncore reference clock %v GHz", p.UncoreRefGHz)
+	}
+	if p.MLPOverride < 0 {
+		return fmt.Errorf("workload: negative MLP override %d", p.MLPOverride)
 	}
 	return nil
 }

@@ -12,7 +12,10 @@ func TestAllKernelsValidate(t *testing.T) {
 		BusyWait(), Compute(), Sqrt(), Memory(), DGEMM(),
 		L3Stream(), MemStream(), Sinus(sim.Second),
 		Firestarter(), Linpack(), Mprime(),
+		PointerChase(), Triad(), NUMAStream(0.5), Stream(1<<10, 1<<20, 1<<25),
+		FirestarterFromPayload(GeneratePayload(HaswellICache(), 1000)),
 	}
+	kernels = append(kernels, HPCKernels()...)
 	for _, k := range kernels {
 		for _, at := range []sim.Time{0, 17 * sim.Millisecond, sim.Second, 3*sim.Second + 1} {
 			if err := k.ProfileAt(at).Validate(); err != nil {
@@ -191,16 +194,37 @@ func TestFig2Set(t *testing.T) {
 }
 
 func TestProfileValidateCatchesBadValues(t *testing.T) {
-	bad := []Profile{
-		{IPC1: -1, IPC2: 1},
-		{IPC1: 2, IPC2: 0.5},
-		{IPC1: 1, IPC2: 1, AVXFrac: 1.5},
-		{IPC1: 1, IPC2: 1, Activity: 2.0},
-		{IPC1: 1, IPC2: 1, L3BytesPerInst: -1},
-	}
-	for i, p := range bad {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		bad  func(*Profile)
+	}{
+		{"IPC1 negative", func(p *Profile) { p.IPC1 = -1 }},
+		{"IPC1 NaN", func(p *Profile) { p.IPC1 = nan }},
+		{"IPC2 below half IPC1", func(p *Profile) { p.IPC1, p.IPC2 = 2, 0.5 }},
+		{"IPC2 +Inf", func(p *Profile) { p.IPC2 = inf }},
+		{"AVXFrac above 1", func(p *Profile) { p.AVXFrac = 1.5 }},
+		{"AVXFrac NaN", func(p *Profile) { p.AVXFrac = nan }},
+		{"Activity above 1.5", func(p *Profile) { p.Activity = 2.0 }},
+		{"Activity NaN", func(p *Profile) { p.Activity = nan }},
+		{"L3BytesPerInst negative", func(p *Profile) { p.L3BytesPerInst = -1 }},
+		{"L3BytesPerInst +Inf", func(p *Profile) { p.L3BytesPerInst = inf }},
+		{"MemBytesPerInst -Inf", func(p *Profile) { p.MemBytesPerInst = -inf }},
+		{"MLPOverride negative", func(p *Profile) { p.MLPOverride = -3 }},
+		{"RemoteMemFrac above 1", func(p *Profile) { p.RemoteMemFrac = 7 }},
+		{"RemoteMemFrac NaN", func(p *Profile) { p.RemoteMemFrac = nan }},
+		{"UncoreSens negative", func(p *Profile) { p.UncoreSens = -2 }},
+		{"UncoreSens NaN", func(p *Profile) { p.UncoreSens = nan }},
+		{"UncoreRefGHz negative", func(p *Profile) { p.UncoreRefGHz = -1 }},
+		{"UncoreRefGHz +Inf", func(p *Profile) { p.UncoreRefGHz = inf }},
+	} {
+		p := Profile{IPC1: 1, IPC2: 1}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("base profile rejected: %v", err)
+		}
+		tc.bad(&p)
 		if err := p.Validate(); err == nil {
-			t.Errorf("bad profile %d accepted: %+v", i, p)
+			t.Errorf("%s: accepted %+v", tc.name, p)
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"hswsim/internal/workload"
 )
 
-// Kernel is a workload model runnable on a simulated core.
+// Kernel is a workload model runnable on a simulated core. A custom
+// kernel's ProfileAt must be a pure function of its argument: cores
+// running an equal kernel from the same instant share one evaluation.
 type Kernel = workload.Kernel
 
 // Profile describes a kernel's instantaneous execution characteristics.
