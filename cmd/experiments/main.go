@@ -211,6 +211,11 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 		Seed:  fl.seed,
 		Fleet: exp.FleetOptions{Nodes: fl.fleetNodes, Seed: fl.fleetSeed},
 	}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
+	}
 
 	// Resolve the request against the suite before anything runs: an
 	// unknown id anywhere in the list is an up-front error, not a

@@ -145,6 +145,20 @@ func TestUsageErrors(t *testing.T) {
 	if !bytes.Contains(stderr.Bytes(), []byte("unknown experiment id")) {
 		t.Fatalf("missing unknown-id diagnostic, got:\n%s", stderr.String())
 	}
+	for _, args := range [][]string{
+		{"-run", "fleet", "-fleet-nodes", "4097"},
+		{"-run", "fleet", "-fleet-nodes", "-1"},
+		{"-run", "tab1", "-scale", "NaN"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(append(args, "-no-cache"), &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout", args, stdout.Len())
+		}
+	}
 }
 
 // TestHelpExitsZero is the regression test for the -h/-help path: with

@@ -9,7 +9,7 @@ import (
 
 // benchSystem builds the default dual-socket node with a steady mixed
 // load: the configuration every experiment's measurement loop runs in.
-func benchSystem(b *testing.B) *System {
+func benchSystem(b testing.TB) *System {
 	b.Helper()
 	sys, err := NewSystem(DefaultConfig())
 	if err != nil {

@@ -65,7 +65,8 @@ type Core struct {
 	// CPU), and stale firings no-op inside Domain.Complete.
 	completeEv sim.EventID
 
-	// resid accumulates p-state/c-state residency (cpufreq-stats view).
+	// resid accumulates p-state/c-state residency (cpufreq-stats view),
+	// credited lazily by creditResidency.
 	resid residency
 
 	// Profile memo: profileNow is called several times per segment with
@@ -111,8 +112,10 @@ func newCore(sk *Socket, index int, voltOffset float64) *Core {
 // System.HandleEvent with arg = CPU).
 func (c *Core) onComplete(t sim.Time) {
 	c.sk.sys.integrateTo(t)
+	c.creditResidency()
 	if c.dom.Complete(t) {
 		c.sk.markDirty()
+		c.sk.grantsSettled = false
 		if tr := c.sk.sys.trace; tr != nil {
 			tr.Emitf(t, trace.PStateComplete, c.sk.Index, c.CPU,
 				"now %v", c.dom.Granted())
@@ -126,6 +129,7 @@ func (c *Core) onComplete(t sim.Time) {
 
 // assign places a kernel on the core (nil = idle) at time now.
 func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
+	c.creditResidency()
 	c.kernel = k
 	c.kernStart = now
 	c.threads = threads
@@ -136,6 +140,7 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 		c.profCacheVal, c.profCacheOK = ck.ConstantProfile(), true
 	}
 	c.sk.markDirty()
+	c.sk.grantsSettled = false
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
 	c.sk.loadsStale = true
@@ -279,6 +284,7 @@ func (c *Core) applyGrantTagged(now sim.Time, target uarch.MHz, requestedAt sim.
 	// segment changed even before the new clock lands.
 	c.sk.markDirty()
 	if c.dom.Begin(requestedAt, now, target, switchTime) {
+		c.sk.grantsSettled = false
 		c.lastRequestAt = 0
 		if tr := c.sk.sys.trace; tr != nil {
 			tr.Emitf(now, trace.PStateGrant, c.sk.Index, c.CPU,
@@ -298,10 +304,12 @@ func (c *Core) CState() cstate.State { return c.cstateNow }
 // Domain exposes the p-state domain (transition log for tools).
 func (c *Core) Domain() *pstate.Domain { return &c.dom }
 
-// Snapshot captures the core's performance counters.
+// Snapshot captures the core's performance counters, with the node's
+// TSC.
 func (c *Core) Snapshot() perfctr.Snapshot {
-	c.sk.sys.integrateTo(c.sk.sys.Engine.Now())
-	return c.ctr.Snapshot(c.sk.sys.Engine.Now())
+	s := c.sk.sys
+	s.integrateTo(s.Engine.Now())
+	return c.ctr.Snapshot(s.Engine.Now(), s.tsc)
 }
 
 // Volts returns the core's present regulator voltage.

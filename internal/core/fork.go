@@ -267,6 +267,7 @@ func (s *System) populateFork(n *System, reused bool) {
 		meter:         s.meter, // sample history COW (stale after the Bump)
 		rng:           s.rng,
 		lastIntegrate: s.lastIntegrate,
+		tsc:           s.tsc,
 		acJoules:      s.acJoules,
 		lastACPower:   s.lastACPower,
 		epb:           s.epb,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hswsim/internal/cstate"
+	"hswsim/internal/msr"
 	"hswsim/internal/sim"
 	"hswsim/internal/workload"
 )
@@ -44,9 +45,9 @@ func integrateFingerprint(t *testing.T) string {
 }
 
 // renderOutputs renders every observable output of sys — RAPL counters,
-// package c-states, die temperatures, core performance counters and
-// frequencies, AC power, meter samples — with bit-exact float
-// formatting.
+// package c-states, die temperatures, core performance counters (the
+// TSC both from the snapshot and through the MSR) and frequencies,
+// residency, AC power, meter samples — with bit-exact float formatting.
 func renderOutputs(t *testing.T, sys *System) string {
 	t.Helper()
 	var b strings.Builder
@@ -60,8 +61,14 @@ func renderOutputs(t *testing.T, sys *System) string {
 	}
 	for cpu := 0; cpu < sys.CPUs(); cpu++ {
 		s := sys.Core(cpu).Snapshot()
-		fmt.Fprintf(&b, "cpu%d tsc=%d aperf=%d mperf=%d inst=%d f=%v\n",
-			cpu, s.TSC, s.APERF, s.MPERF, s.Instructions, sys.CoreFreqMHz(cpu))
+		msrTSC, err := sys.MSR().Read(cpu, msr.IA32_TIME_STAMP_COUNTER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sys.CoreResidency(cpu)
+		fmt.Fprintf(&b, "cpu%d tsc=%d msrtsc=%d aperf=%d mperf=%d inst=%d f=%v resid=%v %v\n",
+			cpu, s.TSC, msrTSC, s.APERF, s.MPERF, s.Instructions, sys.CoreFreqMHz(cpu),
+			r.PState, r.CState)
 	}
 	fmt.Fprintf(&b, "ac=%x\n", sys.ACPowerW())
 	for i, s := range sys.Meter().Samples() {
@@ -82,6 +89,29 @@ func firstDiff(want, got string) string {
 		}
 	}
 	return "got has extra lines"
+}
+
+// checkOffSwitch renders scenario with a fast path's off switch (a
+// debug seam) clear and set, each with the steady replay on and forced
+// off, and requires all four renders to be identical.
+func checkOffSwitch(t *testing.T, off *bool, name string, scenario func(t *testing.T) string) {
+	t.Helper()
+	defer func() { *off, debugForceFullIntegration = false, false }()
+	var ref string
+	for i, mode := range []struct{ off, forceFull bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+	} {
+		*off, debugForceFullIntegration = mode.off, mode.forceFull
+		got := scenario(t)
+		if i == 0 {
+			ref = got
+			continue
+		}
+		if got != ref {
+			t.Fatalf("%s=%v, full integration=%v diverges from the default run: %s",
+				name, mode.off, mode.forceFull, firstDiff(ref, got))
+		}
+	}
 }
 
 // TestIntegrateSteadyReplayBitwise is the determinism contract of the

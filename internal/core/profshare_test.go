@@ -78,22 +78,7 @@ func sameLeader(n, leader int) []int {
 // renders to be identical.
 func checkShareInvariant(t *testing.T, scenario func(t *testing.T) string) {
 	t.Helper()
-	defer func() { debugNoProfileShare, debugForceFullIntegration = false, false }()
-	var ref string
-	for i, mode := range []struct{ noShare, forceFull bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
-	} {
-		debugNoProfileShare, debugForceFullIntegration = mode.noShare, mode.forceFull
-		got := scenario(t)
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if got != ref {
-			t.Fatalf("sharing off=%v, full integration=%v diverges from the default run: %s",
-				mode.noShare, mode.forceFull, firstDiff(ref, got))
-		}
-	}
+	checkOffSwitch(t, &debugNoProfileShare, "sharing off", scenario)
 }
 
 // TestProfileShareMprimeAllCores: the Table V mprime run, every core of

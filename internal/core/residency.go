@@ -15,16 +15,32 @@ import (
 // and cpuidle sysfs accounting, and the raw material for duty-cycle
 // analysis of the PCU's behaviour. The p-state bins live in the
 // socket's residSlab (one contiguous allocation per socket, subsliced
-// per core) and are copied eagerly at fork time, so the hot add() path
-// is a plain indexed accumulate with no ownership barrier.
+// per core) and are copied eagerly at fork time, so crediting is a
+// plain indexed accumulate with no ownership barrier.
 type residency struct {
 	pstate []sim.Time // socket residSlab subslice, indexed by (MHz - min) / step
 	cstate [4]sim.Time
+	// since is the integration instant up to which the bins are
+	// credited (see Core.creditResidency).
+	since sim.Time
 }
 
 // residencyBins is the number of p-state bins per core.
 func residencyBins(spec *uarch.Spec) int {
 	return int((spec.MaxTurboMHz()-spec.MinMHz)/spec.PStateStep) + 1
+}
+
+// creditResidency credits the time integrated since the last credit to
+// the bins of the core's present clock and c-state. Residency is
+// credited lazily, not per segment: it runs before every change of the
+// granted clock (onComplete) or the c-state (assign, SleepCore), and
+// before every read of the bins (CoreResidency, ResetResidency). The
+// bins hold integer nanoseconds, so one credit of a sum equals the sum
+// of per-segment credits exactly.
+func (c *Core) creditResidency() {
+	now := c.sk.sys.lastIntegrate
+	c.resid.add(c.sk.Spec, c.dom.Granted(), c.cstateNow, now-c.resid.since)
+	c.resid.since = now
 }
 
 func (r *residency) add(spec *uarch.Spec, f uarch.MHz, cs cstate.State, dt sim.Time) {
@@ -118,6 +134,7 @@ func (s *System) CoreResidency(cpu int) Residency {
 		return out
 	}
 	s.integrateTo(s.Engine.Now())
+	c.creditResidency()
 	spec := s.cfg.Spec
 	for i, d := range c.resid.pstate {
 		if d > 0 {
@@ -142,5 +159,6 @@ func (s *System) ResetResidency(cpu int) {
 			c.resid.pstate[i] = 0
 		}
 		c.resid.cstate = [4]sim.Time{}
+		c.resid.since = s.lastIntegrate
 	}
 }

@@ -43,7 +43,7 @@ type Socket struct {
 	// capacity caps per core). It is always private to this socket:
 	// newSocket allocates it and forkInto eagerly copies the parent's
 	// slab into the child's own (recycled) one, which is what lets the
-	// residency add() hot path skip any copy-on-write barrier.
+	// residency credit path skip any copy-on-write barrier.
 	residSlab []sim.Time
 	pkgCState cstate.PkgState
 	// prevDeepState/leftDeepAt track a just-exited package sleep state
@@ -54,6 +54,12 @@ type Socket struct {
 
 	pcuPhase sim.Time
 	rng      sim.RNG
+	// grantsSettled: the last grant pass left every core at its decided
+	// target with nothing in flight, and no transition has begun or
+	// completed and no kernel has been placed since. A PCU decision
+	// replayed onto settled grants would change nothing, so pcuTick
+	// skips the pass (see debugNoGrantSkip).
+	grantsSettled bool
 	// tickEv identifies the pending grid-tick event so Fork can re-arm
 	// it declaratively on the child engine (the callback itself is the
 	// System's closure-free HandleEvent dispatch).
@@ -243,8 +249,39 @@ func (sk *Socket) pcuTick(now sim.Time) {
 
 	tel := sk.telemetry(now)
 	dec := sk.PCU.Tick(now, tel)
+	if debugNoGrantSkip || !dec.Replayed || !sk.grantsSettled {
+		sk.applyGrants(now, dec)
+	}
 
-	// Apply core frequency grants.
+	// Apply the uncore grant.
+	if dec.UncoreMHz != sk.uncoreMHz && !cstate.UncoreHalted(sk.pkgCState) {
+		if tr := sk.sys.trace; tr != nil {
+			tr.Emitf(now, trace.UncoreChange, sk.Index, -1,
+				"%v -> %v", sk.uncoreMHz, dec.UncoreMHz)
+			tr.Beginf(now, trace.SpanUncore, sk.Index, -1, "%v", dec.UncoreMHz)
+		}
+		sk.uncoreMHz = dec.UncoreMHz
+		sk.uncoreReg.SetFrequency(dec.UncoreMHz)
+		sk.markDirty()
+	}
+}
+
+// debugNoGrantSkip makes every grid tick run the grant pass, settled or
+// not (test seam: the segment-cost equivalence test runs the same
+// scenario with and without it and requires identical output).
+var debugNoGrantSkip = false
+
+// applyGrants applies a PCU decision's AVX modes and core frequency
+// grants, then records whether the grants have settled.
+func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
+	single := uarch.MHz(0)
+	if !sk.sys.cfg.PCPSEnabled {
+		// Single frequency domain: everyone gets the fastest grant.
+		for _, f := range dec.CoreTargetMHz {
+			single = max(single, f)
+		}
+	}
+	settled := true
 	for i, c := range sk.cores {
 		if dec.AVXMode[i] != c.avxMode {
 			if tr := sk.sys.trace; tr != nil {
@@ -261,27 +298,14 @@ func (sk *Socket) pcuTick(now sim.Time) {
 		c.avxMode = dec.AVXMode[i]
 		target := dec.CoreTargetMHz[i]
 		if !sk.sys.cfg.PCPSEnabled {
-			// Single frequency domain: everyone gets the fastest grant.
-			for _, f := range dec.CoreTargetMHz {
-				if f > target {
-					target = f
-				}
-			}
+			target = single
 		}
 		c.applyGrant(now, target)
-	}
-
-	// Apply the uncore grant.
-	if dec.UncoreMHz != sk.uncoreMHz && !cstate.UncoreHalted(sk.pkgCState) {
-		if tr := sk.sys.trace; tr != nil {
-			tr.Emitf(now, trace.UncoreChange, sk.Index, -1,
-				"%v -> %v", sk.uncoreMHz, dec.UncoreMHz)
-			tr.Beginf(now, trace.SpanUncore, sk.Index, -1, "%v", dec.UncoreMHz)
+		if _, inflight := c.dom.InFlight(); inflight {
+			settled = false
 		}
-		sk.uncoreMHz = dec.UncoreMHz
-		sk.uncoreReg.SetFrequency(dec.UncoreMHz)
-		sk.markDirty()
 	}
+	sk.grantsSettled = settled
 }
 
 // telemetry gathers the PCU inputs.
@@ -337,13 +361,15 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 //
 // Integration is change-driven: if no operating-point mutation has been
 // flagged since the last segment and the workload profiles still match,
-// the memoized segment is replayed — counters and residency advance
+// the memoized segment is replayed — the active cores' counters advance
 // with the cached rates, and the power breakdown is re-derived from the
-// memo in O(cores) multiply-adds (only the leakage temperature factor
-// moves), skipping the memory-hierarchy solver and the operating-point
-// rebuild entirely. The replayed segment is bit-for-bit identical to a
-// full recomputation, so traces and experiment outputs do not depend on
-// which path ran.
+// memo in one multiply-add per leaking core (only the leakage
+// temperature factor moves), skipping the memory-hierarchy solver and
+// the operating-point rebuild entirely. The replayed segment is
+// bit-for-bit identical to a full recomputation, so traces and
+// experiment outputs do not depend on which path ran. Neither path
+// touches a sleeping core: the TSC is node-wide (System.integrateTo)
+// and residency is credited lazily (Core.creditResidency).
 func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
 	if !debugForceFullIntegration && sk.segValid && !sk.opDirty && sk.steadyAt(from) {
 		sk.statReplay++
@@ -380,16 +406,8 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 // integrateSteady replays the memoized segment over dt.
 func (sk *Socket) integrateSteady(dt sim.Time) float64 {
 	tscGHz := sk.Spec.BaseMHz.GHz()
-	for _, c := range sk.cores {
-		c.resid.add(sk.Spec, c.dom.Granted(), c.cstateNow, dt)
-	}
 	for j, c := range sk.coresBuf {
-		c.ctr.Advance(dt, sk.loadsBuf[j].FreqGHz, tscGHz, c.lastRate, c.lastStall, true)
-	}
-	for _, c := range sk.cores {
-		if c.cstateNow != cstate.C0 || c.kernel == nil {
-			c.ctr.Advance(dt, 0, tscGHz, 0, 0, false)
-		}
+		c.ctr.Advance(dt, sk.loadsBuf[j].FreqGHz, tscGHz, c.lastRate, c.lastStall)
 	}
 	pkg := sk.Power.Replay(&sk.memo)
 	pkgW := pkg.Total()
@@ -459,16 +477,12 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		sk.statesBuf = make([]power.CoreState, len(sk.cores))
 	}
 	states := sk.statesBuf[:len(sk.cores)]
-	for i := range states {
-		states[i] = power.CoreState{}
-	}
 	tscGHz := sk.Spec.BaseMHz.GHz()
 	var ev rapl.ModelInputs
 	sk.dramGBs = 0
 	for i, c := range sk.cores {
 		states[i] = power.CoreState{CState: c.cstateNow, Volts: c.reg.Volts()}
 		c.lastStall = 0
-		c.resid.add(sk.Spec, c.dom.Granted(), c.cstateNow, dt)
 	}
 	for j, c := range loadCores {
 		r := results[j]
@@ -481,7 +495,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		}
 		c.lastStall = r.StallFrac
 		c.lastRate = rate
-		c.ctr.Advance(dt, loads[j].FreqGHz, tscGHz, rate, r.StallFrac, true)
+		c.ctr.Advance(dt, loads[j].FreqGHz, tscGHz, rate, r.StallFrac)
 		st := &states[c.Index]
 		st.FreqGHz = loads[j].FreqGHz
 		st.Activity = prof.Activity
@@ -492,13 +506,6 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		ev.L3GBs += r.L3GBs
 		ev.MemGBs += r.MemGBs
 		sk.dramGBs += r.MemGBs
-	}
-	// Idle cores still advance TSC.
-	for _, c := range sk.cores {
-		if c.cstateNow != cstate.C0 || c.kernel == nil {
-			c.ctr.Advance(dt, 0, tscGHz, 0, 0, false)
-			c.lastRate = 0
-		}
 	}
 
 	uncoreVolts := sk.uncoreReg.Volts()

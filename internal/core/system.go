@@ -113,6 +113,10 @@ type System struct {
 	rng   sim.RNG
 
 	lastIntegrate sim.Time
+	// tsc is the node's invariant time-stamp counter, in (fractional)
+	// cycles. Every core reads the same TSC, so the node advances one
+	// count per integration step instead of one per core per segment.
+	tsc float64
 	// AC energy accumulated since the last meter sample, for averaging.
 	acJoules    float64
 	lastACPower float64
@@ -428,6 +432,7 @@ func (s *System) integrateTo(now sim.Time) {
 	for _, sk := range s.sockets {
 		totalRAPL += sk.integrate(s.lastIntegrate, dt)
 	}
+	s.tsc += s.cfg.Spec.BaseMHz.GHz() * 1e9 * dt.Seconds()
 	s.raplJoules += totalRAPL * dt.Seconds()
 	ac := s.cfg.Node.ACWatts(totalRAPL)
 	s.acJoules += ac * dt.Seconds()

@@ -27,6 +27,7 @@ func (s *System) SleepCore(cpu int, st cstate.State) error {
 	}
 	now := s.Engine.Now()
 	s.integrateTo(now)
+	c.creditResidency()
 	prev := c.cstateNow
 	c.cstateNow = st
 	s.maxReqValid = false

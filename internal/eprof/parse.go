@@ -22,10 +22,12 @@ type ParsedProfile struct {
 }
 
 // ParsedSample is one decoded sample with its frames rendered
-// root-first (reversing the wire's leaf-first location order).
+// root-first (reversing the wire's leaf-first location order) and its
+// string-valued labels (nil when it has none).
 type ParsedSample struct {
 	Frames []string
 	Values []int64
+	Labels map[string]string
 }
 
 type protoReader struct {
@@ -133,11 +135,12 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 	type vt struct{ typ, unit uint64 }
 	var sampleTypes []vt
 	type rawSample struct {
-		locs []uint64
-		vals []int64
+		locs   []uint64
+		vals   []int64
+		labels [][2]uint64 // (key, str) string indices
 	}
 	var samples []rawSample
-	locFunc := map[uint64]uint64{} // location id -> function id
+	locFunc := map[uint64]uint64{}  // location id -> function id
 	funcName := map[uint64]uint64{} // function id -> name string index
 	var durationNS int64
 	var defaultTypeIdx uint64
@@ -195,6 +198,21 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 						}
 					} else {
 						cur.vals = append(cur.vals, int64(val))
+					}
+				case 3: // label
+					lr := &protoReader{b: inner}
+					var kv [2]uint64
+					for !lr.done() {
+						ln, lv, _, err := lr.field()
+						if err != nil {
+							return nil, err
+						}
+						if ln == 1 || ln == 2 {
+							kv[ln-1] = lv
+						}
+					}
+					if kv[1] != 0 { // numeric labels carry no string
+						cur.labels = append(cur.labels, kv)
 					}
 				}
 			}
@@ -280,6 +298,20 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 				return nil, err
 			}
 			ps.Frames = append(ps.Frames, name)
+		}
+		for _, kv := range s.labels {
+			k, err := str(kv[0])
+			if err != nil {
+				return nil, err
+			}
+			v, err := str(kv[1])
+			if err != nil {
+				return nil, err
+			}
+			if ps.Labels == nil {
+				ps.Labels = map[string]string{}
+			}
+			ps.Labels[k] = v
 		}
 		out.Samples = append(out.Samples, ps)
 	}

@@ -165,8 +165,8 @@ func (p *Profile) WritePprof(w io.Writer, defaultType string) error {
 		out.bytesField(4, loc.b)
 
 		var fn protoBuf
-		fn.int64Field(1, int64(i+1))    // id
-		fn.int64Field(2, st.id(name))   // name
+		fn.int64Field(1, int64(i+1))      // id
+		fn.int64Field(2, st.id(name))     // name
 		fn.int64Field(4, st.id("hswsim")) // filename
 		out.bytesField(5, fn.b)
 	}

@@ -83,7 +83,7 @@ func AblationPstateGrid(o Options) (*AblationResult, error) {
 		{"immediate (pre-Haswell)", 0},
 	}
 	samples := o.count(200)
-	out, err := parallelMap(variants, func(variant gridVariant) (AblationVariant, error) {
+	out, err := parallelMap(o, variants, func(variant gridVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = o.Seed
 		spec := *cfg.Spec
@@ -165,7 +165,7 @@ func AblationUFS(o Options) (*AblationResult, error) {
 			c.UFSEnabled = false
 		}},
 	}
-	out, err := parallelMap(variants, func(v ufsVariant) (AblationVariant, error) {
+	out, err := parallelMap(o, variants, func(v ufsVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = o.Seed
 		v.mutate(&cfg)
@@ -256,7 +256,7 @@ func fig2WithMode(mode uarch.RAPLMode, o Options) (*Fig2Result, error) {
 			jobs = append(jobs, job{k: k, n: n})
 		}
 	}
-	points, err := forkMap(parent, jobs, func(sys *core.System, j job) (Fig2Point, error) {
+	points, err := forkMap(o, parent, jobs, func(sys *core.System, j job) (Fig2Point, error) {
 		for cpu := 0; cpu < j.n; cpu++ {
 			if err := sys.AssignKernel(cpu, j.k, 2); err != nil {
 				return Fig2Point{}, err
@@ -342,7 +342,7 @@ func AblationEET(o Options) (*AblationResult, error) {
 		{"EET on, 1.5 ms phases (unfavorable)", true, 1500 * sim.Microsecond},
 		{"EET off, 1.5 ms phases", false, 1500 * sim.Microsecond},
 	}
-	out, err := parallelMap(variants, func(variant eetVariant) (AblationVariant, error) {
+	out, err := parallelMap(o, variants, func(variant eetVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = o.Seed
 		cfg.EETEnabled = variant.eet
@@ -399,7 +399,7 @@ func AblationBudget(o Options) (*AblationResult, error) {
 		{"trading on (Haswell-EP)", true},
 		{"trading off", false},
 	}
-	out, err := parallelMap(variants, func(variant budgetVariant) (AblationVariant, error) {
+	out, err := parallelMap(o, variants, func(variant budgetVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = o.Seed
 		cfg.BudgetTrading = variant.trading

@@ -38,7 +38,7 @@ func KernelCatalogStudy(o Options) ([]KernelCharacter, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	chars, err := forkMap(parent, kernels, func(sys *core.System, k workload.Kernel) (KernelCharacter, error) {
+	chars, err := forkMap(o, parent, kernels, func(sys *core.System, k workload.Kernel) (KernelCharacter, error) {
 		for cpu := 0; cpu < 12; cpu++ {
 			if err := sys.AssignKernel(cpu, k, 2); err != nil {
 				return KernelCharacter{}, err

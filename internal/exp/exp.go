@@ -7,7 +7,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"runtime/pprof"
 
 	"hswsim/internal/core"
 	"hswsim/internal/sim"
@@ -48,6 +51,49 @@ type Options struct {
 	// profiled runs from ever replaying cached bytes (the profile comes
 	// from living through the run).
 	eprofExp string
+
+	// profExp carries the experiment id to parallelMap's CPU profiler
+	// labels. RunLive sets it after every cache and coalescing key has
+	// been taken, so it never reaches a key.
+	profExp string
+}
+
+// profLabels returns the CPU profiler label context of the experiment
+// o runs under: exp=<id> inside RunLive, no labels outside it.
+func (o Options) profLabels() context.Context {
+	ctx := context.Background()
+	if o.profExp != "" {
+		ctx = pprof.WithLabels(ctx, pprof.Labels("exp", o.profExp))
+	}
+	return ctx
+}
+
+// Validate checks the options domain. It is the one check the CLI, the
+// server and RunLive share, so a hostile or mistyped value fails before
+// any platform is built: the scale must be finite, the fleet ladder may
+// reach at most the full-scale 4096 nodes (each forked node holds tens
+// of KB), and the variation sigmas must be finite and at most 1.
+// Negative sigmas stay allowed: they are how a caller disables a term.
+func (o Options) Validate() error {
+	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) {
+		return fmt.Errorf("scale %g is not finite", o.Scale)
+	}
+	if maxN := fleetSizes[len(fleetSizes)-1]; o.Fleet.Nodes < 0 || o.Fleet.Nodes > maxN {
+		return fmt.Errorf("fleet nodes %d outside [0, %d]", o.Fleet.Nodes, maxN)
+	}
+	for _, sg := range []struct {
+		name string
+		v    float64
+	}{
+		{"leak sigma", o.Fleet.LeakSigma},
+		{"ceff sigma", o.Fleet.CeffSigma},
+		{"vmin sigma", o.Fleet.VminSigmaV},
+	} {
+		if math.IsNaN(sg.v) || math.IsInf(sg.v, 0) || sg.v > 1 {
+			return fmt.Errorf("fleet %s %g must be finite and at most 1 (negative disables the term)", sg.name, sg.v)
+		}
+	}
+	return nil
 }
 
 // Defaults returns full-fidelity options.

@@ -43,7 +43,7 @@ func PowerCapStudy(o Options) ([]PowerCapPoint, *report.Table, error) {
 		}
 	}
 	parent.RequestTurbo()
-	points, err := forkMap(parent, []float64{120, 100, 85, 70, 55},
+	points, err := forkMap(o, parent, []float64{120, 100, 85, 70, 55},
 		func(sys *core.System, cap float64) (PowerCapPoint, error) {
 			for s := 0; s < sys.Sockets(); s++ {
 				if err := sys.SetPowerLimitW(s, cap); err != nil {
@@ -112,7 +112,7 @@ func IdleTableStudy(o Options) ([]IdleTableVariant, *report.Table, error) {
 		{"ACPI tables (33/133 us)", governor.ACPIIdleGovernor()},
 		{"measured tables", governor.MeasuredIdleGovernor(uarch.HaswellEP)},
 	}
-	out, err := forkMap(parent, variants,
+	out, err := forkMap(o, parent, variants,
 		func(sys *core.System, v idleVariant) (IdleTableVariant, error) {
 			pick := v.gov.Pick(period - work)
 			// Drive every core with the periodic task; the governor's state
@@ -197,7 +197,7 @@ func DVFSDynamicStudy(o Options) ([]DVFSDynamicVariant, *report.Table, error) {
 		{"500 us grid (Haswell-EP)", false},
 		{"immediate transitions", true},
 	}
-	out, err := parallelMap(variants, func(v dvfsVariant) (DVFSDynamicVariant, error) {
+	out, err := parallelMap(o, variants, func(v dvfsVariant) (DVFSDynamicVariant, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = o.Seed
 		if v.immediate {

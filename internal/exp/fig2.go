@@ -77,7 +77,7 @@ func Fig2(gen uarch.Generation, o Options) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := forkMap(parent, jobs, func(sys *core.System, j job) (Fig2Point, error) {
+	points, err := forkMap(o, parent, jobs, func(sys *core.System, j job) (Fig2Point, error) {
 		for cpu := 0; cpu < j.n; cpu++ {
 			if err := sys.AssignKernel(cpu, j.k, 2); err != nil {
 				return Fig2Point{}, err

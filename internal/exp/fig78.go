@@ -127,7 +127,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 			}
 		}
 	}
-	bws, err := parallelMap(jobs, func(j job) (float64, error) {
+	bws, err := parallelMap(o, jobs, func(j job) (float64, error) {
 		return bwAt(parents[j.gen], j.level, j.f, dur)
 	})
 	if err != nil {
@@ -263,7 +263,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := forkMap(parent, grid, func(sys *core.System, p Fig8Point) (Fig8Point, error) {
+	points, err := forkMap(o, parent, grid, func(sys *core.System, p Fig8Point) (Fig8Point, error) {
 		bw, err := measureBandwidth(sys, p.Level, p.Cores, p.Threads,
 			uarch.MHz(p.FreqGHz*1000+0.5), dur)
 		if err != nil {

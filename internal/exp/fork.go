@@ -23,8 +23,9 @@ import (
 // points instead of allocating one platform per point. fn must
 // therefore not retain the *System (or pointers into it) past its
 // return — every point callback in this package extracts plain result
-// values, which is what makes the release safe.
-func forkMap[T, R any](parent *core.System, items []T, fn func(*core.System, T) (R, error)) ([]R, error) {
+// values, which is what makes the release safe. o labels the points
+// for the CPU profiler (see parallelMap).
+func forkMap[T, R any](o Options, parent *core.System, items []T, fn func(*core.System, T) (R, error)) ([]R, error) {
 	pep := parent.EnergyProfile()
 	// deltas[i] is point i's energy-profile accumulation, extracted
 	// from the child's COW-cloned collector before release and merged
@@ -40,7 +41,7 @@ func forkMap[T, R any](parent *core.System, items []T, fn func(*core.System, T) 
 	for i := range idxs {
 		idxs[i] = i
 	}
-	rs, err := parallelMap(idxs, func(i int) (R, error) {
+	rs, err := parallelMap(o, idxs, func(i int) (R, error) {
 		sys, ferr := parent.Fork()
 		if ferr != nil {
 			var zero R

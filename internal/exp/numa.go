@@ -38,7 +38,7 @@ func NUMAStudy(o Options) ([]NUMAPoint, *report.Table, error) {
 			jobs = append(jobs, numaJob{cores: cores, remote: remote})
 		}
 	}
-	points, err := forkMap(parent, jobs,
+	points, err := forkMap(o, parent, jobs,
 		func(sys *core.System, j numaJob) (NUMAPoint, error) {
 			k := workload.NUMAStream(j.remote)
 			for cpu := 0; cpu < j.cores; cpu++ {

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"context"
 	"errors"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +30,12 @@ var parallelWorkers = 0
 // lets point-level work interleave with other whole experiments without
 // oversubscribing the machine — and what makes the nesting
 // deadlock-free: the caller never waits on a slot.
-func parallelMap[T, R any](items []T, fn func(T) (R, error)) ([]R, error) {
+//
+// Each item runs under the CPU profiler label point=<index>, added to
+// the exp=<id> label of the experiment o belongs to (see RunLive), so
+// `go tool pprof -tagfocus` splits a profile by experiment and by sweep
+// point. Helper goroutines inherit the caller's exp label.
+func parallelMap[T, R any](o Options, items []T, fn func(T) (R, error)) ([]R, error) {
 	workers := sched.Cap()
 	if parallelWorkers > 0 {
 		workers = parallelWorkers
@@ -39,6 +47,7 @@ func parallelMap[T, R any](items []T, fn func(T) (R, error)) ([]R, error) {
 	errs := make([]error, len(items))
 	var next atomic.Int64
 	var failed atomic.Bool
+	labels := o.profLabels()
 	work := func() {
 		for {
 			if failed.Load() {
@@ -50,9 +59,11 @@ func parallelMap[T, R any](items []T, fn func(T) (R, error)) ([]R, error) {
 			}
 			obs.ExpPoints.Inc()
 			pointEnd := wallSpan("point", "")
-			if results[i], errs[i] = fn(items[i]); errs[i] != nil {
-				failed.Store(true)
-			}
+			pprof.Do(labels, pprof.Labels("point", strconv.Itoa(i)), func(context.Context) {
+				if results[i], errs[i] = fn(items[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			})
 			if pointEnd != nil {
 				pointEnd()
 			}

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -291,11 +293,16 @@ func RunSuite(ids []string, o Options, csv bool, cache Cache, emit func(SuiteRes
 // so a server run can never bypass or double-acquire the scheduler.
 // Tracing and accounting match the suite path: when a span trace is
 // active the options are marked so platforms register, and the
-// per-experiment run counter increments.
+// per-experiment run counter increments. The run carries the CPU
+// profiler label exp=<id> (parallelMap adds point=<index>), so a
+// plain -cpuprofile splits by experiment.
 func RunLive(id string, o Options, csv bool) ([]byte, error) {
 	d, ok := Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment id %q", id)
+	}
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	if o.traceExp == "" && activeSpanTrace.Load() != nil {
 		o.traceExp = id
@@ -303,9 +310,13 @@ func RunLive(id string, o Options, csv bool) ([]byte, error) {
 	if o.eprofExp == "" && activeEnergyProfile.Load() != nil {
 		o.eprofExp = id
 	}
+	o.profExp = id
 	slotEnd := wallSpan("slot", id)
 	var buf bytes.Buffer
-	err := d.Run(o, &buf, csv)
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("exp", id), func(context.Context) {
+		err = d.Run(o, &buf, csv)
+	})
 	if slotEnd != nil {
 		slotEnd()
 	}

@@ -100,7 +100,7 @@ func Table3(o Options) ([]Table3Row, *report.Table, error) {
 	}
 	spec := parent.Spec()
 	measure := o.dur(10 * sim.Second) // paper: 10 s per setting
-	rows, err := forkMap(parent, sweepSettings(spec, spec.MinMHz),
+	rows, err := forkMap(o, parent, sweepSettings(spec, spec.MinMHz),
 		func(sys *core.System, set uarch.MHz) (Table3Row, error) {
 			sys.SetPStateAll(set)
 			sys.Run(5 * sim.Millisecond) // let the grid apply the setting
@@ -158,7 +158,7 @@ func Table4(o Options) ([]Table4Row, *report.Table, error) {
 			return nil, nil, err
 		}
 	}
-	rows, err := forkMap(parent, sweepSettings(spec, 2100),
+	rows, err := forkMap(o, parent, sweepSettings(spec, 2100),
 		func(sys *core.System, set uarch.MHz) (Table4Row, error) {
 			sys.SetPStateAll(set)
 			sys.Run(o.dur(2 * sim.Second)) // settle the TDP controller
@@ -253,7 +253,7 @@ func Table5(o Options) ([]Table5Cell, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cells, err := forkMap(parent, jobs, func(sys *core.System, j job) (Table5Cell, error) {
+	cells, err := forkMap(o, parent, jobs, func(sys *core.System, j job) (Table5Cell, error) {
 		set := j.set
 		if set == 0 {
 			set = sys.Spec().TurboSettingMHz()

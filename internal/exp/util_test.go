@@ -62,7 +62,7 @@ func TestSweepSettings(t *testing.T) {
 
 func TestParallelMapOrderAndErrors(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out, err := parallelMap(items, func(x int) (int, error) { return x * x, nil })
+	out, err := parallelMap(Options{}, items, func(x int) (int, error) { return x * x, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelMapOrderAndErrors(t *testing.T) {
 		}
 	}
 	wantErr := errors.New("boom")
-	_, err = parallelMap(items, func(x int) (int, error) {
+	_, err = parallelMap(Options{}, items, func(x int) (int, error) {
 		if x == 5 {
 			return 0, wantErr
 		}
@@ -82,7 +82,7 @@ func TestParallelMapOrderAndErrors(t *testing.T) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 	// Empty input.
-	empty, err := parallelMap(nil, func(x int) (int, error) { return x, nil })
+	empty, err := parallelMap(Options{}, nil, func(x int) (int, error) { return x, nil })
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty map: %v %v", empty, err)
 	}
@@ -127,7 +127,7 @@ func TestParallelMapShortCircuit(t *testing.T) {
 	e3 := errors.New("e3")
 	e4 := errors.New("e4")
 	var started []int
-	_, err := parallelMap(items, func(x int) (int, error) {
+	_, err := parallelMap(Options{}, items, func(x int) (int, error) {
 		started = append(started, x)
 		switch x {
 		case 3:

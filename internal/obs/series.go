@@ -24,11 +24,11 @@ type Sample struct {
 // never observe a gap except by eviction, which Dropped counts.
 type Series struct {
 	mu    sync.Mutex
-	buf   []Sample // ring storage, len == cap once full
-	head  int      // next write position
-	count int      // number of valid samples (≤ cap(buf))
-	next  int64    // next index to assign (starts at 1)
-	drops int64    // samples evicted by wraparound
+	buf   []Sample      // ring storage, len == cap once full
+	head  int           // next write position
+	count int           // number of valid samples (≤ cap(buf))
+	next  int64         // next index to assign (starts at 1)
+	drops int64         // samples evicted by wraparound
 	wake  chan struct{} // closed and replaced on every Add (broadcast)
 }
 

@@ -144,6 +144,10 @@ type Decision struct {
 	UncoreMHz uarch.MHz
 	// AVXMode flags cores currently held in AVX operating mode.
 	AVXMode []bool
+	// Replayed reports a fixed-point tick: the steady-tick memo replayed
+	// the previous Tick's Decision, so every field above equals what the
+	// previous call returned.
+	Replayed bool
 }
 
 // PCU is one package's power control unit.
@@ -335,6 +339,7 @@ func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
 			CoreTargetMHz: p.decCore,
 			AVXMode:       p.decAVX,
 			UncoreMHz:     p.uncoreMHz,
+			Replayed:      true,
 		}
 	}
 	n := p.cfg.Spec.Cores

@@ -332,6 +332,45 @@ func TestEETWithholdsTurboFromStallingCores(t *testing.T) {
 	}
 }
 
+// TestDecisionReportsReplay: a fixed-point tick replays the previous
+// Decision and says so; a first tick, changed telemetry and a
+// reprogrammed limit do not.
+func TestDecisionReportsReplay(t *testing.T) {
+	p := newPCU()
+	tel := Telemetry{Cores: activeCores(2, 12, 2000, false), PkgPowerW: 30, SystemMaxRequestMHz: 2000}
+	first := p.Tick(0, tel)
+	if first.Replayed {
+		t.Fatal("first tick reported a replay")
+	}
+	want := append([]uarch.MHz(nil), first.CoreTargetMHz...)
+	unc := first.UncoreMHz
+	for i := 1; i <= 3; i++ {
+		dec := p.Tick(sim.Time(i)*500*sim.Microsecond, tel)
+		if !dec.Replayed {
+			t.Fatalf("tick %d at a fixed point was not a replay", i)
+		}
+		for j, f := range dec.CoreTargetMHz {
+			if f != want[j] {
+				t.Fatalf("replayed target %d = %v, previous decision %v", j, f, want[j])
+			}
+		}
+		if dec.UncoreMHz != unc {
+			t.Fatalf("replayed uncore %v, previous decision %v", dec.UncoreMHz, unc)
+		}
+	}
+	tel.Cores = activeCores(2, 12, 1800, false)
+	if p.Tick(2*sim.Millisecond, tel).Replayed {
+		t.Fatal("changed request replayed the previous decision")
+	}
+	if !p.Tick(2500*sim.Microsecond, tel).Replayed {
+		t.Fatal("fixed point after the change was not a replay")
+	}
+	p.SetTDPWatts(100)
+	if p.Tick(3*sim.Millisecond, tel).Replayed {
+		t.Fatal("reprogrammed power limit replayed the previous decision")
+	}
+}
+
 func TestEETPollingIsSporadic(t *testing.T) {
 	// The 1 ms poll means a stall spike between polls is invisible
 	// until the next poll — the phase-change hazard of Section II-E.

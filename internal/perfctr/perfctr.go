@@ -15,30 +15,30 @@ import (
 	"hswsim/internal/sim"
 )
 
-// Core holds one logical core's counters. Counts are exact (float64
-// accumulation of fractional cycles, exposed as integers).
+// Core holds one logical core's C0 counters. Counts are exact (float64
+// accumulation of fractional cycles, exposed as integers). The TSC is
+// not among them: it is invariant and ticks identically on every core
+// of a node, so its owner (core.System) keeps one count for the node
+// and hands it to Snapshot.
 type Core struct {
-	tsc          float64
 	aperf        float64
 	mperf        float64
 	instructions float64
 	stallCycles  float64
 }
 
-// Advance accumulates dt of execution: coreGHz is the actual clock (0
-// when not in C0), tscGHz the invariant TSC rate, instPerSec the
-// retirement rate, stallFrac the fraction of cycles stalled.
-func (c *Core) Advance(dt sim.Time, coreGHz, tscGHz, instPerSec, stallFrac float64, inC0 bool) {
+// Advance accumulates dt of execution in C0: coreGHz is the actual
+// clock, tscGHz the invariant TSC rate, instPerSec the retirement rate,
+// stallFrac the fraction of cycles stalled. A core outside C0 does not
+// call it: none of these counters moves while it sleeps.
+func (c *Core) Advance(dt sim.Time, coreGHz, tscGHz, instPerSec, stallFrac float64) {
 	sec := dt.Seconds()
-	c.tsc += tscGHz * 1e9 * sec
-	if inC0 {
-		// APERF counts actual cycles, MPERF counts at the TSC rate —
-		// both only while in C0 (their ratio is the average frequency).
-		c.aperf += coreGHz * 1e9 * sec
-		c.mperf += tscGHz * 1e9 * sec
-		c.instructions += instPerSec * sec
-		c.stallCycles += coreGHz * 1e9 * sec * stallFrac
-	}
+	// APERF counts actual cycles, MPERF counts at the TSC rate — both
+	// only while in C0 (their ratio is the average frequency).
+	c.aperf += coreGHz * 1e9 * sec
+	c.mperf += tscGHz * 1e9 * sec
+	c.instructions += instPerSec * sec
+	c.stallCycles += coreGHz * 1e9 * sec * stallFrac
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -51,11 +51,12 @@ type Snapshot struct {
 	StallCycles  uint64
 }
 
-// Snapshot captures the counter values at the given virtual time.
-func (c *Core) Snapshot(at sim.Time) Snapshot {
+// Snapshot captures the counter values at the given virtual time; tsc
+// is the node's TSC count at that time.
+func (c *Core) Snapshot(at sim.Time, tsc float64) Snapshot {
 	return Snapshot{
 		At:           at,
-		TSC:          uint64(c.tsc),
+		TSC:          uint64(tsc),
 		APERF:        uint64(c.aperf),
 		MPERF:        uint64(c.mperf),
 		Instructions: uint64(c.instructions),

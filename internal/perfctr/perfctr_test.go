@@ -9,9 +9,12 @@ import (
 
 func TestCoreCountersAdvance(t *testing.T) {
 	var c Core
-	// 1 second at 2.5 GHz, TSC 2.5 GHz, 7e9 inst/s, 10% stalls, in C0.
-	c.Advance(sim.Second, 2.5, 2.5, 7e9, 0.1, true)
-	s := c.Snapshot(sim.Second)
+	// 1 second in C0 at 2.5 GHz, TSC 2.5 GHz, 7e9 inst/s, 10% stalls.
+	c.Advance(sim.Second, 2.5, 2.5, 7e9, 0.1)
+	s := c.Snapshot(sim.Second, 2.5e9)
+	if s.TSC != 2500000000 {
+		t.Fatalf("TSC = %d, want the node count passed in", s.TSC)
+	}
 	if s.APERF != 2500000000 {
 		t.Fatalf("APERF = %d", s.APERF)
 	}
@@ -23,25 +26,12 @@ func TestCoreCountersAdvance(t *testing.T) {
 	}
 }
 
-func TestIdleCoreOnlyTSCAdvances(t *testing.T) {
-	var c Core
-	c.Advance(sim.Second, 0, 2.5, 0, 0, false)
-	s := c.Snapshot(sim.Second)
-	if s.TSC == 0 {
-		t.Fatal("TSC must be invariant (advances while idle)")
-	}
-	if s.APERF != 0 || s.MPERF != 0 || s.Instructions != 0 {
-		t.Fatalf("idle core advanced C0 counters: %+v", s)
-	}
-}
-
 func TestIntervalDerivations(t *testing.T) {
 	var c Core
-	a := c.Snapshot(0)
-	// Half the time at 2.5 GHz, half idle.
-	c.Advance(sim.Second/2, 2.5, 2.5, 5e9, 0.2, true)
-	c.Advance(sim.Second/2, 0, 2.5, 0, 0, false)
-	b := c.Snapshot(sim.Second)
+	a := c.Snapshot(0, 0)
+	// Half the time at 2.5 GHz, half idle (no Advance).
+	c.Advance(sim.Second/2, 2.5, 2.5, 5e9, 0.2)
+	b := c.Snapshot(sim.Second, 0)
 	iv := Delta(a, b)
 	if f := iv.FreqGHz(); math.Abs(f-1.25) > 1e-9 {
 		t.Fatalf("wall-time frequency = %v, want 1.25 (50%% duty)", f)
@@ -90,10 +80,10 @@ func TestFrequencyMeasurementDetectsSwitch(t *testing.T) {
 	// The modified-FTaLaT verification: a 20 us busy-wait cycle count
 	// distinguishes 1.2 from 1.3 GHz.
 	var c Core
-	c.Advance(20*sim.Microsecond, 1.2, 2.5, 1.2e9, 0, true)
-	s1 := c.Snapshot(20 * sim.Microsecond)
-	c.Advance(20*sim.Microsecond, 1.3, 2.5, 1.3e9, 0, true)
-	s2 := c.Snapshot(40 * sim.Microsecond)
+	c.Advance(20*sim.Microsecond, 1.2, 2.5, 1.2e9, 0)
+	s1 := c.Snapshot(20*sim.Microsecond, 0)
+	c.Advance(20*sim.Microsecond, 1.3, 2.5, 1.3e9, 0)
+	s2 := c.Snapshot(40*sim.Microsecond, 0)
 	f1 := Delta(Snapshot{}, s1).FreqGHz()
 	f2 := Delta(s1, s2).FreqGHz()
 	if math.Abs(f1-1.2) > 0.01 || math.Abs(f2-1.3) > 0.01 {

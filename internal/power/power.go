@@ -135,6 +135,11 @@ type ComputeMemo struct {
 	// exact addend folded into coresDynamic, kept per core so the energy
 	// profiler can attribute it without re-deriving the operating point.
 	dyn []float64
+	// live lists, in core order, the cores with a nonzero leak scale:
+	// the only terms Replay has to visit. A power-gated (C6) core adds
+	// nothing to the leakage sum, so skipping it keeps the summation
+	// order — and the result — bit-for-bit what visiting it would give.
+	live []int
 }
 
 // Dyn returns core i's memoized dynamic power in watts.
@@ -188,10 +193,12 @@ func (p *PackageModel) ComputeMemoized(memo *ComputeMemo, cores []CoreState, unc
 		memo.leakBase = make([]float64, len(cores))
 		memo.leakScale = make([]float64, len(cores))
 		memo.dyn = make([]float64, len(cores))
+		memo.live = make([]int, 0, len(cores))
 	}
 	memo.leakBase = memo.leakBase[:len(cores)]
 	memo.leakScale = memo.leakScale[:len(cores)]
 	memo.dyn = memo.dyn[:len(cores)]
+	memo.live = memo.live[:0]
 	memo.coresDynamic = 0
 	for i, c := range cores {
 		base, scale := 0.0, 0.0
@@ -217,6 +224,9 @@ func (p *PackageModel) ComputeMemoized(memo *ComputeMemo, cores []CoreState, unc
 		}
 		memo.leakBase[i] = base
 		memo.leakScale[i] = scale
+		if scale != 0 {
+			memo.live = append(memo.live, i)
+		}
 	}
 	if uncoreGHz > 0 {
 		b.Uncore = p.PM.CeffUncore * p.CeffScale * uncoreVolts * uncoreVolts * uncoreGHz
@@ -230,9 +240,10 @@ func (p *PackageModel) ComputeMemoized(memo *ComputeMemo, cores []CoreState, unc
 
 // Replay returns the breakdown for the memoized operating point at the
 // present die temperature, without touching per-core state: only the
-// leakage terms are re-scaled by the current temperature factor. The
-// result is bit-for-bit what ComputeMemoized would return for the same
-// (unchanged) inputs.
+// leakage terms of the cores that leak are re-scaled by the current
+// temperature factor, so its cost follows the awake cores, not the die
+// size. The result is bit-for-bit what ComputeMemoized would return for
+// the same (unchanged) inputs.
 func (p *PackageModel) Replay(memo *ComputeMemo) Breakdown {
 	tempFactor := p.tempFactor()
 	b := Breakdown{
@@ -240,11 +251,11 @@ func (p *PackageModel) Replay(memo *ComputeMemo) Breakdown {
 		Uncore:       memo.uncore,
 		Static:       memo.static,
 	}
-	for i, base := range memo.leakBase {
-		switch memo.leakScale[i] {
-		case 1:
+	for _, i := range memo.live {
+		base := memo.leakBase[i]
+		if memo.leakScale[i] == 1 {
 			b.Leakage += base * tempFactor
-		case 0.3:
+		} else {
 			b.Leakage += 0.3 * (base * tempFactor)
 		}
 	}

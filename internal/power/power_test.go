@@ -260,3 +260,32 @@ func TestTableIVContour(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMatchesComputeBitwise: Replay visits only the leaking
+// cores, yet must return exactly what ComputeMemoized returns for the
+// same operating point, at every die temperature — with every c-state
+// mix, including a fully power-gated die.
+func TestReplayMatchesComputeBitwise(t *testing.T) {
+	states := []cstate.State{cstate.C0, cstate.C1, cstate.C3, cstate.C6}
+	for mix := 0; mix < 6; mix++ {
+		p := NewPackageModel(hswPM(), 1.02, 30)
+		p.LeakScale = 1.07
+		cores := firestarterCores(12, 2.1, true)
+		for i := range cores {
+			cores[i].CState = states[(i*mix+i/3)%len(states)]
+			if mix == 5 {
+				cores[i].CState = cstate.C6
+			}
+			cores[i].Volts += 0.01 * float64(i)
+		}
+		var memo ComputeMemo
+		want := p.ComputeMemoized(&memo, cores, 2.4, voltsFor(2.4))
+		for step := 0; step < 5; step++ {
+			if got := p.Replay(&memo); got != want {
+				t.Fatalf("mix %d step %d: Replay = %+v, ComputeMemoized = %+v", mix, step, got, want)
+			}
+			p.UpdateTemp(want.Total()+40, 300*sim.Millisecond)
+			want = p.Compute(cores, 2.4, voltsFor(2.4))
+		}
+	}
+}

@@ -246,6 +246,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o := req.options()
+	if err := o.Validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()

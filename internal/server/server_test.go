@@ -473,6 +473,10 @@ func TestRunRequestValidation(t *testing.T) {
 		{"scale above ceiling", `{"id":"tab1","scale":0.9}`, "", http.StatusBadRequest},
 		{"negative scale", `{"id":"tab1","scale":-1}`, "", http.StatusBadRequest},
 		{"bad trace mode", `{"id":"tab1","scale":0.05}`, "?trace=perf", http.StatusBadRequest},
+		{"fleet nodes above cap", `{"id":"fleet","scale":0.05,"fleet_nodes":50000000}`, "", http.StatusBadRequest},
+		{"negative fleet nodes", `{"id":"fleet","scale":0.05,"fleet_nodes":-1}`, "", http.StatusBadRequest},
+		{"leak sigma above 1", `{"id":"fleet","scale":0.05,"fleet_leak_sigma":2}`, "", http.StatusBadRequest},
+		{"vmin sigma above 1", `{"id":"fleet","scale":0.05,"fleet_vmin_sigma":1e300}`, "", http.StatusBadRequest},
 	} {
 		resp, body := postRun(t, ts, tc.body, tc.query)
 		if resp.StatusCode != tc.want {

@@ -27,12 +27,12 @@ type Handler interface {
 // in-flight (its callback is running) and retired/free entries — the
 // generation stamp tells those apart.
 const (
-	locNone int8 = iota
-	locCur       // active (at, seq) min-heap; index = heap position
-	locFar       // far-future min-heap; index = heap position
-	locWheel     // linked into a wheel bucket; index = global slot
-	locGroup     // member of a coalesced tick group; grp = driver
-	locClaimed   // claimed into the current dispatch batch
+	locNone    int8 = iota
+	locCur          // active (at, seq) min-heap; index = heap position
+	locFar          // far-future min-heap; index = heap position
+	locWheel        // linked into a wheel bucket; index = global slot
+	locGroup        // member of a coalesced tick group; grp = driver
+	locClaimed      // claimed into the current dispatch batch
 )
 
 // scheduled is an entry in the event queue. seq breaks ties between events
