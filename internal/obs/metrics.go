@@ -18,8 +18,6 @@ var (
 		"timer entries newly allocated (free list empty)")
 	SimForks = std.Counter("sim_forks_total",
 		"engine forks (one per parallel sweep point)")
-	SimTickCoalesced = std.Counter("sim_tick_coalesce_joins_total",
-		"periodic arms absorbed into a shared tick group instead of an own queue slot")
 
 	// Platform forks: copy-on-write System.Fork cost and child reuse.
 	// The wall histogram is the fork latency budget gate (~10 us

@@ -100,10 +100,10 @@ func BenchmarkEngineMixedQueue(b *testing.B) {
 }
 
 // BenchmarkEngineDensePeriodic measures steady-state stepping with 1k
-// concurrent Every series on mixed periods — the dense-fleet tick
-// pattern the coalescer targets. Series sharing a period are
-// phase-aligned, so each period contributes one coalesced group per
-// occurrence rather than hundreds of independent queue entries.
+// concurrent Every series on mixed periods. A simulated node holds a
+// few dozen pending events, so this row records the heap's O(log n)
+// cost at a depth far beyond any real run, not a workload the suite
+// sees.
 func BenchmarkEngineDensePeriodic(b *testing.B) {
 	e := NewEngine()
 	fn := func(Time) {}

@@ -20,18 +20,14 @@ type Handler interface {
 	HandleEvent(now Time, arg int)
 }
 
-// Entry locations. An entry is pending while it sits in one of the
-// queue structures (the active heap, the far heap, a wheel bucket, or a
-// coalesced tick group); locClaimed marks it pulled into the current
-// same-timestamp dispatch batch but not yet run; locNone covers both
-// in-flight (its callback is running) and retired/free entries — the
-// generation stamp tells those apart.
+// Entry locations. locQueued marks a pending entry in the engine's
+// heap; locClaimed marks it pulled into the current same-timestamp
+// dispatch batch but not yet run; locNone covers both in-flight (its
+// callback is running) and retired/free entries — the generation stamp
+// tells those apart.
 const (
 	locNone    int8 = iota
-	locCur          // active (at, seq) min-heap; index = heap position
-	locFar          // far-future min-heap; index = heap position
-	locWheel        // linked into a wheel bucket; index = global slot
-	locGroup        // member of a coalesced tick group; grp = driver
+	locQueued       // pending in the (at, seq) heap; index = heap position
 	locClaimed      // claimed into the current dispatch batch
 )
 
@@ -45,12 +41,6 @@ const (
 // recycle so a stale EventID can never touch an entry's next life.
 // Periodic timers (Every) are intrusive: period > 0 marks an entry that
 // re-arms itself after each dispatch instead of allocating a successor.
-//
-// The same struct doubles as the driver of a coalesced tick group
-// (members != nil): the driver carries the group's occurrence time and
-// the head member's seq so it sorts exactly where the head member
-// would, and dispatch expands it back into its members. Drivers are
-// internal — they never carry an EventID and do not count as pending.
 type scheduled struct {
 	at  Time
 	seq uint64
@@ -61,23 +51,12 @@ type scheduled struct {
 	arg    int
 	loc    int8
 	gen    uint64 // incremented each time the entry returns to the pool
-	index  int    // heap position (locCur/locFar) or global wheel slot (locWheel)
+	index  int    // heap position while locQueued
 	period Time   // > 0: persistent periodic timer (Every)
 	// stopped marks a periodic series whose stop function ran while its
 	// tick was in flight; the dispatcher retires the entry instead of
 	// re-arming it.
 	stopped bool
-
-	// Wheel-bucket links (locWheel): buckets are unordered intrusive
-	// doubly-linked lists, so insert and cancel are O(1).
-	next, prev *scheduled
-
-	// Coalesced tick groups: grp points a member (locGroup) at its
-	// driver; members/mhead make an entry a driver — members[mhead:]
-	// are the pending members in ascending seq order.
-	grp     *scheduled
-	members []*scheduled
-	mhead   int
 }
 
 // EventID identifies a scheduled event so it can be cancelled. IDs are
@@ -182,59 +161,23 @@ func (q *eventQueue) remove(i int) {
 	}
 }
 
-// mstream is one group's member list being merged (by seq) into a
-// same-timestamp dispatch batch.
-type mstream struct {
-	d *scheduled // driver whose members are being consumed
-	i int        // next member index
-}
-
 // Engine is a deterministic discrete-event scheduler over virtual time.
 // It is not safe for concurrent use; simulations are single-goroutine by
 // design so that identical inputs always produce identical traces.
 //
-// Internally the pending set is a hierarchical timing wheel (wheel.go):
-// a small active heap holds the earliest entries, near-term events hash
-// into fixed-width L0/L1 buckets at O(1), and only far-future one-shots
-// pay a heap. Periodic series sharing an occurrence instant and period
-// coalesce into shared tick groups (coalesce.go). Every structure
-// preserves the exact (at, seq) dispatch order of a single global heap.
+// The pending set is one binary min-heap ordered by (at, seq). A
+// simulated node holds a few dozen pending events at most, so the heap
+// stays shallow and its O(log n) sift is a handful of compares.
 type Engine struct {
-	now Time
-	seq uint64
-	// pendingN counts pending events (group members included, internal
-	// group drivers excluded) — the Pending() inventory.
-	pendingN int
-
-	cur    eventQueue // activated entries: the globally earliest live here
-	far    eventQueue // one-shots beyond the wheel horizon
-	l0     [l0Size]*scheduled
-	l1     [l1Size]*scheduled
-	l0bits [l0Size / 64]uint64
-	l1bits [l1Size / 64]uint64
-	// bucketMin is a monotone lower bound on every bucket window start
-	// (maxTime when both wheels are empty, 0 on a fresh engine — the
-	// first nextDue tightens it). It lets the steady-state activation
-	// check skip the bitmap scans entirely.
-	bucketMin Time
+	now   Time
+	seq   uint64
+	queue eventQueue
 
 	// free pools retired queue entries for reuse (bounded by the peak
 	// number of simultaneously pending events).
 	free []*scheduled
 	// batch is the scratch buffer for same-timestamp dispatch in RunUntil.
 	batch []*scheduled
-	// streams is the claim-time scratch for merging group member lists
-	// with the active heap; mpool recycles member-slice backings.
-	streams []mstream
-	mpool   [][]*scheduled
-	// recent ring of lately armed periodic nodes — the coalescing join
-	// candidates (see armPeriodic).
-	recent    [4]*scheduled
-	recentPos int
-
-	// Stepped is invoked after every dispatched event; nil by default.
-	// Probes (power integrators, trace writers) may hook it.
-	Stepped func(now Time)
 	// stats are plain counters (the engine is single-goroutine by
 	// design); deltas flush to the process-wide obs registry at the end
 	// of each RunUntil/Drain, keeping the per-event path atomic-free.
@@ -245,8 +188,8 @@ type Engine struct {
 // The flushed fields remember what has already been pushed to obs so a
 // flush adds only the delta since the previous one.
 type engineStats struct {
-	dispatched, poolReuse, poolAlloc, coalesced           uint64
-	flushedDispatch, flushedReuse, flushedNew, flushedCoa uint64
+	dispatched, poolReuse, poolAlloc          uint64
+	flushedDispatch, flushedReuse, flushedNew uint64
 }
 
 // flushStats pushes counter deltas to the obs registry: a handful of
@@ -265,10 +208,6 @@ func (e *Engine) flushStats() {
 		obs.SimTimerPoolAlloc.Add(int64(d))
 		s.flushedNew = s.poolAlloc
 	}
-	if d := s.coalesced - s.flushedCoa; d > 0 {
-		obs.SimTickCoalesced.Add(int64(d))
-		s.flushedCoa = s.coalesced
-	}
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -280,7 +219,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.pendingN }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // alloc takes an entry from the pool, or makes one.
 func (e *Engine) alloc() *scheduled {
@@ -305,14 +244,17 @@ func (e *Engine) release(s *scheduled) {
 	s.stopped = false
 	s.loc = locNone
 	s.index = 0
-	s.next = nil
-	s.prev = nil
-	s.grp = nil
 	e.free = append(e.free, s)
 }
 
-// schedule allocates an entry stamped with the next tie-break sequence
-// number; the caller places it (place/armPeriodic).
+// place queues a pending entry whose at/seq the caller has set.
+func (e *Engine) place(s *scheduled) {
+	s.loc = locQueued
+	e.queue.push(s)
+}
+
+// schedule queues an entry at t stamped with the next tie-break
+// sequence number; the caller sets h/arg or period where it needs them.
 func (e *Engine) schedule(t Time, fn Event) *scheduled {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -322,6 +264,7 @@ func (e *Engine) schedule(t Time, fn Event) *scheduled {
 	s.seq = e.seq
 	s.fn = fn
 	e.seq++
+	e.place(s)
 	return s
 }
 
@@ -329,8 +272,6 @@ func (e *Engine) schedule(t Time, fn Event) *scheduled {
 // (before Now) panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn Event) EventID {
 	s := e.schedule(t, fn)
-	e.pendingN++
-	e.place(s)
 	return EventID{s: s, gen: s.gen}
 }
 
@@ -340,8 +281,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg int) EventID {
 	s := e.schedule(t, nil)
 	s.h = h
 	s.arg = arg
-	e.pendingN++
-	e.place(s)
 	return EventID{s: s, gen: s.gen}
 }
 
@@ -351,23 +290,6 @@ func (e *Engine) After(d Time, fn Event) EventID {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	return e.At(e.now+d, fn)
-}
-
-// removePending takes a pending entry out of whichever structure holds
-// it. The caller releases the entry (or re-homes it).
-func (e *Engine) removePending(s *scheduled) {
-	switch s.loc {
-	case locCur:
-		e.cur.remove(s.index)
-	case locFar:
-		e.far.remove(s.index)
-	case locWheel:
-		e.unlink(s)
-	case locGroup:
-		e.removeMember(s.grp, s)
-	}
-	s.loc = locNone
-	e.pendingN--
 }
 
 // Cancel removes a pending event. Cancelling an already-dispatched,
@@ -380,8 +302,8 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	switch s.loc {
-	case locCur, locFar, locWheel, locGroup:
-		e.removePending(s)
+	case locQueued:
+		e.queue.remove(s.index)
 		e.release(s)
 		return true
 	case locClaimed:
@@ -406,7 +328,6 @@ func (e *Engine) EveryID(start, period Time, fn Event) EventID {
 	}
 	s := e.schedule(start, fn)
 	s.period = period
-	e.armPeriodic(s)
 	return EventID{s: s, gen: s.gen}
 }
 
@@ -419,7 +340,6 @@ func (e *Engine) EveryIDHandler(start, period Time, h Handler, arg int) EventID 
 	s.h = h
 	s.arg = arg
 	s.period = period
-	e.armPeriodic(s)
 	return EventID{s: s, gen: s.gen}
 }
 
@@ -428,8 +348,8 @@ func (e *Engine) EveryIDHandler(start, period Time, h Handler, arg int) EventID 
 func (e *Engine) stopPeriodic(s *scheduled) {
 	s.stopped = true
 	switch s.loc {
-	case locCur, locFar, locWheel, locGroup:
-		e.removePending(s)
+	case locQueued:
+		e.queue.remove(s.index)
 		e.release(s)
 	case locClaimed:
 		e.release(s)
@@ -453,14 +373,7 @@ func (e *Engine) StopSeries(id EventID) {
 // false; a periodic series reports true until stopped.
 func (e *Engine) IsPending(id EventID) bool {
 	s := id.s
-	if s == nil || s.gen != id.gen || s.stopped {
-		return false
-	}
-	switch s.loc {
-	case locCur, locFar, locWheel, locGroup:
-		return true
-	}
-	return false
+	return s != nil && s.gen == id.gen && s.loc == locQueued
 }
 
 // Fork returns a new engine at the same virtual time with the same
@@ -477,30 +390,17 @@ func (e *Engine) Fork() *Engine {
 	obs.SimForks.Inc()
 	n := &Engine{now: e.now, seq: e.seq}
 	// The child will immediately re-arm one entry per pending parent
-	// event; pre-size its free list and active heap in one slab each so
-	// the re-arm loop allocates nothing.
-	if pending := e.pendingN; pending > 0 {
+	// event; pre-size its free list and heap in one slab each so the
+	// re-arm loop allocates nothing.
+	if pending := len(e.queue); pending > 0 {
 		slab := make([]scheduled, pending)
 		n.free = make([]*scheduled, pending)
 		for i := range slab {
 			n.free[i] = &slab[i]
 		}
-		n.cur = make(eventQueue, 0, pending)
+		n.queue = make(eventQueue, 0, pending)
 	}
 	return n
-}
-
-// releaseTree releases an entry and, for a group driver, its pending
-// members — the bulk-teardown path (ResetToFork).
-func (e *Engine) releaseTree(s *scheduled) {
-	if s.members != nil {
-		for _, m := range s.members[s.mhead:] {
-			e.release(m)
-		}
-		e.releaseDriver(s)
-		return
-	}
-	e.release(s)
 }
 
 // ResetToFork empties a recycled engine and aligns its clock and
@@ -510,38 +410,27 @@ func (e *Engine) releaseTree(s *scheduled) {
 // re-arm loop draws from it instead of allocating.
 func (e *Engine) ResetToFork(parent *Engine) {
 	obs.SimForks.Inc()
-	for len(e.cur) > 0 {
-		e.releaseTree(e.cur.pop())
+	for i, s := range e.queue {
+		e.queue[i] = nil
+		e.release(s)
 	}
-	for len(e.far) > 0 {
-		e.releaseTree(e.far.pop())
-	}
-	e.drainWheel(func(s *scheduled) { e.releaseTree(s) })
-	for i := range e.recent {
-		e.recent[i] = nil
-	}
-	e.recentPos = 0
-	e.pendingN = 0
+	e.queue = e.queue[:0]
 	e.now = parent.now
 	e.seq = parent.seq
-	e.Stepped = nil
 }
 
-// rearm builds the child-side twin of a pending parent entry.
+// rearm queues the child-side twin of a pending parent entry; the
+// caller binds its callback.
 func (e *Engine) rearm(id EventID) *scheduled {
 	s := id.s
-	if s == nil || s.gen != id.gen || s.stopped {
-		panic("sim: Rearm of an event that is not pending")
-	}
-	switch s.loc {
-	case locCur, locFar, locWheel, locGroup:
-	default:
+	if s == nil || s.gen != id.gen || s.loc != locQueued {
 		panic("sim: Rearm of an event that is not pending")
 	}
 	n := e.alloc()
 	n.at = s.at
 	n.seq = s.seq
 	n.period = s.period
+	e.place(n)
 	return n
 }
 
@@ -554,12 +443,6 @@ func (e *Engine) rearm(id EventID) *scheduled {
 func (e *Engine) Rearm(id EventID, fn Event) EventID {
 	n := e.rearm(id)
 	n.fn = fn
-	if n.period > 0 {
-		e.armPeriodic(n)
-	} else {
-		e.pendingN++
-		e.place(n)
-	}
 	return EventID{s: n, gen: n.gen}
 }
 
@@ -569,12 +452,6 @@ func (e *Engine) RearmHandler(id EventID, h Handler, arg int) EventID {
 	n := e.rearm(id)
 	n.h = h
 	n.arg = arg
-	if n.period > 0 {
-		e.armPeriodic(n)
-	} else {
-		e.pendingN++
-		e.place(n)
-	}
 	return EventID{s: n, gen: n.gen}
 }
 
@@ -591,7 +468,6 @@ func (e *Engine) Every(start, period Time, fn Event) (stop func()) {
 	}
 	s := e.schedule(start, fn)
 	s.period = period
-	e.armPeriodic(s)
 	gen := s.gen
 	return func() {
 		if s.gen != gen || s.stopped {
@@ -601,9 +477,9 @@ func (e *Engine) Every(start, period Time, fn Event) (stop func()) {
 	}
 }
 
-// dispatch runs one entry claimed from the queue, re-arming periodic
+// dispatch runs one entry taken from the queue, re-arming periodic
 // timers and recycling everything else. The caller has set loc to
-// locNone (in flight) and decremented pendingN.
+// locNone (in flight).
 func (e *Engine) dispatch(s *scheduled) {
 	e.stats.dispatched++
 	if s.period > 0 {
@@ -622,7 +498,7 @@ func (e *Engine) dispatch(s *scheduled) {
 			s.at = e.now + s.period
 			s.seq = e.seq
 			e.seq++
-			e.armPeriodic(s)
+			e.place(s)
 		}
 	} else {
 		fn, h, arg := s.fn, s.h, s.arg
@@ -633,94 +509,22 @@ func (e *Engine) dispatch(s *scheduled) {
 			fn(e.now)
 		}
 	}
-	if e.Stepped != nil {
-		e.Stepped(e.now)
-	}
 }
 
 // Step dispatches the single next event, advancing the clock to its due
 // time. It reports false if the queue is empty.
 func (e *Engine) Step() bool {
-	at, ok := e.nextDue()
-	if !ok {
+	if len(e.queue) == 0 {
 		return false
 	}
-	if at < e.now {
+	s := e.queue.pop()
+	if s.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
-	top := e.cur[0]
-	var s *scheduled
-	if top.members != nil {
-		// Group driver: peel off the head member only; the rest of the
-		// group stays pending at this occurrence.
-		s = top.members[top.mhead]
-		top.members[top.mhead] = nil
-		top.mhead++
-		if top.mhead == len(top.members) {
-			e.cur.pop()
-			e.releaseDriver(top)
-		} else {
-			top.seq = top.members[top.mhead].seq
-			e.cur.siftDown(0)
-		}
-		s.grp = nil
-	} else {
-		e.cur.pop()
-		s = top
-	}
 	s.loc = locNone
-	e.pendingN--
-	e.now = at
+	e.now = s.at
 	e.dispatch(s)
 	return true
-}
-
-// claimBatch pulls every pending entry due exactly at t into batch, in
-// (at, seq) order: heap pops merged seq-wise with the member lists of
-// any group drivers due at t. nextDue has already activated everything
-// due at t into the active heap.
-func (e *Engine) claimBatch(t Time, batch []*scheduled) []*scheduled {
-	streams := e.streams[:0]
-	for {
-		bestStream := -1
-		var bestSeq uint64
-		for i := range streams {
-			st := &streams[i]
-			if m := st.d.members[st.i]; bestStream < 0 || m.seq < bestSeq {
-				bestSeq = m.seq
-				bestStream = i
-			}
-		}
-		if len(e.cur) > 0 && e.cur[0].at == t && (bestStream < 0 || e.cur[0].seq < bestSeq) {
-			s := e.cur.pop()
-			if s.members != nil {
-				streams = append(streams, mstream{d: s, i: s.mhead})
-				continue
-			}
-			s.loc = locClaimed
-			e.pendingN--
-			batch = append(batch, s)
-			continue
-		}
-		if bestStream < 0 {
-			break
-		}
-		st := &streams[bestStream]
-		m := st.d.members[st.i]
-		st.d.members[st.i] = nil
-		st.i++
-		m.grp = nil
-		m.loc = locClaimed
-		e.pendingN--
-		batch = append(batch, m)
-		if st.i == len(st.d.members) {
-			e.releaseDriver(st.d)
-			streams[bestStream] = streams[len(streams)-1]
-			streams = streams[:len(streams)-1]
-		}
-	}
-	e.streams = streams[:0]
-	return batch
 }
 
 // RunUntil dispatches events until the clock reaches t (events due exactly
@@ -733,20 +537,21 @@ func (e *Engine) RunUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	for {
-		at, ok := e.nextDue()
-		if !ok || at > t {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		at := e.queue[0].at
 		if at < e.now {
 			panic("sim: event queue corrupted (time went backwards)")
 		}
 		// Claim the whole same-timestamp cohort. Callbacks may schedule
 		// new events at this same instant; those land in the queue with
 		// higher sequence numbers and form the next batch.
-		batch := e.batch
+		batch := e.batch[:0]
 		e.batch = nil // guard against re-entrant RunUntil from a callback
-		batch = e.claimBatch(at, batch[:0])
+		for len(e.queue) > 0 && e.queue[0].at == at {
+			s := e.queue.pop()
+			s.loc = locClaimed
+			batch = append(batch, s)
+		}
 		e.now = at
 		for i, s := range batch {
 			batch[i] = nil

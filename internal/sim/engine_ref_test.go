@@ -2,14 +2,14 @@ package sim
 
 import "fmt"
 
-// refEngine is the reference queue implementation the timing wheel is
-// property-tested against: the plain binary min-heap engine this
-// package used before the wheel, with identical (at, seq) dispatch
-// order, tie-break, batch-claim, cancel/stop and fork semantics. It is
-// deliberately a verbatim port of the old implementation rather than a
-// simplification — the property test (pool_test.go) asserts the wheel
-// reproduces its dispatch sequences exactly, including same-instant
-// batches and fork re-arm coordinates.
+// refEngine is the reference queue implementation Engine is
+// property-tested against: a plain binary min-heap engine with
+// identical (at, seq) dispatch order, tie-break, batch-claim,
+// cancel/stop and fork semantics. It is kept as an independent copy
+// rather than sharing code with Engine, so a bug in one cannot hide in
+// both — the property test (pool_test.go) asserts Engine reproduces its
+// dispatch sequences exactly, including same-instant batches and fork
+// re-arm coordinates.
 type refScheduled struct {
 	at      Time
 	seq     uint64

@@ -153,18 +153,6 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestEngineSteppedHook(t *testing.T) {
-	e := NewEngine()
-	var hooked []Time
-	e.Stepped = func(now Time) { hooked = append(hooked, now) }
-	e.At(5, func(Time) {})
-	e.At(9, func(Time) {})
-	e.Drain(0)
-	if len(hooked) != 2 || hooked[0] != 5 || hooked[1] != 9 {
-		t.Fatalf("Stepped hook saw %v, want [5 9]", hooked)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)

@@ -152,107 +152,44 @@ func TestEngineReentrantRunUntil(t *testing.T) {
 	}
 }
 
-// checkEngine verifies the timing wheel's structural invariants: heap
-// order and index bookkeeping in the active and far heaps, bucket list
-// and occupancy-bitmap agreement, slot hashing, tick-group member
-// ordering and driver keys, and the pending count.
+// checkEngine verifies the heap's structural invariants: index
+// bookkeeping, (at, seq) heap order, every entry marked queued and none
+// pending in the past, and Pending() agreeing with the heap length.
 func checkEngine(t *testing.T, e *Engine) {
 	t.Helper()
-	pending := 0
-	checkNode := func(s *scheduled, wantLoc int8, where string) {
-		if s.loc != wantLoc {
-			t.Fatalf("%s: entry (%v,%d) has loc %d, want %d", where, s.at, s.seq, s.loc, wantLoc)
+	for i, s := range e.queue {
+		if s.index != i {
+			t.Fatalf("entry at %d has index %d", i, s.index)
+		}
+		if i > 0 && eventLess(s, e.queue[(i-1)/2]) {
+			t.Fatalf("heap violated at %d: (%v,%d) < parent", i, s.at, s.seq)
+		}
+		if s.loc != locQueued {
+			t.Fatalf("entry (%v,%d) has loc %d, want %d", s.at, s.seq, s.loc, locQueued)
 		}
 		if s.at < e.now {
-			t.Fatalf("%s: entry (%v,%d) pending in the past (now %v)", where, s.at, s.seq, e.now)
-		}
-		if s.members == nil {
-			pending++
-			return
-		}
-		// Group driver: members[mhead:] pending, ascending seq, head
-		// seq mirrored in the driver's key.
-		ms := s.members[s.mhead:]
-		if len(ms) == 0 {
-			t.Fatalf("%s: empty group driver at (%v,%d)", where, s.at, s.seq)
-		}
-		if s.seq != ms[0].seq {
-			t.Fatalf("%s: driver seq %d != head member seq %d", where, s.seq, ms[0].seq)
-		}
-		var last uint64
-		for k, m := range ms {
-			if m.loc != locGroup || m.grp != s {
-				t.Fatalf("%s: member %d not linked to its driver", where, k)
-			}
-			if m.at != s.at || m.period != s.period || m.period <= 0 {
-				t.Fatalf("%s: member %d coordinates (%v,%v) diverge from driver (%v,%v)",
-					where, k, m.at, m.period, s.at, s.period)
-			}
-			if k > 0 && m.seq <= last {
-				t.Fatalf("%s: member seqs out of order: %d after %d", where, m.seq, last)
-			}
-			last = m.seq
-		}
-		pending += len(ms)
-	}
-	checkHeap := func(q eventQueue, loc int8, where string) {
-		for i, s := range q {
-			if s.index != i {
-				t.Fatalf("%s: entry at %d has index %d", where, i, s.index)
-			}
-			if i > 0 && eventLess(s, q[(i-1)/2]) {
-				t.Fatalf("%s: heap violated at %d: (%v,%d) < parent", where, i, s.at, s.seq)
-			}
-			checkNode(s, loc, where)
+			t.Fatalf("entry (%v,%d) pending in the past (now %v)", s.at, s.seq, e.now)
 		}
 	}
-	checkHeap(e.cur, locCur, "cur")
-	checkHeap(e.far, locFar, "far")
-	checkBucket := func(head *scheduled, gslot int, bit bool, hash func(Time) int, where string) {
-		if (head != nil) != bit {
-			t.Fatalf("%s slot %d: occupancy bit %v but head %v", where, gslot, bit, head)
-		}
-		var prev *scheduled
-		for s := head; s != nil; s = s.next {
-			if s.prev != prev {
-				t.Fatalf("%s slot %d: broken prev link", where, gslot)
-			}
-			if s.index != gslot {
-				t.Fatalf("%s slot %d: entry carries slot %d", where, gslot, s.index)
-			}
-			if hash(s.at) != gslot {
-				t.Fatalf("%s slot %d: entry at %v hashes elsewhere", where, gslot, s.at)
-			}
-			checkNode(s, locWheel, where)
-			prev = s
-		}
-	}
-	for slot := 0; slot < l0Size; slot++ {
-		bit := e.l0bits[slot>>6]&(1<<uint(slot&63)) != 0
-		checkBucket(e.l0[slot], slot, bit,
-			func(at Time) int { return int((at >> l0Shift) & l0Mask) }, "l0")
-	}
-	for slot := 0; slot < l1Size; slot++ {
-		bit := e.l1bits[slot>>6]&(1<<uint(slot&63)) != 0
-		checkBucket(e.l1[slot], l0Size+slot, bit,
-			func(at Time) int { return l0Size + int((at>>l1Shift)&l1Mask) }, "l1")
-	}
-	if pending != e.pendingN {
-		t.Fatalf("pendingN = %d but structures hold %d entries", e.pendingN, pending)
+	if e.Pending() != len(e.queue) {
+		t.Fatalf("Pending() = %d but the heap holds %d entries", e.Pending(), len(e.queue))
 	}
 }
 
-// TestEngineDispatchOrderProperty drives the timing-wheel engine and the
-// reference heap engine (engine_ref_test.go) through one random
-// interleaving of At/After/EveryID/Cancel/StopSeries/Run/Fork and
-// requires identical dispatch traces — including same-instant batch
-// ordering, coalesced periodic ticks, and fork re-arm at the original
-// (time, seq) coordinates. The wheel's structural invariants are
-// checked after every operation.
-func TestEngineDispatchOrderProperty(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		runDualScript(t, NewRNG(uint64(1000+trial)))
+// FuzzEngineDispatchOrder drives the engine and the reference heap
+// engine (engine_ref_test.go) through one random interleaving of
+// At/After/EveryID/Cancel/StopSeries/Run/Fork per seed and requires
+// identical dispatch traces — including same-instant batch ordering
+// and fork re-arm at the original (time, seq) coordinates. The heap's
+// structural invariants are checked after every operation. The seed
+// corpus runs under plain go test; -fuzz explores further seeds.
+func FuzzEngineDispatchOrder(f *testing.F) {
+	for seed := uint64(1000); seed < 1020; seed++ {
+		f.Add(seed)
 	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		runDualScript(t, NewRNG(seed))
+	})
 }
 
 // runDualScript executes one randomized script against both engines in
@@ -267,8 +204,8 @@ func runDualScript(t *testing.T, rng *RNG) {
 	var everies []int // indices of periodic entries (StopSeries targets)
 	nextTag := 0
 	// Periods drawn from a small set, with starts usually snapped to the
-	// next period multiple, so independent series align and exercise the
-	// tick-coalescing path; sparse phases keep singleton series too.
+	// next period multiple, so independent series align into same-instant
+	// batches; sparse phases keep singleton series too.
 	periods := []Time{5, 10, 25, 40}
 	for op := 0; op < 400; op++ {
 		switch rng.Intn(12) {
@@ -298,7 +235,7 @@ func runDualScript(t *testing.T, rng *RNG) {
 			period := periods[rng.Intn(len(periods))]
 			var start Time
 			if rng.Intn(4) > 0 {
-				start = (e.Now()/period + 1) * period // aligned: coalesces
+				start = (e.Now()/period + 1) * period // aligned: shares instants
 			} else {
 				start = e.Now() + Time(rng.Intn(30))
 			}
@@ -314,7 +251,7 @@ func runDualScript(t *testing.T, rng *RNG) {
 				i := rng.Intn(len(ids))
 				got, want := e.Cancel(ids[i]), r.Cancel(rids[i])
 				if got != want {
-					t.Fatalf("op %d: Cancel diverged: wheel %v, ref %v", op, got, want)
+					t.Fatalf("op %d: Cancel diverged: engine %v, ref %v", op, got, want)
 				}
 				etr = append(etr, fmt.Sprintf("cancel=%v", got))
 				rtr = append(rtr, fmt.Sprintf("cancel=%v", want))
@@ -337,7 +274,7 @@ func runDualScript(t *testing.T, rng *RNG) {
 			for i := range ids {
 				p, rp := e.IsPending(ids[i]), r.IsPending(rids[i])
 				if p != rp {
-					t.Fatalf("op %d: IsPending diverged at %d: wheel %v, ref %v", op, i, p, rp)
+					t.Fatalf("op %d: IsPending diverged at %d: engine %v, ref %v", op, i, p, rp)
 				}
 				if !p {
 					continue
@@ -368,15 +305,15 @@ func runDualScript(t *testing.T, rng *RNG) {
 		}
 		checkEngine(t, e)
 		if e.Pending() != r.Pending() {
-			t.Fatalf("op %d: Pending diverged: wheel %d, ref %d", op, e.Pending(), r.Pending())
+			t.Fatalf("op %d: Pending diverged: engine %d, ref %d", op, e.Pending(), r.Pending())
 		}
 		if len(etr) != len(rtr) {
-			t.Fatalf("op %d: trace lengths diverge: %d vs %d\nwheel: %v\nref:   %v",
+			t.Fatalf("op %d: trace lengths diverge: %d vs %d\nengine: %v\nref:    %v",
 				op, len(etr), len(rtr), tail(etr, 12), tail(rtr, 12))
 		}
 		for i := range etr {
 			if etr[i] != rtr[i] {
-				t.Fatalf("op %d: traces diverge at %d: wheel %q, ref %q", op, i, etr[i], rtr[i])
+				t.Fatalf("op %d: traces diverge at %d: engine %q, ref %q", op, i, etr[i], rtr[i])
 			}
 		}
 	}
@@ -392,7 +329,7 @@ func runDualScript(t *testing.T, rng *RNG) {
 	}
 	for i := range etr {
 		if etr[i] != rtr[i] {
-			t.Fatalf("final traces diverge at %d: wheel %q, ref %q", i, etr[i], rtr[i])
+			t.Fatalf("final traces diverge at %d: engine %q, ref %q", i, etr[i], rtr[i])
 		}
 	}
 }
