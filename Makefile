@@ -91,11 +91,15 @@ eprofgate:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# fuzz-smoke: ten seconds of coverage-guided fuzzing of the event
-# engine against its reference heap (lockstep dispatch traces plus the
-# heap invariants); plain `go test` runs only the committed seed corpus.
+# fuzz-smoke: ten seconds of coverage-guided fuzzing per target — the
+# event engine against its reference heap (lockstep dispatch traces
+# plus the heap invariants), and the p-state domain against the
+# transition ring it replaced (LastTransition, InFlight, Granted and
+# CompletionTime after every operation); plain `go test` runs only the
+# committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
 
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
@@ -105,8 +109,8 @@ fuzz-smoke:
 # determinism test), benchmark smoke, perf regression diff, the
 # serial-vs-forked-parallel golden comparison, the committed reference
 # output, the energy-profiler gate, the hswsimd server lifecycle smoke,
-# the bench/ module build and smoke test, and the event-engine fuzz
-# smoke.
+# the bench/ module build and smoke test, and the event-engine and
+# p-state fuzz smoke.
 ci:
 	@echo "==> ci step 1/13: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
@@ -133,5 +137,5 @@ ci:
 	@echo "==> ci step 12/13: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 13/13: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine diverged from its reference heap under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

@@ -21,8 +21,8 @@ type Core struct {
 	CPU   int
 
 	// reg and dom are embedded by value: forking a core is a struct
-	// copy. The regulator is a pure value; the domain's transition ring
-	// is copy-on-write behind a fork-generation stamp.
+	// copy. Both are plain values; the domain holds the in-flight
+	// transition and the last completed one.
 	reg fivr.Regulator
 	dom pstate.Domain
 	ctr perfctr.Core
@@ -53,8 +53,7 @@ type Core struct {
 	// Span bookkeeping for the in-flight p-state transition (valid only
 	// while tracing and a completion event is pending): applyGrantTagged
 	// stamps the request/grant coordinates so onComplete can record the
-	// request→complete and grant→complete spans without replaying the
-	// domain's transition log.
+	// request→complete and grant→complete spans.
 	spanReqAt   sim.Time
 	spanGrantAt sim.Time
 	spanFrom    uarch.MHz
@@ -301,7 +300,8 @@ func (c *Core) FreqMHz() uarch.MHz { return c.dom.Granted() }
 // CState returns the core's current idle state.
 func (c *Core) CState() cstate.State { return c.cstateNow }
 
-// Domain exposes the p-state domain (transition log for tools).
+// Domain exposes the p-state domain (its last completed transition for
+// tools).
 func (c *Core) Domain() *pstate.Domain { return &c.dom }
 
 // Snapshot captures the core's performance counters, with the node's

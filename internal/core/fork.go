@@ -88,16 +88,15 @@ func (s *System) Release() {
 // remaining internal slices and maps (trace rings, meter samples, PCU
 // bookkeeping, the MSR register file) are stamped with a fork
 // generation and copied lazily by the first write on either side.
-// P-state transition rings and residency bins are instead privatized
-// eagerly into storage harvested from the recycled child — that
-// eager-privatization invariant is what makes harvesting sound (every
-// pooled child's backing is private by induction), and it is what
-// makes steady-state fork/Release cycles nearly allocation-free. The
-// pending platform timers (per-socket PCU grid tick, meter sample,
-// in-flight p-state completions) are re-created declaratively on the
-// child engine with their original (time, sequence) coordinates
-// through the closure-free Handler path, so re-arming allocates
-// nothing.
+// Residency bins are instead privatized eagerly into storage harvested
+// from the recycled child — that eager-privatization invariant is what
+// makes harvesting sound (every pooled child's slab is private by
+// induction), and it is what makes steady-state fork/Release cycles
+// nearly allocation-free. The pending platform timers (per-socket PCU
+// grid tick, meter sample, in-flight p-state completions) are
+// re-created declaratively on the child engine with their original
+// (time, sequence) coordinates through the closure-free Handler path,
+// so re-arming allocates nothing.
 //
 // Fork requires a quiescent platform: no events other than the
 // platform's own timers may be pending (experiment-level Every
@@ -329,15 +328,15 @@ func (s *System) forkCopiedBytes() int64 {
 // forkInto clones this socket onto child-system storage with a struct
 // copy plus fixups. Immutable structure (spec, topology, cache/IMC
 // model) is shared by pointer; slice-backed component state rides the
-// copy as stale copy-on-write shares, except for the residency slab
-// and the p-state transition rings, which are privatized eagerly into
-// storage harvested from the recycled child. Eager privatization on
-// every fork is what makes the harvest sound: by induction every
-// pooled child's backing is private, so reusing it can never touch a
-// live sibling. The child starts with the integration memo
-// invalidated — its first segment runs the full path, which the replay
-// contract guarantees is bit-for-bit identical to replaying the
-// dropped memo.
+// copy as stale copy-on-write shares, except for the residency slab,
+// which is privatized eagerly into storage harvested from the recycled
+// child. Eager privatization on every fork is what makes the harvest
+// sound: by induction every pooled child's slab is private, so reusing
+// it can never touch a live sibling. Each core's p-state domain is a
+// plain value and rides the core's struct copy. The child starts with
+// the integration memo invalidated — its first segment runs the full
+// path, which the replay contract guarantees is bit-for-bit identical
+// to replaying the dropped memo.
 func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	cores := nk.cores // preserve the child's own core storage
 	// Harvest the old child's private backings before the struct copy
@@ -391,13 +390,11 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 
 	for j, c := range sk.cores {
 		nc := cores[j]
-		ring := nc.dom.DetachLog() // old child's private ring storage
 		*nc = *c
 		nc.sk = nk
 		nc.completeEv = sim.EventID{}
 		seg := residSlab[j*bins : (j+1)*bins : (j+1)*bins]
 		copy(seg, c.resid.pstate)
 		nc.resid.pstate = seg
-		nc.dom.ForkLogInto(ring)
 	}
 }

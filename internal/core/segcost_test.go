@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"hswsim/internal/cstate"
 	"hswsim/internal/msr"
 	"hswsim/internal/sim"
+	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
 	"hswsim/internal/workload"
 )
@@ -71,6 +75,7 @@ func slowSwitchSystem(t *testing.T) *System {
 func TestSegCostRetargetMidFlight(t *testing.T) {
 	checkSegCostInvariant(t, func(t *testing.T) string {
 		sys := slowSwitchSystem(t)
+		sys.EnableTrace(switchTraceCap)
 		for cpu := 0; cpu < 3; cpu++ {
 			assignOrFail(t, sys, cpu, workload.Compute())
 		}
@@ -105,9 +110,9 @@ func TestSegCostRetargetMidFlight(t *testing.T) {
 		sys.Run(10 * sim.Millisecond)
 
 		var to []uarch.MHz
-		for _, tr := range c.Domain().Transitions() {
-			if tr.GrantedAt >= grantedAt-10*sim.Microsecond {
-				to = append(to, tr.To)
+		for _, sw := range pstateSwitches(t, sys, 0) {
+			if sw.grantedAt >= grantedAt-10*sim.Microsecond {
+				to = append(to, sw.to)
 			}
 		}
 		if len(to) != 2 || to[0] != 2000 || to[1] != 1800 || c.FreqMHz() != 1800 {
@@ -131,6 +136,7 @@ func TestSegCostImmediateGrantOverridden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.EnableTrace(switchTraceCap)
 		assignOrFail(t, sys, 0, workload.Compute())
 		assignOrFail(t, sys, 1, workload.Compute())
 		for cpu, f := range []uarch.MHz{2000, 1500} {
@@ -143,14 +149,14 @@ func TestSegCostImmediateGrantOverridden(t *testing.T) {
 		if c.FreqMHz() != 2000 {
 			t.Fatalf("cpu1 runs %v after warm-up, want the shared 2000 MHz", c.FreqMHz())
 		}
-		before := len(c.Domain().Transitions())
+		before := len(pstateSwitches(t, sys, 1))
 		if err := sys.SetPState(1, 1500); err != nil {
 			t.Fatal(err)
 		}
 		sys.Run(5 * sim.Millisecond)
 		var to []uarch.MHz
-		for _, tr := range c.Domain().Transitions()[before:] {
-			to = append(to, tr.To)
+		for _, sw := range pstateSwitches(t, sys, 1)[before:] {
+			to = append(to, sw.to)
 		}
 		if len(to) != 2 || to[0] != 1500 || to[1] != 2000 || c.FreqMHz() != 2000 {
 			t.Fatalf("cpu1 transitions after the rewrite %v, now %v MHz; want [1500 2000] ending at 2000",
@@ -251,9 +257,62 @@ func TestSegCostForkWhileSettled(t *testing.T) {
 	})
 }
 
+// switchTraceCap is the trace capacity of the tests that rebuild p-state
+// history from the trace: large enough that pstateSwitches sees every
+// span, which it checks.
+const switchTraceCap = 1 << 16
+
+// pstateSwitch is one completed p-state transition as the trace records
+// it: a SpanPStateSwitch span runs from the PCU grant to the completion
+// instant and is labelled "<from> -> <to>".
+type pstateSwitch struct {
+	grantedAt, completedAt sim.Time
+	to                     uarch.MHz
+}
+
+// pstateSwitches returns cpu's completed p-state transitions, oldest
+// first, from the trace sys has recorded since it was built. It fails
+// the test if the trace dropped a span, so the history is complete, or
+// if the newest span disagrees with the domain's LastTransition, which
+// pins its exact target (the label rounds to 10 MHz).
+func pstateSwitches(t *testing.T, sys *System, cpu int) []pstateSwitch {
+	t.Helper()
+	tr := sys.Trace()
+	if tr == nil {
+		t.Fatal("p-state history needs tracing on")
+	}
+	if n := tr.SpanDrops(); n != 0 {
+		t.Fatalf("trace dropped %d spans; the p-state history is incomplete", n)
+	}
+	var out []pstateSwitch
+	for _, sp := range tr.Spans() {
+		if sp.Kind != trace.SpanPStateSwitch || sp.CPU != cpu {
+			continue
+		}
+		_, to, _ := strings.Cut(sp.Label, " -> ")
+		var ghz float64
+		if _, err := fmt.Sscanf(to, "%f GHz", &ghz); err != nil {
+			t.Fatalf("p-state span label %q: %v", sp.Label, err)
+		}
+		f := uarch.MHz(math.Round(ghz * 1000))
+		if f.String() != to {
+			t.Fatalf("p-state span label %q does not name %v", sp.Label, f)
+		}
+		out = append(out, pstateSwitch{grantedAt: sp.Start, completedAt: sp.End, to: f})
+	}
+	last, ok := sys.Core(cpu).Domain().LastTransition()
+	if n := len(out); ok != (n > 0) ||
+		ok && out[n-1] != (pstateSwitch{last.GrantedAt, last.CompletedAt, last.To}) {
+		t.Fatalf("cpu%d's p-state spans %+v end unlike its last transition %+v (recorded %v)",
+			cpu, out, last, ok)
+	}
+	return out
+}
+
 // residencyOracle derives, independently of the bins, the residency
 // per-segment accounting would hold: each core's c-state timeline as
-// the test drives it, and its clock timeline from its transition log.
+// the test drives it, and its clock timeline from the trace's p-state
+// switch spans.
 type residencyOracle struct {
 	sys *System
 	cs  [][]csStamp // per CPU, in time order
@@ -266,7 +325,10 @@ type csStamp struct {
 	st cstate.State
 }
 
+// newResidencyOracle starts tracing on sys, which must not have run yet,
+// so the trace holds every p-state transition the oracle reads.
 func newResidencyOracle(sys *System) *residencyOracle {
+	sys.EnableTrace(switchTraceCap)
 	o := &residencyOracle{sys: sys, cs: make([][]csStamp, sys.CPUs()), from: make([]sim.Time, sys.CPUs())}
 	for cpu := range o.cs {
 		o.cs[cpu] = []csStamp{{0, sys.CoreCState(cpu)}}
@@ -322,15 +384,16 @@ func (o *residencyOracle) reset(cpu int) {
 }
 
 // want returns the residency cpu should report now.
-func (o *residencyOracle) want(cpu int) Residency {
+func (o *residencyOracle) want(t *testing.T, cpu int) Residency {
+	t.Helper()
 	spec := o.sys.Spec()
-	trs := o.sys.Core(cpu).Domain().Transitions()
+	sws := pstateSwitches(t, o.sys, cpu)
 	cuts := []sim.Time{o.from[cpu], o.sys.Now()}
 	for _, c := range o.cs[cpu] {
 		cuts = append(cuts, c.at)
 	}
-	for _, tr := range trs {
-		cuts = append(cuts, tr.CompletedAt)
+	for _, sw := range sws {
+		cuts = append(cuts, sw.completedAt)
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
 	out := Residency{PState: map[uarch.MHz]sim.Time{}, CState: map[cstate.State]sim.Time{}}
@@ -346,9 +409,9 @@ func (o *residencyOracle) want(cpu int) Residency {
 			}
 		}
 		f := spec.MinMHz
-		for _, tr := range trs {
-			if tr.CompletedAt <= a {
-				f = tr.To
+		for _, sw := range sws {
+			if sw.completedAt <= a {
+				f = sw.to
 			}
 		}
 		out.CState[st] += b - a
@@ -366,7 +429,7 @@ func (o *residencyOracle) check(t *testing.T) {
 	t.Helper()
 	for cpu := 0; cpu < o.sys.CPUs(); cpu++ {
 		got := o.sys.CoreResidency(cpu)
-		if want := o.want(cpu); !reflect.DeepEqual(got, want) {
+		if want := o.want(t, cpu); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cpu%d residency at %v:\n got %v %v\nwant %v %v",
 				cpu, o.sys.Now(), got.PState, got.CState, want.PState, want.CState)
 		}

@@ -527,18 +527,6 @@ func (s *System) maxActiveRequest() uarch.MHz {
 	return s.maxReqMHz
 }
 
-// SetPStateLogCap re-caps every core domain's transition ring at n
-// entries. Fleet-scale forks never read the 4096-deep diagnostic log,
-// and its append growth is the dominant allocation in the steady
-// stepping path; a small pre-sized ring makes logging allocation-free.
-func (s *System) SetPStateLogCap(n int) {
-	for _, sk := range s.sockets {
-		for _, c := range sk.cores {
-			c.dom.SetLogLimit(n)
-		}
-	}
-}
-
 // refreshPackageStates recomputes package c-states after core activity
 // changes (Haswell-EP: any active core anywhere blocks package sleep).
 func (s *System) refreshPackageStates() {

@@ -143,7 +143,7 @@ func (s *System) CoreCState(cpu int) cstate.State {
 }
 
 // Core returns the core object for a CPU (tool-level access to counters
-// and the transition log).
+// and the p-state domain).
 func (s *System) Core(cpu int) *Core { return s.coreOf(cpu) }
 
 // SetPowerLimitW programs a socket's enforced package power limit via

@@ -71,8 +71,9 @@ func (o Options) profLabels() context.Context {
 // Validate checks the options domain. It is the one check the CLI, the
 // server and RunLive share, so a hostile or mistyped value fails before
 // any platform is built: the scale must be finite, the fleet ladder may
-// reach at most the full-scale 4096 nodes (each forked node holds tens
-// of KB), and the variation sigmas must be finite and at most 1.
+// reach at most the full-scale 4096 nodes (a pooled fan-out allocates
+// ~0.5 KB per node, and each live node holds ~35 KB resident), and the
+// variation sigmas must be finite and at most 1.
 // Negative sigmas stay allowed: they are how a caller disables a term.
 func (o Options) Validate() error {
 	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) {

@@ -13,11 +13,6 @@ import (
 	"hswsim/internal/stats"
 )
 
-// fleetLogCap bounds each fleet node's per-core p-state transition
-// ring. Large enough for LastTransition-style diagnostics, small
-// enough that a 4096-node fleet doesn't hold 4096-entry rings per core.
-const fleetLogCap = 64
-
 // Config describes one fleet.
 type Config struct {
 	// Nodes is the fleet size.
@@ -80,11 +75,6 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 	errs := make([]error, len(nodes))
 	f.pool.Sharded(len(nodes), cfg.Workers, func(i int) {
 		n := nodes[i]
-		// Fleet nodes never read the deep per-core transition log; a
-		// small pre-sized ring keeps the steady stepping path free of
-		// the append-growth allocations the default 4096-entry cap
-		// produces under a binding power cap.
-		n.SetPStateLogCap(fleetLogCap)
 		for s := 0; s < n.Sockets(); s++ {
 			v := Draw(cfg.Seed, i, s, cfg.Params)
 			if err := n.ApplyChipVariation(s, v); err != nil {

@@ -147,3 +147,23 @@ func TestFleetSeedsDistinct(t *testing.T) {
 		t.Errorf("unvaried fleet has power spread %v, want 0", s)
 	}
 }
+
+// TestFleetFanOutAllocs pins the pooled fan-out path: once a first
+// 64-node fleet has been built and released, building and releasing
+// the same fleet again recycles every child from the fork free list
+// and allocates at most two objects per node.
+func TestFleetFanOutAllocs(t *testing.T) {
+	parent := warmParent(t)
+	cfg := Config{Nodes: 64, Seed: 0x5eed, CapW: 85, Workers: 1}
+	cycle := func() {
+		fl, err := New(parent, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(5, cycle) / float64(cfg.Nodes); got > 2 {
+		t.Fatalf("fleet New+Release allocates %.2f objects per node, want at most 2", got)
+	}
+}

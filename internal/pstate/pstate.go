@@ -9,34 +9,27 @@ package pstate
 import (
 	"fmt"
 
-	"hswsim/internal/cow"
 	"hswsim/internal/sim"
 	"hswsim/internal/uarch"
 )
 
-// Domain is one core's frequency domain.
+// Domain is one core's frequency domain. It is a plain value: copying
+// it copies every field, so a fork's copy evolves independently.
 type Domain struct {
 	spec *uarch.Spec
 
 	requested uarch.MHz // software setting (TurboSettingMHz for turbo)
 	granted   uarch.MHz // frequency the core currently runs at
 	// pending transition
-	target    uarch.MHz
-	completes sim.Time
-	inFlight  bool
+	target      uarch.MHz
+	completes   sim.Time
+	inFlight    bool
+	requestedAt sim.Time
+	grantedAt   sim.Time
 
-	// transitions is a bounded ring of the most recent logLimit
-	// transitions. Storage grows by append (domains that never change
-	// frequency pay nothing, lightly-used domains hold only what they
-	// logged); once len reaches logLimit the ring wraps through head,
-	// so the steady logging path never allocates. The ring is
-	// copy-on-write across clones: Clone shares the backing and bumps
-	// the fork generation, and the write paths copy it out — exactly
-	// len entries, preserving head — before mutating.
-	transitions []Transition
-	head        int // oldest entry once the ring is full
-	logLimit    int
-	gen         cow.Stamp // ownership of the transitions backing
+	// last is the most recent completed transition; its zero value
+	// (CompletedAt == 0) means none.
+	last Transition
 }
 
 // Transition records one completed frequency change.
@@ -55,119 +48,11 @@ func (t Transition) SwitchTime() sim.Time { return t.CompletedAt - t.GrantedAt }
 
 // NewDomain builds a domain running at the minimum p-state.
 func NewDomain(spec *uarch.Spec) *Domain {
-	d := &Domain{
+	return &Domain{
 		spec:      spec,
 		requested: spec.BaseMHz,
 		granted:   spec.MinMHz,
-		logLimit:  4096,
 	}
-	d.gen.Own()
-	return d
-}
-
-// Clone returns an independent copy of the domain — same requested,
-// granted and in-flight transition state. The transition ring is shared
-// copy-on-write: both sides keep reading the common backing and the
-// first of them to log or complete a transition copies it out first, so
-// a clone's future evolution matches the original's exactly without an
-// eager ring copy.
-func (d *Domain) Clone() *Domain {
-	cow.Bump()
-	c := *d
-	return &c
-}
-
-// own runs the copy-on-write barrier: if the transition ring may be
-// shared with a clone, replace it with a private right-sized copy
-// (same layout — head still indexes correctly).
-func (d *Domain) own() {
-	if d.gen.Owned() {
-		return
-	}
-	if d.transitions != nil {
-		nt := make([]Transition, len(d.transitions))
-		copy(nt, d.transitions)
-		d.transitions = nt
-	}
-	d.gen.Own()
-}
-
-// DetachLog removes and returns the domain's transition-ring backing so
-// a recycled fork child's storage can be harvested before the child is
-// overwritten. The caller must guarantee the backing is private to this
-// domain — core's fork path guarantees it by construction, because
-// ForkLogInto eagerly privatizes every child ring on every fork. After
-// DetachLog the domain is not usable until a ring is re-seated.
-func (d *Domain) DetachLog() []Transition {
-	buf := d.transitions
-	d.transitions = nil
-	return buf
-}
-
-// ForkLogInto eagerly privatizes this domain's transition ring right
-// after a fork struct copy, reusing buf's storage when its capacity
-// suffices (a harvested ring from DetachLog) and allocating otherwise.
-// The ring layout — exactly len entries, head preserved — is identical
-// to what the lazy own() barrier would build on first write, so eager
-// and lazy privatization produce bitwise-identical future evolution.
-// The point of eagerness is the induction it establishes: every fork
-// child's ring backing is private from birth, which is what makes
-// DetachLog-and-reuse sound.
-func (d *Domain) ForkLogInto(buf []Transition) {
-	n := len(d.transitions)
-	switch {
-	case n == 0:
-		// Keep harvested capacity alive through quiet domains so it is
-		// still there when this child is itself harvested. With no
-		// harvested buf, drop the backing outright: an empty source ring
-		// can still carry capacity (itself a harvest artifact), and
-		// aliasing it while owned would let both sides append into the
-		// same array.
-		if buf != nil {
-			d.transitions = buf[:0]
-		} else {
-			d.transitions = nil
-		}
-	case cap(buf) >= n:
-		d.transitions = append(buf[:0], d.transitions...)
-	default:
-		nt := make([]Transition, n)
-		copy(nt, d.transitions)
-		d.transitions = nt
-	}
-	d.gen.Own()
-}
-
-// SetLogLimit re-caps the transition ring at n entries (min 2), keeping
-// the newest entries and re-seating them in a private backing with the
-// full capacity pre-allocated, so the logging path never grows the
-// slice again. Intended for fleet-scale forks, where the default
-// 4096-deep diagnostic log is never read back and its append growth
-// dominates the steady stepping path's allocations.
-func (d *Domain) SetLogLimit(n int) {
-	if n < 2 {
-		n = 2
-	}
-	if n == d.logLimit && cap(d.transitions) >= n && d.gen.Owned() {
-		return
-	}
-	cnt := len(d.transitions)
-	start := 0
-	if cnt == d.logLimit {
-		start = d.head
-	}
-	keep := cnt
-	if keep > n {
-		keep = n
-	}
-	nt := make([]Transition, keep, n)
-	for i := 0; i < keep; i++ {
-		nt[i] = d.transitions[(start+cnt-keep+i)%cnt]
-	}
-	d.transitions = nt
-	d.head = 0
-	d.logLimit = n
-	d.gen.Own()
 }
 
 // Request records a software p-state request. Values are clamped to the
@@ -203,54 +88,29 @@ func (d *Domain) Begin(requestedAt, grantedAt sim.Time, target uarch.MHz, switch
 	d.target = target
 	d.completes = grantedAt + switchTime
 	d.inFlight = true
-	d.log(Transition{
-		RequestedAt: requestedAt,
-		GrantedAt:   grantedAt,
-		From:        d.granted,
-		To:          target,
-	})
+	d.requestedAt, d.grantedAt = requestedAt, grantedAt
 	return true
 }
 
-// log appends to the transition ring, overwriting the oldest entry once
-// full.
-func (d *Domain) log(t Transition) {
-	d.own()
-	if len(d.transitions) < d.logLimit {
-		d.transitions = append(d.transitions, t)
-		return
-	}
-	d.transitions[d.head] = t
-	d.head++
-	if d.head == d.logLimit {
-		d.head = 0
-	}
-}
-
-// last returns the most recently logged transition, or nil.
-func (d *Domain) last() *Transition {
-	n := len(d.transitions)
-	if n == 0 {
-		return nil
-	}
-	if n < d.logLimit || d.head == 0 {
-		return &d.transitions[n-1]
-	}
-	return &d.transitions[d.head-1]
-}
-
 // Complete applies the pending transition if its completion time has
-// arrived, returning true when the frequency changed.
+// arrived, returning true when the frequency changed. The transition
+// becomes LastTransition unless it completed at time zero, since a zero
+// CompletedAt marks that no transition has completed.
 func (d *Domain) Complete(now sim.Time) bool {
 	if !d.inFlight || now < d.completes {
 		return false
 	}
+	if d.completes != 0 {
+		d.last = Transition{
+			RequestedAt: d.requestedAt,
+			GrantedAt:   d.grantedAt,
+			CompletedAt: d.completes,
+			From:        d.granted,
+			To:          d.target,
+		}
+	}
 	d.granted = d.target
 	d.inFlight = false
-	d.own() // Complete writes through last()'s pointer into the ring
-	if t := d.last(); t != nil && t.CompletedAt == 0 {
-		t.CompletedAt = d.completes
-	}
 	return true
 }
 
@@ -259,31 +119,9 @@ func (d *Domain) CompletionTime() (sim.Time, bool) {
 	return d.completes, d.inFlight
 }
 
-// Transitions returns the completed transition log in chronological
-// order.
-func (d *Domain) Transitions() []Transition {
-	n := len(d.transitions)
-	out := make([]Transition, 0, n)
-	start := 0
-	if n == d.logLimit {
-		start = d.head
-	}
-	for i := 0; i < n; i++ {
-		t := d.transitions[(start+i)%n]
-		if t.CompletedAt != 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // LastTransition returns the most recent completed transition.
 func (d *Domain) LastTransition() (Transition, bool) {
-	ts := d.Transitions()
-	if len(ts) == 0 {
-		return Transition{}, false
-	}
-	return ts[len(ts)-1], true
+	return d.last, d.last.CompletedAt != 0
 }
 
 func (d *Domain) String() string {

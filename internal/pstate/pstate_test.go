@@ -1,7 +1,7 @@
 package pstate
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"hswsim/internal/sim"
@@ -70,38 +70,47 @@ func TestBeginNoOpForSameFrequency(t *testing.T) {
 	if d.Begin(0, 0, 1200, 21) {
 		t.Fatal("transition to current frequency should be a no-op")
 	}
-	if len(d.Transitions()) != 0 {
-		t.Fatal("no-op logged a transition")
+	if _, ok := d.InFlight(); ok {
+		t.Fatal("no-op started a transition")
+	}
+	if _, ok := d.LastTransition(); ok {
+		t.Fatal("no-op recorded a transition")
 	}
 }
 
 func TestIncompleteTransitionsNotListed(t *testing.T) {
 	d := newDomain()
 	d.Begin(0, 0, 2000, 21)
-	if len(d.Transitions()) != 0 {
-		t.Fatal("in-flight transition listed as completed")
-	}
 	if _, ok := d.LastTransition(); ok {
 		t.Fatal("LastTransition returned an incomplete transition")
 	}
 	d.Complete(21)
-	if len(d.Transitions()) != 1 {
-		t.Fatal("completed transition missing")
+	want := Transition{CompletedAt: 21, From: 1200, To: 2000}
+	if tr, ok := d.LastTransition(); !ok || tr != want {
+		t.Fatalf("LastTransition = %+v,%v, want %+v", tr, ok, want)
+	}
+	// A second transition in flight leaves the completed one reported.
+	d.Begin(100, 100, 1500, 21)
+	if tr, ok := d.LastTransition(); !ok || tr != want {
+		t.Fatalf("LastTransition during the next transition = %+v,%v, want %+v", tr, ok, want)
 	}
 }
 
-func TestTransitionLogBounded(t *testing.T) {
+func TestLastTransitionAfterManyTransitions(t *testing.T) {
 	d := newDomain()
 	now := sim.Time(0)
+	var want Transition
 	for i := 0; i < 5000; i++ {
 		target := uarch.MHz(1200 + 100*(i%2+1)) // alternate 1300/1400
+		want = Transition{RequestedAt: now, GrantedAt: now, CompletedAt: now + 10,
+			From: d.Granted(), To: target}
 		d.Begin(now, now, target, 10)
 		now += 20
 		d.Complete(now)
 		now += 20
 	}
-	if n := len(d.Transitions()); n > 4096 {
-		t.Fatalf("transition log grew unbounded: %d", n)
+	if tr, ok := d.LastTransition(); !ok || tr != want {
+		t.Fatalf("after 5000 transitions LastTransition = %+v,%v, want the 5000th %+v", tr, ok, want)
 	}
 }
 
@@ -117,41 +126,101 @@ func TestCompletionTime(t *testing.T) {
 	}
 }
 
-func TestCloneSharesRingCopyOnWrite(t *testing.T) {
-	d := newDomain()
-	for i := 0; i < 5; i++ {
-		at := sim.Time(i * 100)
-		if !d.Begin(at, at, uarch.MHz(1300+100*i), 10) {
-			t.Fatalf("Begin %d returned false", i)
+// FuzzLastTransition drives Domain and the transition ring it replaced
+// (refDomain, ring_ref_test.go) through the same script and requires
+// LastTransition, InFlight, Granted and CompletionTime to agree after
+// every operation. Each operation is two bytes, an opcode and an
+// argument; the opcode's top bit picks one of two domain slots, so
+// value copies and independent evolution of the copies are exercised.
+// Scripts stop at maxFuzzOps: below the ring's 4096-entry bound, and
+// short enough that the ring's O(n) LastTransition keeps fuzzing fast.
+func FuzzLastTransition(f *testing.F) {
+	for _, seed := range [][]byte{
+		{0x00, 0x01, 0x03, 0x00},             // 1300 MHz, zero switch at t=0: CompletedAt == 0
+		{0x00, 0x00},                         // same-frequency no-op
+		{0x00, 0x09, 0x02, 0x00, 0x03, 0x00}, // begin, complete early, complete on time
+		{0x00, 0x0a, 0x01, 0x13, 0x03, 0x00}, // retarget in flight, then land
+		{0x04, 0x40, 0x00, 0x09, 0x05, 0x00, 0x83, 0x00, 0x00, 0x0a, 0x03, 0x00}, // copy, diverge
+	} {
+		f.Add(seed)
+	}
+	for i := uint64(0); i < 15; i++ {
+		rng := sim.NewRNG(i)
+		b := make([]byte, 64+rng.Intn(192))
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
 		}
-		if !d.Complete(at + 10) {
-			t.Fatalf("Complete %d returned false", i)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		runLastTransitionScript(t, script)
+	})
+}
+
+const maxFuzzOps = 256
+
+func runLastTransitionScript(t *testing.T, script []byte) {
+	t.Helper()
+	spec := uarch.E52680v3()
+	targets := []uarch.MHz{spec.MinMHz, 1300, 1400, 2000, 2500, 2900, 1800, 1500}
+	switches := []sim.Time{0, 1, 21, 500}
+	d := [2]Domain{*NewDomain(spec), *NewDomain(spec)}
+	r := [2]*refDomain{newRefDomain(spec), newRefDomain(spec)}
+	now := sim.Time(0)
+	for i := 0; i+1 < len(script) && i/2 < maxFuzzOps; i += 2 {
+		op, arg := script[i], script[i+1]
+		s := int(op >> 7)
+		var got, want bool
+		var what string
+		switch (op & 0x7f) % 6 {
+		case 0, 1:
+			target := targets[arg&7]
+			sw := switches[(arg>>3)&3]
+			req := now - sim.Time(arg>>5)
+			if req < 0 {
+				req = 0
+			}
+			what = fmt.Sprintf("Begin(%v, %v, %v, %v)", req, now, target, sw)
+			got, want = d[s].Begin(req, now, target, sw), r[s].Begin(req, now, target, sw)
+		case 2: // just before the pending completion instant
+			at := now
+			if c, ok := d[s].CompletionTime(); ok && c > 0 {
+				at = c - 1
+			}
+			what = fmt.Sprintf("Complete(%v)", at)
+			got, want = d[s].Complete(at), r[s].Complete(at)
+		case 3: // at the pending completion instant, moving the clock there
+			if c, ok := d[s].CompletionTime(); ok && c > now {
+				now = c
+			}
+			what = fmt.Sprintf("Complete(%v)", now)
+			got, want = d[s].Complete(now), r[s].Complete(now)
+		case 4:
+			now += sim.Time(arg)
+			what = fmt.Sprintf("advance to %v", now)
+		case 5:
+			d[1-s] = d[s]
+			r[1-s] = r[s].Clone()
+			what = fmt.Sprintf("copy slot %d over slot %d", s, 1-s)
 		}
-	}
-	before := d.Transitions()
-
-	c := d.Clone()
-	if &c.transitions[0] != &d.transitions[0] {
-		t.Fatal("Clone copied the transition ring eagerly; want a lazy share")
-	}
-
-	// A write on the clone copies the ring out; the original's log must
-	// not see it.
-	if !c.Begin(1000, 1000, 2400, 10) || !c.Complete(1010) {
-		t.Fatal("clone transition did not run")
-	}
-	if got := d.Transitions(); !reflect.DeepEqual(got, before) {
-		t.Errorf("clone write leaked into original: %v", got)
-	}
-	if got := len(c.Transitions()); got != len(before)+1 {
-		t.Errorf("clone log has %d entries, want %d", got, len(before)+1)
-	}
-
-	// And the original can keep logging without touching the clone.
-	if !d.Begin(2000, 2000, 1800, 10) || !d.Complete(2010) {
-		t.Fatal("original transition did not run")
-	}
-	if got := len(c.Transitions()); got != len(before)+1 {
-		t.Errorf("original write leaked into clone: %d entries", got)
+		if got != want {
+			t.Fatalf("op %d slot %d %s returned %v, ring returned %v", i/2, s, what, got, want)
+		}
+		for k := range d {
+			gt, gok := d[k].LastTransition()
+			wt, wok := r[k].LastTransition()
+			gf, gfl := d[k].InFlight()
+			wf, wfl := r[k].InFlight()
+			gc, gcl := d[k].CompletionTime()
+			wc, wcl := r[k].CompletionTime()
+			if gt != wt || gok != wok || gf != wf || gfl != wfl || gc != wc || gcl != wcl ||
+				d[k].Granted() != r[k].Granted() {
+				t.Fatalf("after op %d (slot %d %s), slot %d diverges:\n"+
+					" domain last %+v,%v in flight %v,%v completes %v,%v granted %v\n"+
+					" ring   last %+v,%v in flight %v,%v completes %v,%v granted %v",
+					i/2, s, what, k, gt, gok, gf, gfl, gc, gcl, d[k].Granted(),
+					wt, wok, wf, wfl, wc, wcl, r[k].Granted())
+			}
+		}
 	}
 }

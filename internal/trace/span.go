@@ -200,8 +200,8 @@ func (c *Collector) add(s Span) {
 }
 
 // Add records a retrospectively-known completed span (used where the
-// begin time is only known at completion, e.g. a p-state transition
-// reconstructed from the domain log).
+// span is only recorded at completion, e.g. a p-state transition, whose
+// request and grant instants the core keeps until it lands).
 func (c *Collector) Add(k SpanKind, socket, cpu int, start, end sim.Time, label string) {
 	if c == nil {
 		return
