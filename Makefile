@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-snapshot bench-compare golden golden-output bench-module fmtgate errgate tracegate eprofgate serve-smoke fuzz-smoke ci
+.PHONY: all build test vet race bench bench-snapshot bench-compare golden golden-output bench-module fmtgate errgate eprofgate serve-smoke fuzz-smoke ci
 
 all: build
 
@@ -69,13 +69,6 @@ fmtgate:
 errgate:
 	scripts/errgate.sh
 
-# tracegate: no raw trace.Buffer construction or storage outside
-# internal/trace — span-producing subsystems record through the
-# trace.Collector so episode pairing, drop counting and Fork cloning
-# cannot be bypassed.
-tracegate:
-	scripts/tracegate.sh
-
 # eprofgate: the energy-profiler gate — a scale-0.25 full-suite run
 # with -eprof must leave stdout byte-identical, emit pprof protobuf
 # that decodes in-process (no external tools) with nonzero samples,
@@ -95,8 +88,8 @@ serve-smoke:
 # event engine against its reference heap (lockstep dispatch traces
 # plus the heap invariants), and the p-state domain against the
 # transition ring it replaced (LastTransition, InFlight, Granted and
-# CompletionTime after every operation); plain `go test` runs only the
-# committed seed corpora.
+# CompletionTime after every operation, and each record Complete
+# returns); plain `go test` runs only the committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
@@ -104,38 +97,35 @@ fuzz-smoke:
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
 # surface as "race-full failed", not a generic test error) — vet, the
-# gofmt gate, the discarded-error and raw-buffer greps, the
-# race-enabled full test suite (includes the suite scheduler
-# determinism test), benchmark smoke, perf regression diff, the
-# serial-vs-forked-parallel golden comparison, the committed reference
-# output, the energy-profiler gate, the hswsimd server lifecycle smoke,
-# the bench/ module build and smoke test, and the event-engine and
-# p-state fuzz smoke.
+# gofmt gate, the discarded-error grep, the race-enabled full test
+# suite (includes the suite scheduler determinism test), benchmark
+# smoke, perf regression diff, the serial-vs-forked-parallel golden
+# comparison, the committed reference output, the energy-profiler gate,
+# the hswsimd server lifecycle smoke, the bench/ module build and smoke
+# test, and the event-engine and p-state fuzz smoke.
 ci:
-	@echo "==> ci step 1/13: vet"
+	@echo "==> ci step 1/12: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
-	@echo "==> ci step 2/13: fmtgate"
+	@echo "==> ci step 2/12: fmtgate"
 	@$(MAKE) --no-print-directory fmtgate || { echo "ci: gate 'fmtgate' failed — Go files not gofmt-formatted" >&2; exit 1; }
-	@echo "==> ci step 3/13: errgate"
+	@echo "==> ci step 3/12: errgate"
 	@$(MAKE) --no-print-directory errgate || { echo "ci: gate 'errgate' failed — discarded call result outside tests" >&2; exit 1; }
-	@echo "==> ci step 4/13: tracegate"
-	@$(MAKE) --no-print-directory tracegate || { echo "ci: gate 'tracegate' failed — raw trace.Buffer use outside internal/trace" >&2; exit 1; }
-	@echo "==> ci step 5/13: race-full"
+	@echo "==> ci step 4/12: race-full"
 	@$(MAKE) --no-print-directory race || { echo "ci: gate 'race-full' failed — data race or test failure under -race" >&2; exit 1; }
-	@echo "==> ci step 6/13: bench smoke"
+	@echo "==> ci step 5/12: bench smoke"
 	@$(MAKE) --no-print-directory bench || { echo "ci: gate 'bench' failed — a benchmark harness no longer runs" >&2; exit 1; }
-	@echo "==> ci step 7/13: bench-compare"
+	@echo "==> ci step 6/12: bench-compare"
 	@$(MAKE) --no-print-directory bench-compare || { echo "ci: gate 'bench-compare' failed — perf regression against BENCH_sim.json" >&2; exit 1; }
-	@echo "==> ci step 8/13: golden"
+	@echo "==> ci step 7/12: golden"
 	@$(MAKE) --no-print-directory golden || { echo "ci: gate 'golden' failed — serial vs parallel output diverged" >&2; exit 1; }
-	@echo "==> ci step 9/13: golden-output"
+	@echo "==> ci step 8/12: golden-output"
 	@$(MAKE) --no-print-directory golden-output || { echo "ci: gate 'golden-output' failed — scale-0.5 suite output differs from results/experiments-scale0.5.txt" >&2; exit 1; }
-	@echo "==> ci step 10/13: eprofgate"
+	@echo "==> ci step 9/12: eprofgate"
 	@$(MAKE) --no-print-directory eprofgate || { echo "ci: gate 'eprofgate' failed — energy profile broke stdout identity or attribution totals" >&2; exit 1; }
-	@echo "==> ci step 11/13: serve-smoke"
+	@echo "==> ci step 10/12: serve-smoke"
 	@$(MAKE) --no-print-directory serve-smoke || { echo "ci: gate 'serve-smoke' failed — hswsimd lifecycle (health/coalesce/drain) broke" >&2; exit 1; }
-	@echo "==> ci step 12/13: bench-module"
+	@echo "==> ci step 11/12: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
-	@echo "==> ci step 13/13: fuzz-smoke"
+	@echo "==> ci step 12/12: fuzz-smoke"
 	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

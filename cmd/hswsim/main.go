@@ -44,7 +44,7 @@ func main() {
 	seconds := flag.Float64("seconds", 5, "virtual seconds to run")
 	arch := flag.String("arch", "hsw", "platform: hsw, snb or wsm")
 	specFile := flag.String("spec", "", "load a custom processor spec (JSON) instead of -arch")
-	traceN := flag.Int("trace", 0, "print the last N platform trace events")
+	traceN := flag.Int("trace", 0, "print the last N completed virtual-time trace spans")
 	flag.Parse()
 
 	mk, ok := kernels[*wl]
@@ -170,7 +170,7 @@ func main() {
 		runner.Stop()
 	}
 	if *traceN > 0 {
-		fmt.Printf("\nlast %d platform events:\n%s", *traceN, sys.Trace().Render(*traceN))
+		fmt.Printf("\nlast %d trace spans:\n%s", *traceN, sys.Trace().RenderSpans(*traceN))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 
 	"hswsim/internal/cstate"
@@ -49,14 +50,6 @@ type Core struct {
 	lastSD float64
 
 	lastRequestAt sim.Time
-
-	// Span bookkeeping for the in-flight p-state transition (valid only
-	// while tracing and a completion event is pending): applyGrantTagged
-	// stamps the request/grant coordinates so onComplete can record the
-	// request→complete and grant→complete spans.
-	spanReqAt   sim.Time
-	spanGrantAt sim.Time
-	spanFrom    uarch.MHz
 
 	// completeEv identifies the pending completion event (if any) so
 	// Fork can re-arm an in-flight transition on the child engine; the
@@ -108,20 +101,18 @@ func newCore(sk *Socket, index int, voltOffset float64) *Core {
 }
 
 // onComplete is the transition-completion event body (dispatched from
-// System.HandleEvent with arg = CPU).
+// System.HandleEvent with arg = CPU). It records the landed transition's
+// request→complete and grant→complete spans from the domain's stamps.
 func (c *Core) onComplete(t sim.Time) {
 	c.sk.sys.integrateTo(t)
 	c.creditResidency()
-	if c.dom.Complete(t) {
+	if x, ok := c.dom.Complete(t); ok {
 		c.sk.markDirty()
 		c.sk.grantsSettled = false
 		if tr := c.sk.sys.trace; tr != nil {
-			tr.Emitf(t, trace.PStateComplete, c.sk.Index, c.CPU,
-				"now %v", c.dom.Granted())
-			tr.Addf(trace.SpanPState, c.sk.Index, c.CPU, c.spanReqAt, t,
-				"%v -> %v", c.spanFrom, c.dom.Granted())
-			tr.Addf(trace.SpanPStateSwitch, c.sk.Index, c.CPU, c.spanGrantAt, t,
-				"%v -> %v", c.spanFrom, c.dom.Granted())
+			label := fmt.Sprintf("%v -> %v", x.From, x.To)
+			tr.Add(trace.SpanPState, c.sk.Index, c.CPU, x.RequestedAt, x.CompletedAt, label)
+			tr.Add(trace.SpanPStateSwitch, c.sk.Index, c.CPU, x.GrantedAt, x.CompletedAt, label)
 		}
 	}
 }
@@ -139,7 +130,6 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 		c.profCacheVal, c.profCacheOK = ck.ConstantProfile(), true
 	}
 	c.sk.markDirty()
-	c.sk.grantsSettled = false
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
 	c.sk.loadsStale = true
@@ -166,20 +156,13 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	if k == nil {
 		prev := c.cstateNow
 		c.cstateNow = c.sk.sys.cfg.IdleState
-		if tr := c.sk.sys.trace; tr != nil {
-			tr.Emitf(now, trace.CStateEnter, c.sk.Index, c.CPU, "%v (idle)", c.cstateNow)
-			if prev != c.cstateNow {
-				tr.Begin(now, trace.SpanCState, c.sk.Index, c.CPU, c.cstateNow.String())
-			}
+		if tr := c.sk.sys.trace; tr != nil && prev != c.cstateNow {
+			tr.Begin(now, trace.SpanCState, c.sk.Index, c.CPU, c.cstateNow.String())
 		}
 		return
 	}
-	if c.cstateNow != cstate.C0 {
-		if tr := c.sk.sys.trace; tr != nil {
-			tr.Emitf(now, trace.CStateExit, c.sk.Index, c.CPU,
-				"%v -> C0 running %q", c.cstateNow, k.Name())
-			tr.Begin(now, trace.SpanCState, c.sk.Index, c.CPU, "C0")
-		}
+	if tr := c.sk.sys.trace; tr != nil && c.cstateNow != cstate.C0 {
+		tr.Begin(now, trace.SpanCState, c.sk.Index, c.CPU, "C0")
 	}
 	c.cstateNow = cstate.C0
 	if k.ProfileAt(0).AVXFrac > 0 && !c.avxMode {
@@ -226,12 +209,6 @@ func (c *Core) requestPState(now sim.Time, f uarch.MHz) {
 	c.lastRequestAt = now
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
-	// The nil guard is load-bearing: Emitf's variadic boxing allocates
-	// at the call site even when the buffer would discard the event,
-	// and p-state requests are a hot path for governor workloads.
-	if tr := c.sk.sys.trace; tr != nil {
-		tr.Emitf(now, trace.PStateRequest, c.sk.Index, c.CPU, "-> %v", c.dom.Requested())
-	}
 	if c.sk.PCU.GridPeriod() <= 0 {
 		// Pre-Haswell: immediate, bounded only by the switching time.
 		c.applyGrantTagged(now, c.clampGrantImmediate(), now)
@@ -283,13 +260,7 @@ func (c *Core) applyGrantTagged(now sim.Time, target uarch.MHz, requestedAt sim.
 	// segment changed even before the new clock lands.
 	c.sk.markDirty()
 	if c.dom.Begin(requestedAt, now, target, switchTime) {
-		c.sk.grantsSettled = false
 		c.lastRequestAt = 0
-		if tr := c.sk.sys.trace; tr != nil {
-			tr.Emitf(now, trace.PStateGrant, c.sk.Index, c.CPU,
-				"%v -> %v (switch %v)", c.dom.Granted(), target, switchTime)
-			c.spanReqAt, c.spanGrantAt, c.spanFrom = requestedAt, now, c.dom.Granted()
-		}
 		c.completeEv = c.sk.sys.Engine.AtHandler(now+switchTime, c.sk.sys, c.CPU)
 	}
 }

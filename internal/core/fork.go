@@ -286,7 +286,6 @@ func (s *System) populateFork(n *System, reused bool) {
 	// pre-fork deltas on its next Run).
 	n.traceSpansFlushed = n.trace.SpansRecorded()
 	n.traceSpanDropsFlushed = n.trace.SpanDrops()
-	n.traceEventDropsFlushed = n.trace.EventDrops()
 	if n.eprof != nil {
 		n.eprofSegsFlushed = n.eprof.Segments()
 	}

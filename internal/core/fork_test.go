@@ -19,24 +19,23 @@ import (
 // deeply equal fingerprints — floating-point state included, bit for
 // bit (the values are compared with ==, not a tolerance).
 type forkFingerprint struct {
-	Now         sim.Time
-	PkgJ        []float64
-	DRAMJ       []float64
-	PP0J        []float64
-	TempC       []float64
-	UncoreMHz   []uarch.MHz
-	FreqMHz     []uarch.MHz
-	Volts       []float64
-	TSC         []uint64
-	APERF       []uint64
-	MPERF       []uint64
-	Instr       []uint64
-	Meter       string
-	TraceRender string
-	Spans       []trace.Span
-	OpenSpans   []trace.Span
-	SpanStats   [3]uint64 // recorded, span drops, event drops
-	ACPower     float64
+	Now       sim.Time
+	PkgJ      []float64
+	DRAMJ     []float64
+	PP0J      []float64
+	TempC     []float64
+	UncoreMHz []uarch.MHz
+	FreqMHz   []uarch.MHz
+	Volts     []float64
+	TSC       []uint64
+	APERF     []uint64
+	MPERF     []uint64
+	Instr     []uint64
+	Meter     string
+	Spans     []trace.Span
+	OpenSpans []trace.Span
+	SpanStats [2]uint64 // recorded, dropped
+	ACPower   float64
 }
 
 func fingerprint(t *testing.T, s *System) forkFingerprint {
@@ -65,12 +64,9 @@ func fingerprint(t *testing.T, s *System) forkFingerprint {
 		// difference between parent and child shows.
 		fp.Meter += smp.At.String() + ":" + strconv.FormatUint(math.Float64bits(smp.W), 16) + " "
 	}
-	fp.TraceRender = s.Trace().Render(1 << 20)
 	fp.Spans = s.Trace().Spans()
 	fp.OpenSpans = s.Trace().Open(s.Now())
-	fp.SpanStats = [3]uint64{
-		s.Trace().SpansRecorded(), s.Trace().SpanDrops(), s.Trace().EventDrops(),
-	}
+	fp.SpanStats = [2]uint64{s.Trace().SpansRecorded(), s.Trace().SpanDrops()}
 	return fp
 }
 

@@ -1,11 +1,23 @@
 package core
 
 import (
+	"fmt"
+
 	"hswsim/internal/msr"
 	"hswsim/internal/perfctr"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
 )
+
+// powerLimitLabel is the SpanPowerLimit label for an
+// MSR_PKG_POWER_LIMIT value: the enforced limit (the rated TDP when
+// bit 15 leaves the limit disabled) and the raw register.
+func powerLimitLabel(v uint64, tdp float64) string {
+	if v&(1<<15) != 0 {
+		return fmt.Sprintf("%.1f W (raw %#x)", float64(v&0x7FFF)/8, v)
+	}
+	return fmt.Sprintf("TDP %.1f W (raw %#x)", tdp, v)
+}
 
 // msrLayout is the immutable half of the platform's MSR surface: the
 // shared msr.Layout (register map + handlers) plus the register-file
@@ -190,13 +202,7 @@ func buildMSRLayout(spec *uarch.Spec, ncpu, nsock int) *msrLayout {
 			sock := s.SocketOf(cpu)
 			d.Store(ml.pkgLimitBase+sock, v)
 			if tr := s.trace; tr != nil {
-				now := s.Engine.Now()
-				tr.Emitf(now, trace.PowerLimit, sock, -1, "raw %#x", v)
-				if v&(1<<15) != 0 {
-					tr.Beginf(now, trace.SpanPowerLimit, sock, -1, "%.1f W", float64(v&0x7FFF)/8)
-				} else {
-					tr.Beginf(now, trace.SpanPowerLimit, sock, -1, "TDP %.1f W", spec.Power.TDP)
-				}
+				tr.Begin(s.Engine.Now(), trace.SpanPowerLimit, sock, -1, powerLimitLabel(v, spec.Power.TDP))
 			}
 			if v&(1<<15) != 0 {
 				s.sockets[sock].PCU.SetTDPWatts(float64(v&0x7FFF) / 8)

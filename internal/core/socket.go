@@ -54,11 +54,11 @@ type Socket struct {
 
 	pcuPhase sim.Time
 	rng      sim.RNG
-	// grantsSettled: the last grant pass left every core at its decided
-	// target with nothing in flight, and no transition has begun or
-	// completed and no kernel has been placed since. A PCU decision
-	// replayed onto settled grants would change nothing, so pcuTick
-	// skips the pass (see debugNoGrantSkip).
+	// grantsSettled: a grant pass has run and no transition has landed
+	// since (Core.onComplete clears it). Until a landing, a replayed PCU
+	// decision would change nothing — it carries the targets and AVX
+	// modes that pass applied, and an in-flight core ignores grants —
+	// so pcuTick skips the pass (see debugNoGrantSkip).
 	grantsSettled bool
 	// tickEv identifies the pending grid-tick event so Fork can re-arm
 	// it declaratively on the child engine (the callback itself is the
@@ -256,8 +256,6 @@ func (sk *Socket) pcuTick(now sim.Time) {
 	// Apply the uncore grant.
 	if dec.UncoreMHz != sk.uncoreMHz && !cstate.UncoreHalted(sk.pkgCState) {
 		if tr := sk.sys.trace; tr != nil {
-			tr.Emitf(now, trace.UncoreChange, sk.Index, -1,
-				"%v -> %v", sk.uncoreMHz, dec.UncoreMHz)
 			tr.Beginf(now, trace.SpanUncore, sk.Index, -1, "%v", dec.UncoreMHz)
 		}
 		sk.uncoreMHz = dec.UncoreMHz
@@ -272,7 +270,7 @@ func (sk *Socket) pcuTick(now sim.Time) {
 var debugNoGrantSkip = false
 
 // applyGrants applies a PCU decision's AVX modes and core frequency
-// grants, then records whether the grants have settled.
+// grants, then marks the grants settled.
 func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
 	single := uarch.MHz(0)
 	if !sk.sys.cfg.PCPSEnabled {
@@ -281,15 +279,12 @@ func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
 			single = max(single, f)
 		}
 	}
-	settled := true
 	for i, c := range sk.cores {
 		if dec.AVXMode[i] != c.avxMode {
 			if tr := sk.sys.trace; tr != nil {
 				if dec.AVXMode[i] {
-					tr.Emitf(now, trace.AVXEnter, sk.Index, c.CPU, "")
 					tr.Begin(now, trace.SpanAVX, sk.Index, c.CPU, "avx")
 				} else {
-					tr.Emitf(now, trace.AVXExit, sk.Index, c.CPU, "")
 					tr.End(now, trace.SpanAVX, sk.Index, c.CPU)
 				}
 			}
@@ -301,11 +296,8 @@ func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
 			target = single
 		}
 		c.applyGrant(now, target)
-		if _, inflight := c.dom.InFlight(); inflight {
-			settled = false
-		}
 	}
-	sk.grantsSettled = settled
+	sk.grantsSettled = true
 }
 
 // telemetry gathers the PCU inputs.

@@ -153,9 +153,8 @@ type System struct {
 	// traceFlushed mirrors the collector's cumulative counters at the
 	// last flushObs, so only deltas reach the obs registry (same
 	// pattern as the sockets' integration-segment counters).
-	traceSpansFlushed      uint64
-	traceSpanDropsFlushed  uint64
-	traceEventDropsFlushed uint64
+	traceSpansFlushed     uint64
+	traceSpanDropsFlushed uint64
 
 	// eprof is nil unless EnableEnergyProfile was called; the sockets'
 	// integration paths guard on it (the disabled cost is one nil
@@ -173,14 +172,14 @@ type System struct {
 }
 
 // EnableTrace starts recording platform activity into a span-based
-// virtual-time collector (capacity bounds both the leaf-event ring and
-// the completed-span ring) and returns it. The collector is seeded
-// with the platform's current episodic state — every core's c-state,
-// each package's c-state, uncore frequency and power limit — so the
-// first exported residency span of each scope starts at enable time
-// rather than at the first subsequent change.
+// virtual-time collector (capacity bounds its completed-span ring) and
+// returns it. The collector is seeded with the platform's current
+// episodic state — every core's c-state, each package's c-state, uncore
+// frequency and power limit — so the first exported residency span of
+// each scope starts at enable time rather than at the first subsequent
+// change.
 func (s *System) EnableTrace(capacity int) *trace.Collector {
-	s.trace = trace.NewCollector(capacity, capacity)
+	s.trace = trace.NewCollector(capacity)
 	now := s.Engine.Now()
 	for _, sk := range s.sockets {
 		for _, c := range sk.cores {
@@ -191,8 +190,8 @@ func (s *System) EnableTrace(capacity int) *trace.Collector {
 		}
 		s.trace.Beginf(now, trace.SpanUncore, sk.Index, -1, "%v", sk.uncoreMHz)
 		s.trace.Begin(now, trace.SpanPkgCState, sk.Index, -1, sk.pkgCState.String())
-		s.trace.Beginf(now, trace.SpanPowerLimit, sk.Index, -1, "%.1f W",
-			float64(s.msrDev.Load(s.mlay.pkgLimitBase+sk.Index)&0x7FFF)/8)
+		s.trace.Begin(now, trace.SpanPowerLimit, sk.Index, -1,
+			powerLimitLabel(s.msrDev.Load(s.mlay.pkgLimitBase+sk.Index), sk.Spec.Power.TDP))
 	}
 	return s.trace
 }
@@ -390,10 +389,6 @@ func (s *System) flushObs() {
 			obs.TraceSpanDrops.Add(int64(v - s.traceSpanDropsFlushed))
 			s.traceSpanDropsFlushed = v
 		}
-		if v := tr.EventDrops(); v > s.traceEventDropsFlushed {
-			obs.TraceEventDrops.Add(int64(v - s.traceEventDropsFlushed))
-			s.traceEventDropsFlushed = v
-		}
 	}
 	if ep := s.eprof; ep != nil {
 		if v := ep.Segments(); v > s.eprofSegsFlushed {
@@ -550,8 +545,6 @@ func (s *System) refreshPackageStates() {
 		next := cstate.DeepestPkgState(states, anyActive)
 		if next != sk.pkgCState {
 			if tr := s.trace; tr != nil {
-				tr.Emitf(now, trace.PkgCStateChange, sk.Index, -1,
-					"%v -> %v", sk.pkgCState, next)
 				tr.Begin(now, trace.SpanPkgCState, sk.Index, -1, next.String())
 			}
 			// Package state gates the uncore clock: the memoized

@@ -33,7 +33,6 @@ func (s *System) SleepCore(cpu int, st cstate.State) error {
 	s.maxReqValid = false
 	c.sk.telChanged()
 	if tr := s.trace; tr != nil && prev != st {
-		tr.Emitf(now, trace.CStateEnter, c.sk.Index, c.CPU, "%v -> %v (idle governor)", prev, st)
 		tr.Begin(now, trace.SpanCState, c.sk.Index, c.CPU, st.String())
 	}
 	c.sk.markDirty()

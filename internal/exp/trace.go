@@ -109,12 +109,10 @@ func (st *SpanTrace) Infos() []obs.TraceInfo {
 	out := make([]obs.TraceInfo, len(secs))
 	for i, s := range secs {
 		out[i] = obs.TraceInfo{
-			Label:      s.Name,
-			Events:     s.C.Len(),
-			EventDrops: int64(s.C.EventDrops()),
-			Spans:      s.C.SpanCount(),
-			OpenSpans:  s.C.OpenCount(),
-			SpanDrops:  int64(s.C.SpanDrops()),
+			Label:     s.Name,
+			Spans:     s.C.SpanCount(),
+			OpenSpans: s.C.OpenCount(),
+			SpanDrops: int64(s.C.SpanDrops()),
 		}
 	}
 	return out

@@ -87,16 +87,14 @@ var (
 	PowerSegFulls = std.Counter("power_segments_full_total",
 		"integration segments that re-solved the full operating point")
 
-	// Virtual-time tracing: span/event volume and ring overwrites.
-	// Drop counters are the "no silent caps" guard for the bounded
-	// rings — nonzero means the exported trace is truncated and the
-	// collector capacity (or the event filter) needs adjusting.
+	// Virtual-time tracing: span volume and ring overwrites. The drop
+	// counter is the "no silent caps" guard for the bounded span rings —
+	// nonzero means the exported trace is truncated and the collector
+	// capacity needs raising.
 	TraceSpans = std.Counter("trace_spans_total",
 		"completed virtual-time spans recorded across all collectors")
 	TraceSpanDrops = std.Counter("trace_span_drops_total",
 		"completed spans overwritten in full span rings (trace truncated)")
-	TraceEventDrops = std.Counter("trace_event_drops_total",
-		"leaf trace events overwritten in full event rings (trace truncated)")
 	HarnessSpans = std.Counter("harness_spans_total",
 		"wall-clock harness spans recorded (experiments, sweep points, scheduler slots)")
 

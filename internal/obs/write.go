@@ -43,12 +43,10 @@ type ProfileInfo struct {
 
 // TraceInfo is one captured trace collector's volume and drop counts.
 type TraceInfo struct {
-	Label      string `json:"label"`
-	Events     int    `json:"events"`
-	EventDrops int64  `json:"event_drops"`
-	Spans      int    `json:"spans"`
-	OpenSpans  int    `json:"open_spans"`
-	SpanDrops  int64  `json:"span_drops"`
+	Label     string `json:"label"`
+	Spans     int    `json:"spans"`
+	OpenSpans int    `json:"open_spans"`
+	SpanDrops int64  `json:"span_drops"`
 }
 
 // HarnessCat is one wall-clock harness span category's aggregate.
@@ -107,8 +105,8 @@ func (m *Manifest) WriteSummary(w io.Writer) {
 	if len(m.Traces) > 0 {
 		fmt.Fprintln(w, "traces:")
 		for _, t := range m.Traces {
-			fmt.Fprintf(w, "  %-16s %6d spans (%d dropped, %d open)  %6d events (%d dropped)\n",
-				t.Label, t.Spans, t.SpanDrops, t.OpenSpans, t.Events, t.EventDrops)
+			fmt.Fprintf(w, "  %-16s %6d spans (%d dropped, %d open)\n",
+				t.Label, t.Spans, t.SpanDrops, t.OpenSpans)
 		}
 	}
 	if m.Profile != nil {

@@ -93,25 +93,26 @@ func (d *Domain) Begin(requestedAt, grantedAt sim.Time, target uarch.MHz, switch
 }
 
 // Complete applies the pending transition if its completion time has
-// arrived, returning true when the frequency changed. The transition
-// becomes LastTransition unless it completed at time zero, since a zero
-// CompletedAt marks that no transition has completed.
-func (d *Domain) Complete(now sim.Time) bool {
+// arrived, returning it and true when the frequency changed. The
+// transition becomes LastTransition unless it completed at time zero,
+// since a zero CompletedAt marks that no transition has completed.
+func (d *Domain) Complete(now sim.Time) (Transition, bool) {
 	if !d.inFlight || now < d.completes {
-		return false
+		return Transition{}, false
 	}
-	if d.completes != 0 {
-		d.last = Transition{
-			RequestedAt: d.requestedAt,
-			GrantedAt:   d.grantedAt,
-			CompletedAt: d.completes,
-			From:        d.granted,
-			To:          d.target,
-		}
+	t := Transition{
+		RequestedAt: d.requestedAt,
+		GrantedAt:   d.grantedAt,
+		CompletedAt: d.completes,
+		From:        d.granted,
+		To:          d.target,
+	}
+	if t.CompletedAt != 0 {
+		d.last = t
 	}
 	d.granted = d.target
 	d.inFlight = false
-	return true
+	return t, true
 }
 
 // CompletionTime returns when the in-flight transition lands.

@@ -38,13 +38,14 @@ func TestTransitionLifecycle(t *testing.T) {
 		t.Fatalf("InFlight = %v,%v", tgt, ok)
 	}
 	// Too early: nothing happens.
-	if d.Complete(510) {
+	if _, ok := d.Complete(510); ok {
 		t.Fatal("completed before switch time")
 	}
 	if d.Granted() != 1200 {
 		t.Fatal("granted changed early")
 	}
-	if !d.Complete(521) {
+	done, ok := d.Complete(521)
+	if !ok {
 		t.Fatal("did not complete at switch end")
 	}
 	if d.Granted() != 1300 {
@@ -53,6 +54,9 @@ func TestTransitionLifecycle(t *testing.T) {
 	tr, ok := d.LastTransition()
 	if !ok {
 		t.Fatal("no transition recorded")
+	}
+	if done != tr {
+		t.Errorf("Complete returned %+v, LastTransition %+v", done, tr)
 	}
 	if tr.Latency() != 421 {
 		t.Errorf("latency = %v, want 421 (request 100 -> complete 521)", tr.Latency())
@@ -129,7 +133,8 @@ func TestCompletionTime(t *testing.T) {
 // FuzzLastTransition drives Domain and the transition ring it replaced
 // (refDomain, ring_ref_test.go) through the same script and requires
 // LastTransition, InFlight, Granted and CompletionTime to agree after
-// every operation. Each operation is two bytes, an opcode and an
+// every operation, and each record Complete returns to be the ring's
+// newest transition whenever it completed after time zero. Each operation is two bytes, an opcode and an
 // argument; the opcode's top bit picks one of two domain slots, so
 // value copies and independent evolution of the copies are exercised.
 // Scripts stop at maxFuzzOps: below the ring's 4096-entry bound, and
@@ -172,6 +177,7 @@ func runLastTransitionScript(t *testing.T, script []byte) {
 		s := int(op >> 7)
 		var got, want bool
 		var what string
+		var done Transition // Complete's returned record
 		switch (op & 0x7f) % 6 {
 		case 0, 1:
 			target := targets[arg&7]
@@ -188,13 +194,15 @@ func runLastTransitionScript(t *testing.T, script []byte) {
 				at = c - 1
 			}
 			what = fmt.Sprintf("Complete(%v)", at)
-			got, want = d[s].Complete(at), r[s].Complete(at)
+			done, got = d[s].Complete(at)
+			want = r[s].Complete(at)
 		case 3: // at the pending completion instant, moving the clock there
 			if c, ok := d[s].CompletionTime(); ok && c > now {
 				now = c
 			}
 			what = fmt.Sprintf("Complete(%v)", now)
-			got, want = d[s].Complete(now), r[s].Complete(now)
+			done, got = d[s].Complete(now)
+			want = r[s].Complete(now)
 		case 4:
 			now += sim.Time(arg)
 			what = fmt.Sprintf("advance to %v", now)
@@ -205,6 +213,15 @@ func runLastTransitionScript(t *testing.T, script []byte) {
 		}
 		if got != want {
 			t.Fatalf("op %d slot %d %s returned %v, ring returned %v", i/2, s, what, got, want)
+		}
+		if !got && done != (Transition{}) {
+			t.Fatalf("op %d slot %d %s completed nothing but returned %+v", i/2, s, what, done)
+		}
+		if done.CompletedAt != 0 {
+			if newest, ok := r[s].LastTransition(); !ok || done != newest {
+				t.Fatalf("op %d slot %d %s returned %+v, ring's newest transition is %+v,%v",
+					i/2, s, what, done, newest, ok)
+			}
 		}
 		for k := range d {
 			gt, gok := d[k].LastTransition()

@@ -59,8 +59,8 @@ func chromeTID(cpu int) int {
 
 // WriteChromeTrace emits the sections as one Chrome trace-event JSON
 // document: completed spans as "X" (complete) events, still-open
-// episodes as "B" (begin) events, leaf events as "i" (instant) events,
-// plus process/thread metadata naming each scope.
+// episodes as "B" (begin) events, plus process/thread metadata naming
+// each scope.
 func WriteChromeTrace(w io.Writer, sections []NamedCollector) error {
 	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -78,20 +78,7 @@ func WriteChromeTrace(w io.Writer, sections []NamedCollector) error {
 	}
 
 	for si, sec := range sections {
-		spans := sec.C.Spans()
-		horizon := sim.Time(0)
-		for _, s := range spans {
-			if s.End > horizon {
-				horizon = s.End
-			}
-		}
-		open := sec.C.Open(horizon)
-		events := sec.C.Events().Events()
-		for _, e := range events {
-			if e.At > horizon {
-				horizon = e.At
-			}
-		}
+		spans, open := snapshot(sec.C)
 
 		// Metadata: name every (socket, cpu) scope this section uses,
 		// in sorted order.
@@ -102,9 +89,6 @@ func WriteChromeTrace(w io.Writer, sections []NamedCollector) error {
 		}
 		for _, s := range open {
 			seen[scope{s.Socket, s.CPU}] = true
-		}
-		for _, e := range events {
-			seen[scope{e.Socket, e.CPU}] = true
 		}
 		scopes := make([]scope, 0, len(seen))
 		for sc := range seen {
@@ -167,15 +151,6 @@ func WriteChromeTrace(w io.Writer, sections []NamedCollector) error {
 				return err
 			}
 		}
-		for _, e := range events {
-			if err := emit(fmt.Sprintf(
-				`{"ph":"i","name":%s,"s":"t","ts":%s,"pid":%d,"tid":%d,"args":{"detail":%s}}`,
-				jsonString(e.Kind.String()), micros(e.At),
-				chromePID(si, e.Socket), chromeTID(e.CPU),
-				jsonString(e.Detail))); err != nil {
-				return err
-			}
-		}
 	}
 	_, err := io.WriteString(w, "\n]}\n")
 	return err
@@ -190,24 +165,34 @@ func spanName(s Span) string {
 	return s.Kind.String()
 }
 
+// snapshot returns a collector's completed spans and its open episodes,
+// each open one ending at the latest instant the collector holds: the
+// newest completed end or open start. An episode opened after the last
+// completed span thus renders with a zero, never a negative, duration.
+func snapshot(c *Collector) (spans, open []Span) {
+	spans, open = c.Spans(), c.Open(0)
+	var horizon sim.Time
+	for _, s := range spans {
+		horizon = max(horizon, s.End)
+	}
+	for _, s := range open {
+		horizon = max(horizon, s.Start)
+	}
+	for i := range open {
+		open[i].End = horizon
+	}
+	return spans, open
+}
+
 // WriteTimeline emits the sections as a name-sorted text timeline: per
-// section a summary header (span/event volume and ring drops — no
-// silent truncation), then every completed span sorted by (kind name,
-// socket, cpu, start, end, label), then still-open episodes.
+// section a summary header (span volume and ring drops — no silent
+// truncation), then every completed span sorted by (kind name, socket,
+// cpu, start, end, label), then still-open episodes.
 func WriteTimeline(w io.Writer, sections []NamedCollector) error {
 	for _, sec := range sections {
-		spans := sec.C.Spans()
-		horizon := sim.Time(0)
-		for _, s := range spans {
-			if s.End > horizon {
-				horizon = s.End
-			}
-		}
-		open := sec.C.Open(horizon)
-		if _, err := fmt.Fprintf(w,
-			"== %s: %d spans (%d dropped), %d open, %d events (%d dropped)\n",
-			sec.Name, len(spans), sec.C.SpanDrops(), len(open),
-			sec.C.Len(), sec.C.EventDrops()); err != nil {
+		spans, open := snapshot(sec.C)
+		if _, err := fmt.Fprintf(w, "== %s: %d spans (%d dropped), %d open\n",
+			sec.Name, len(spans), sec.C.SpanDrops(), len(open)); err != nil {
 			return err
 		}
 		sorted := append([]Span(nil), spans...)

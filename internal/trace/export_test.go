@@ -10,16 +10,15 @@ import (
 )
 
 // exportSections builds a deterministic two-section scene with completed
-// spans, an open episode, and leaf events.
+// spans and open episodes.
 func exportSections() []NamedCollector {
-	a := NewCollector(8, 8)
+	a := NewCollector(8)
 	a.Begin(0, SpanCState, 0, 0, "C0")
 	a.Begin(1500, SpanCState, 0, 0, "C6")
 	a.Add(SpanWake, 0, 1, 2000, 2040, "C6 wake")
-	a.Emitf(2000, CStateExit, 0, 1, "wake ipi")
 	a.Beginf(0, SpanUncore, 0, -1, "%d MHz", 2500)
 
-	b := NewCollector(8, 8)
+	b := NewCollector(8)
 	b.Add(SpanPState, 1, 3, 0, 500000, "1200 MHz -> 2500 MHz")
 	return []NamedCollector{{Name: "fig1#0", C: a}, {Name: "fig5#0", C: b}}
 }
@@ -54,16 +53,15 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	for _, e := range doc.TraceEvents {
 		phases[e.Ph]++
 	}
-	// Completed spans (X), the open episodes (B), leaf events (i) and
-	// scope metadata (M) must all be present.
-	for _, ph := range []string{"X", "B", "i", "M"} {
+	// Completed spans (X), the open episodes (B) and scope metadata (M)
+	// must all be present, and nothing else.
+	for _, ph := range []string{"X", "B", "M"} {
 		if phases[ph] == 0 {
 			t.Fatalf("no %q events: %v", ph, phases)
 		}
 	}
-	// 3 completed spans total across the sections, 2 open (C6 + uncore),
-	// 1 instant.
-	if phases["X"] != 3 || phases["B"] != 2 || phases["i"] != 1 {
+	// 3 completed spans total across the sections, 2 open (C6 + uncore).
+	if phases["X"] != 3 || phases["B"] != 2 || len(phases) != 3 {
 		t.Fatalf("event counts = %v", phases)
 	}
 	// The wake span: ts in microseconds with ns precision.
@@ -111,8 +109,8 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"== fig1#0: 2 spans (0 dropped), 2 open, 1 events (0 dropped)",
-		"== fig5#0: 1 spans (0 dropped), 0 open, 0 events (0 dropped)",
+		"== fig1#0: 2 spans (0 dropped), 2 open\n",
+		"== fig5#0: 1 spans (0 dropped), 0 open\n",
 		"C6 wake",
 		"(open)",
 		"1200 MHz -> 2500 MHz",
@@ -127,6 +125,25 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	if again.String() != out {
 		t.Fatal("identical sections produced different timelines")
+	}
+
+	// An episode opened after the last completed span ends at its own
+	// start: the horizon covers open starts, not only completed ends.
+	c := NewCollector(8)
+	c.Begin(0, SpanCState, 0, 0, "C0")
+	c.Begin(100, SpanCState, 0, 0, "C6")
+	c.Begin(200, SpanAVX, 0, 0, "avx")
+	buf.Reset()
+	if err := WriteTimeline(&buf, []NamedCollector{{Name: "late#0", C: c}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Span{
+		{Kind: SpanCState, Socket: 0, CPU: 0, Start: 100, End: 200, Label: "C6"},
+		{Kind: SpanAVX, Socket: 0, CPU: 0, Start: 200, End: 200, Label: "avx"},
+	} {
+		if want := s.String() + " (open)\n"; !strings.Contains(buf.String(), want) {
+			t.Errorf("timeline missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 

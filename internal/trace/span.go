@@ -1,3 +1,8 @@
+// Package trace records the platform's virtual-time episodes —
+// p-state transitions, c-state and package c-state residencies, uncore
+// frequency, AVX license and power-limit windows, governor epochs and
+// cross-core wakes — as spans, the simulator's stand-in for hardware
+// tracing facilities, plus the wall-clock harness spans of the suite.
 package trace
 
 import (
@@ -10,8 +15,7 @@ import (
 )
 
 // SpanKind classifies a virtual-time span — one temporal episode of the
-// platform, with a begin and an end, as opposed to the point events the
-// leaf Buffer records.
+// platform, with a begin and an end.
 type SpanKind int
 
 const (
@@ -102,24 +106,21 @@ type openSpan struct {
 	label string
 }
 
-// Collector is the span-based virtual-time tracer: a leaf event ring
-// (the pre-existing Buffer) plus a bounded ring of completed spans and
-// a table of open episodes. A nil *Collector is a valid no-op recorder;
-// every method is nil-safe. Hot call sites must still guard with
-// `if tr := ...; tr != nil` before formatting arguments — variadic
-// boxing allocates at the call site even when the collector would
-// discard the record.
+// Collector is the span-based virtual-time tracer: a bounded ring of
+// completed spans plus a table of open episodes. A nil *Collector is a
+// valid no-op recorder; every method is nil-safe. Hot call sites must
+// still guard with `if tr := ...; tr != nil` before formatting
+// arguments — variadic boxing allocates at the call site even when the
+// collector would discard the record.
 //
 // Determinism: the collector records only virtual-time state, in
 // simulation order. Two identical simulations produce bitwise-identical
 // collectors, and Clone preserves that property across System.Fork.
 type Collector struct {
-	events *Buffer
-
-	// spans is the completed-span ring, in End order. Like the leaf
-	// Buffer it grows by append up to cap, then wraps through next, and
-	// is copy-on-write across clones together with the open-episode
-	// table (one stamp covers both).
+	// spans is the completed-span ring, in End order. It grows by
+	// append up to cap, then wraps through next, and is copy-on-write
+	// across clones together with the open-episode table (one stamp
+	// covers both).
 	spans []Span
 	next  int
 	cap   int
@@ -132,16 +133,15 @@ type Collector struct {
 	gen  cow.Stamp // ownership of spans and open
 }
 
-// NewCollector creates a collector holding up to eventCap leaf events
-// and spanCap completed spans. Span storage is allocated lazily.
-func NewCollector(eventCap, spanCap int) *Collector {
-	if spanCap <= 0 {
-		spanCap = 4096
+// NewCollector creates a collector holding up to capacity completed
+// spans (4096 when capacity <= 0). Span storage is allocated lazily.
+func NewCollector(capacity int) *Collector {
+	if capacity <= 0 {
+		capacity = 4096
 	}
 	c := &Collector{
-		events: New(eventCap),
-		cap:    spanCap,
-		open:   map[spanKey]openSpan{},
+		cap:  capacity,
+		open: map[spanKey]openSpan{},
 	}
 	c.gen.Own()
 	return c
@@ -158,7 +158,6 @@ func (c *Collector) Clone() *Collector {
 	}
 	cow.Bump()
 	n := *c
-	n.events = c.events.Clone()
 	return &n
 }
 
@@ -201,7 +200,7 @@ func (c *Collector) add(s Span) {
 
 // Add records a retrospectively-known completed span (used where the
 // span is only recorded at completion, e.g. a p-state transition, whose
-// request and grant instants the core keeps until it lands).
+// request and grant instants its domain keeps until it lands).
 func (c *Collector) Add(k SpanKind, socket, cpu int, start, end sim.Time, label string) {
 	if c == nil {
 		return
@@ -332,14 +331,6 @@ func (c *Collector) SpanDrops() uint64 {
 	return c.spanDrops
 }
 
-// EventDrops returns how many leaf events the event ring overwrote.
-func (c *Collector) EventDrops() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.events.Drops()
-}
-
 // Query returns a query over the completed spans.
 func (c *Collector) Query() Query { return NewQuery(c.Spans()) }
 
@@ -355,64 +346,4 @@ func (c *Collector) RenderSpans(n int) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Leaf event passthroughs: the collector subsumes the Buffer's role as
-// the platform's event recorder, so existing consumers (Render tails,
-// kind filters) keep working against the Collector directly.
-
-// Events returns the collector's leaf event buffer.
-func (c *Collector) Events() *Buffer {
-	if c == nil {
-		return nil
-	}
-	return c.events
-}
-
-// Emit records a leaf event.
-func (c *Collector) Emit(e Event) {
-	if c == nil {
-		return
-	}
-	c.events.Emit(e)
-}
-
-// Emitf formats and records a leaf event.
-func (c *Collector) Emitf(at sim.Time, k Kind, socket, cpu int, format string, args ...any) {
-	if c == nil {
-		return
-	}
-	c.events.Emitf(at, k, socket, cpu, format, args...)
-}
-
-// Len returns the number of stored leaf events.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.events.Len()
-}
-
-// Tail returns the most recent n leaf events.
-func (c *Collector) Tail(n int) []Event {
-	if c == nil {
-		return nil
-	}
-	return c.events.Tail(n)
-}
-
-// OfKind filters the stored leaf events by kind.
-func (c *Collector) OfKind(k Kind) []Event {
-	if c == nil {
-		return nil
-	}
-	return c.events.OfKind(k)
-}
-
-// Render formats the most recent n leaf events as text.
-func (c *Collector) Render(n int) string {
-	if c == nil {
-		return ""
-	}
-	return c.events.Render(n)
 }

@@ -15,17 +15,14 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.Begin(0, SpanCState, 0, 0, "C6")
 	c.Beginf(0, SpanCState, 0, 0, "C%d", 6)
 	c.End(1, SpanCState, 0, 0)
-	c.Emit(Event{})
-	c.Emitf(0, PStateGrant, 0, 0, "x")
 	if c.SpanCount() != 0 || c.OpenCount() != 0 || c.SpansRecorded() != 0 ||
-		c.SpanDrops() != 0 || c.EventDrops() != 0 || c.Len() != 0 {
+		c.SpanDrops() != 0 {
 		t.Fatal("nil collector should report zero everywhere")
 	}
-	if c.Spans() != nil || c.Open(0) != nil || c.Events() != nil ||
-		c.Tail(1) != nil || c.OfKind(PStateGrant) != nil {
+	if c.Spans() != nil || c.Open(0) != nil {
 		t.Fatal("nil collector should return nil slices")
 	}
-	if c.Render(1) != "" {
+	if c.RenderSpans(1) != "" {
 		t.Fatal("nil collector render should be empty")
 	}
 	if c.Clone() != nil {
@@ -37,7 +34,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 }
 
 func TestBeginEndPairsSpan(t *testing.T) {
-	c := NewCollector(16, 16)
+	c := NewCollector(16)
 	c.Begin(100, SpanCState, 1, 3, "C6")
 	if c.OpenCount() != 1 || c.SpanCount() != 0 {
 		t.Fatalf("open=%d count=%d after Begin", c.OpenCount(), c.SpanCount())
@@ -59,7 +56,7 @@ func TestBeginEndPairsSpan(t *testing.T) {
 func TestBeginIsEpisodic(t *testing.T) {
 	// A Begin on an already-open key closes the previous episode at the
 	// new start time: residency tracks transition state-to-state.
-	c := NewCollector(16, 16)
+	c := NewCollector(16)
 	c.Begin(0, SpanCState, 0, 0, "C0")
 	c.Begin(100, SpanCState, 0, 0, "C6")
 	c.Beginf(250, SpanCState, 0, 0, "C%d", 0)
@@ -80,7 +77,7 @@ func TestBeginIsEpisodic(t *testing.T) {
 }
 
 func TestEndWithoutBeginIsNoOp(t *testing.T) {
-	c := NewCollector(16, 16)
+	c := NewCollector(16)
 	c.End(10, SpanAVX, 0, 0)
 	if c.SpanCount() != 0 || c.SpansRecorded() != 0 {
 		t.Fatalf("End without Begin recorded a span: %v", c.Spans())
@@ -90,7 +87,7 @@ func TestEndWithoutBeginIsNoOp(t *testing.T) {
 func TestDistinctKeysAreIndependent(t *testing.T) {
 	// Episodes are keyed by (kind, socket, cpu): same kind on two cores,
 	// or two kinds on one core, never close each other.
-	c := NewCollector(16, 16)
+	c := NewCollector(16)
 	c.Begin(0, SpanCState, 0, 0, "C6")
 	c.Begin(0, SpanCState, 0, 1, "C3")
 	c.Begin(0, SpanAVX, 0, 0, "avx")
@@ -105,7 +102,7 @@ func TestDistinctKeysAreIndependent(t *testing.T) {
 }
 
 func TestSpanRingDropsOldest(t *testing.T) {
-	c := NewCollector(16, 4)
+	c := NewCollector(4)
 	for i := 0; i < 6; i++ {
 		c.Add(SpanWake, 0, 0, sim.Time(i), sim.Time(i+1), "")
 	}
@@ -124,25 +121,8 @@ func TestSpanRingDropsOldest(t *testing.T) {
 	}
 }
 
-func TestEventRingCountsDrops(t *testing.T) {
-	b := New(4)
-	for i := 0; i < 7; i++ {
-		b.Emit(Event{At: sim.Time(i)})
-	}
-	if b.Drops() != 3 {
-		t.Fatalf("Drops = %d, want 3", b.Drops())
-	}
-	if b.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", b.Cap())
-	}
-	var nb *Buffer
-	if nb.Drops() != 0 || nb.Cap() != 0 {
-		t.Fatal("nil buffer should report zero drops and capacity")
-	}
-}
-
 func TestOpenSortedAndHorizon(t *testing.T) {
-	c := NewCollector(16, 16)
+	c := NewCollector(16)
 	c.Begin(30, SpanUncore, 1, -1, "2500 MHz")
 	c.Begin(10, SpanCState, 0, 2, "C6")
 	c.Begin(20, SpanCState, 0, 1, "C3")
@@ -162,8 +142,7 @@ func TestOpenSortedAndHorizon(t *testing.T) {
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	c := NewCollector(8, 8)
-	c.Emitf(1, PStateGrant, 0, 0, "g")
+	c := NewCollector(8)
 	c.Add(SpanWake, 0, 0, 0, 5, "w")
 	c.Begin(10, SpanCState, 0, 0, "C6")
 
@@ -184,12 +163,45 @@ func TestCloneIsIndependent(t *testing.T) {
 	if c.OpenCount() != 1 || n.OpenCount() != 0 {
 		t.Fatalf("open: parent=%d clone=%d", c.OpenCount(), n.OpenCount())
 	}
-	if c.Len() != 1 || n.Len() != 1 {
-		t.Fatalf("event rings diverged unexpectedly: %d/%d", c.Len(), n.Len())
+}
+
+func TestCloneCopiesOnlyUsedRegion(t *testing.T) {
+	c := NewCollector(4096)
+	for i := 0; i < 3; i++ {
+		c.Add(SpanWake, 0, 0, sim.Time(i), sim.Time(i+1), "")
 	}
-	n.Emitf(2, PStateGrant, 0, 0, "clone-only")
-	if c.Len() != 1 {
-		t.Fatal("clone event leaked into parent")
+	n := c.Clone()
+	// The clone shares the parent's span ring lazily; its first write
+	// runs the copy-on-write barrier, which must copy only the 3 used
+	// entries, never the full 4096-slot capacity.
+	n.Add(SpanWake, 0, 0, 3, 4, "")
+	if got := cap(n.spans); got >= c.cap {
+		t.Errorf("post-clone write copied a %d-cap backing; want a right-sized copy of the used region", got)
+	}
+	if c.SpanCount() != 3 || n.SpanCount() != 4 {
+		t.Errorf("SpanCount parent=%d clone=%d, want 3/4", c.SpanCount(), n.SpanCount())
+	}
+	if sp := c.Spans(); sp[len(sp)-1].Start != 2 {
+		t.Errorf("parent saw the clone's span: %v", sp)
+	}
+	// The reverse direction shares too: a parent write must not reach an
+	// already-forked clone.
+	n2 := c.Clone()
+	c.Add(SpanWake, 0, 0, 9, 10, "")
+	if n2.SpanCount() != 3 {
+		t.Errorf("clone SpanCount = %d after parent write, want 3", n2.SpanCount())
+	}
+}
+
+func TestCloneOfEmptyCollectorIsFree(t *testing.T) {
+	c := NewCollector(4096)
+	n := c.Clone()
+	if n.spans != nil {
+		t.Fatal("empty clone allocated span storage")
+	}
+	n.Add(SpanWake, 0, 0, 1, 2, "")
+	if c.SpanCount() != 0 || n.SpanCount() != 1 {
+		t.Fatalf("SpanCount parent=%d clone=%d, want 0/1", c.SpanCount(), n.SpanCount())
 	}
 }
 
@@ -197,18 +209,16 @@ func TestSameSimulationSameTrace(t *testing.T) {
 	// The determinism contract behind the byte-identical export gate:
 	// replaying an identical record sequence yields identical state.
 	run := func() *Collector {
-		c := NewCollector(32, 32)
+		c := NewCollector(32)
 		c.Begin(0, SpanCState, 0, 0, "C0")
 		c.Begin(100, SpanCState, 0, 0, "C6")
 		c.Add(SpanWake, 0, 1, 150, 190, "C6 same-core")
 		c.Beginf(200, SpanUncore, 0, -1, "%d MHz", 2500)
-		c.Emitf(210, UncoreChange, 0, -1, "ufs")
 		return c
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a.Spans(), b.Spans()) ||
-		!reflect.DeepEqual(a.Open(999), b.Open(999)) ||
-		!reflect.DeepEqual(a.Events().Events(), b.Events().Events()) {
+		!reflect.DeepEqual(a.Open(999), b.Open(999)) {
 		t.Fatal("identical record sequences produced different collectors")
 	}
 }
@@ -240,7 +250,7 @@ func TestSpanStringScopes(t *testing.T) {
 }
 
 func TestRenderSpansTail(t *testing.T) {
-	c := NewCollector(8, 8)
+	c := NewCollector(8)
 	c.Add(SpanWake, 0, 0, 0, 1, "first")
 	c.Add(SpanWake, 0, 0, 2, 3, "second")
 	out := c.RenderSpans(1)
@@ -250,7 +260,7 @@ func TestRenderSpansTail(t *testing.T) {
 }
 
 func TestDefaultSpanCapacity(t *testing.T) {
-	c := NewCollector(0, 0)
+	c := NewCollector(0)
 	for i := 0; i < 5000; i++ {
 		c.Add(SpanWake, 0, 0, sim.Time(i), sim.Time(i+1), "")
 	}
