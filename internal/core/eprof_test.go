@@ -86,8 +86,8 @@ func TestEnergyProfilePhases(t *testing.T) {
 	}
 }
 
-// TestEnergyProfileForkIsolation checks the COW contract: a forked
-// child accumulates into its own clone without perturbing the parent's
+// TestEnergyProfileForkIsolation checks the fork contract: a forked
+// child accumulates into its own copy without perturbing the parent's
 // collector, and the child's delta merged back reproduces exactly the
 // energy the child observed beyond the parent.
 func TestEnergyProfileForkIsolation(t *testing.T) {
@@ -108,7 +108,7 @@ func TestEnergyProfileForkIsolation(t *testing.T) {
 	}
 	ccol := child.EnergyProfile()
 	if ccol == col {
-		t.Fatal("fork shares the collector pointer; want a COW clone")
+		t.Fatal("fork shares the collector pointer; want a copy")
 	}
 	child.SetPStateAll(child.Spec().MinMHz)
 	child.Run(30 * sim.Millisecond)

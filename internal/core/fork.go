@@ -6,9 +6,11 @@ import (
 	"time"
 	"unsafe"
 
-	"hswsim/internal/cow"
+	"hswsim/internal/eprof"
 	"hswsim/internal/obs"
+	"hswsim/internal/power"
 	"hswsim/internal/sim"
+	"hswsim/internal/trace"
 )
 
 // forkPool is the tree-wide free list of released fork children. One
@@ -83,20 +85,19 @@ func (s *System) Release() {
 // operations applied to each — the foundation for running sweep points
 // concurrently from one warmed-up platform.
 //
-// Mechanically, a fork is one cow.Bump plus struct copies: every
-// component is embedded by value in its socket/core shell, and the
-// remaining internal slices and maps (trace rings, meter samples, PCU
-// bookkeeping, the MSR register file) are stamped with a fork
-// generation and copied lazily by the first write on either side.
-// Residency bins are instead privatized eagerly into storage harvested
-// from the recycled child — that eager-privatization invariant is what
-// makes harvesting sound (every pooled child's slab is private by
-// induction), and it is what makes steady-state fork/Release cycles
-// nearly allocation-free. The pending platform timers (per-socket PCU
-// grid tick, meter sample, in-flight p-state completions) are
-// re-created declaratively on the child engine with their original
-// (time, sequence) coordinates through the closure-free Handler path,
-// so re-arming allocates nothing.
+// Mechanically, a fork is struct copies plus slice copies: every
+// component is embedded by value in its socket/core shell, and each
+// component's internal slices (residency bins, PCU bookkeeping, meter
+// samples, the MSR register file) are copied once, at fork time, into
+// storage harvested from the recycled child. Copying on every fork is
+// what makes harvesting sound (every pooled child's storage is private
+// by induction), and it is what makes steady-state fork/Release cycles
+// allocation-free. The span ring and the energy profile, when enabled,
+// are copied into newly allocated collectors. The pending platform
+// timers (per-socket PCU grid tick, meter sample, in-flight p-state
+// completions) are re-created declaratively on the child engine with
+// their original (time, sequence) coordinates through the closure-free
+// Handler path, so re-arming allocates nothing.
 //
 // Fork requires a quiescent platform: no events other than the
 // platform's own timers may be pending (experiment-level Every
@@ -118,9 +119,6 @@ func (s *System) Fork() (*System, error) {
 	if !reused {
 		n = s.newChildShells(1)[0]
 	}
-	// One generation bump freezes every copy-on-write backing shared
-	// below; individual Clone calls bump again, which is harmless.
-	cow.Bump()
 	s.populateFork(n, reused)
 
 	if reused {
@@ -132,15 +130,11 @@ func (s *System) Fork() (*System, error) {
 }
 
 // ForkN forks count children in one batch: recycled children are
-// drained from the free list in one lock acquisition, the remainder's
-// shells are slab-allocated together (one System/Socket/Core slab each
-// for the whole batch instead of per-child allocations), and a single
-// generation bump covers every child — one global-counter increment
-// per batch rather than per fork, with identical copy-on-write
-// semantics, since any bump stales every sharer and each first writer
-// copies out privately regardless of how many siblings the bump
-// created. This is the fan-out path for fleet-scale forking (see
-// internal/fleet); for a single child it is equivalent to Fork.
+// drained from the free list in one lock acquisition, and the
+// remainder's shells are slab-allocated together (one System/Socket/Core
+// slab each for the whole batch instead of per-child allocations). This
+// is the fan-out path for fleet-scale forking (see internal/fleet); for
+// a single child it is equivalent to Fork.
 func (s *System) ForkN(count int) ([]*System, error) {
 	if count <= 0 {
 		return nil, nil
@@ -154,7 +148,6 @@ func (s *System) ForkN(count int) ([]*System, error) {
 	if reusedN < count {
 		copy(out[reusedN:], s.newChildShells(count-reusedN))
 	}
-	cow.Bump()
 	for i, n := range out {
 		s.populateFork(n, i < reusedN)
 	}
@@ -240,8 +233,7 @@ func (s *System) newChildShells(count int) []*System {
 }
 
 // populateFork overwrites child n (a recycled pooled child or a fresh
-// shell) with a fork of s. The caller must have run forkPrep and
-// cow.Bump first; one bump may cover a whole batch of populate calls.
+// shell) with a fork of s. The caller must have run forkPrep first.
 func (s *System) populateFork(n *System, reused bool) {
 	var eng *sim.Engine
 	if reused {
@@ -252,9 +244,11 @@ func (s *System) populateFork(n *System, reused bool) {
 	}
 	sockets := n.sockets
 	device := n.msrDev
-	// Harvest the old child's private System-level scratch before the
-	// overwrite (nil on a fresh shell; refreshPackageStates rewrites it
-	// through a cap check before any read).
+	// Harvest the old child's private System-level storage before the
+	// overwrite (nil on a fresh shell): the meter's sample log, refilled
+	// below, and scratch that refreshPackageStates rewrites through a cap
+	// check before any read.
+	meter := n.meter
 	statesBuf := n.statesBuf
 
 	*n = System{
@@ -263,7 +257,7 @@ func (s *System) populateFork(n *System, reused bool) {
 		sockets:       sockets,
 		mlay:          s.mlay,
 		msrDev:        device,
-		meter:         s.meter, // sample history COW (stale after the Bump)
+		meter:         meter,
 		rng:           s.rng,
 		lastIntegrate: s.lastIntegrate,
 		tsc:           s.tsc,
@@ -277,6 +271,7 @@ func (s *System) populateFork(n *System, reused bool) {
 		eprof:         s.eprof.Fork(),
 		raplJoules:    s.raplJoules,
 	}
+	s.meter.ForkInto(&n.meter)
 	if reused {
 		s.msrDev.ForkInto(device, n)
 	}
@@ -310,40 +305,50 @@ func (s *System) populateFork(n *System, reused bool) {
 	n.meterEv = n.Engine.RearmHandler(s.meterEv, n, ncpu+len(s.sockets))
 }
 
-// forkCopiedBytes estimates the bytes a fork copies eagerly: the
-// struct shells (System, sockets, cores) plus the MSR register file
-// share. Copy-on-write backings are excluded — they are charged to
-// whichever side writes first.
+// forkCopiedBytes estimates the bytes one fork copies: the struct
+// shells (System, sockets, cores), each socket's residency slab and PCU
+// bookkeeping, the MSR register file and the meter samples, plus the
+// span ring and the energy profile's buckets when they are enabled. The
+// open-episode and interning maps are not counted.
 func (s *System) forkCopiedBytes() int64 {
 	b := int64(unsafe.Sizeof(System{}))
 	for _, sk := range s.sockets {
 		b += int64(unsafe.Sizeof(Socket{}))
 		b += int64(len(sk.cores)) * int64(unsafe.Sizeof(Core{}))
+		b += int64(len(sk.residSlab)) * int64(unsafe.Sizeof(sim.Time(0)))
+		b += sk.PCU.ForkBytes()
 	}
 	b += int64(s.msrDev.FileWords()) * 8
+	b += int64(len(s.meter.Samples())) * int64(unsafe.Sizeof(power.Sample{}))
+	b += int64(s.trace.SpanCount()) * int64(unsafe.Sizeof(trace.Span{}))
+	if s.eprof != nil {
+		// A bucket is a stack plus one energy and one vtime word.
+		b += int64(s.eprof.NumBuckets()) * int64(unsafe.Sizeof(eprof.Stack{})+16)
+	}
 	return b
 }
 
 // forkInto clones this socket onto child-system storage with a struct
 // copy plus fixups. Immutable structure (spec, topology, cache/IMC
-// model) is shared by pointer; slice-backed component state rides the
-// copy as stale copy-on-write shares, except for the residency slab,
-// which is privatized eagerly into storage harvested from the recycled
-// child. Eager privatization on every fork is what makes the harvest
-// sound: by induction every pooled child's slab is private, so reusing
-// it can never touch a live sibling. Each core's p-state domain is a
-// plain value and rides the core's struct copy. The child starts with
-// the integration memo invalidated — its first segment runs the full
-// path, which the replay contract guarantees is bit-for-bit identical
-// to replaying the dropped memo.
+// model) is shared by pointer; slice-backed component state (the
+// residency slab and the PCU's bookkeeping) is copied into storage
+// harvested from the recycled child. Copying on every fork is what
+// makes the harvest sound: by induction every pooled child's storage is
+// private, so reusing it can never touch a live sibling. Each core's
+// p-state domain is a plain value and rides the core's struct copy. The
+// child starts with the integration memo invalidated — its first
+// segment runs the full path, which the replay contract guarantees is
+// bit-for-bit identical to replaying the dropped memo.
 func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	cores := nk.cores // preserve the child's own core storage
 	// Harvest the old child's private backings before the struct copy
 	// overwrites the pointers. All of these are private to the old
 	// child by construction: the scratch buffers and memo slices are
 	// (re)allocated by the child's own integration after forkInto nils
-	// or rewrites them, and the residency slab is seated below.
+	// or rewrites them, and the residency slab and PCU are copied into
+	// below.
 	residSlab := nk.residSlab
+	oldPCU := nk.PCU
 	oldMemo := nk.memo
 	eplanEntries := nk.eplan.Detach()
 	loadsBuf, coresBuf, statesBuf, resultsBuf, telCores :=
@@ -354,9 +359,11 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	nk.cores = cores
 	// Events belong to the parent engine; Fork re-arms them explicitly.
 	nk.tickEv = sim.EventID{}
-	// Scratch and memo state is private, not COW: reseat the harvested
-	// old-child storage in place of the parent's. Every one of these is
-	// rewritten through a cap check before its first read (the memo via
+	nk.PCU = oldPCU
+	sk.PCU.ForkInto(&nk.PCU)
+	// Scratch and memo state is private: reseat the harvested old-child
+	// storage in place of the parent's. Every one of these is rewritten
+	// through a cap check before its first read (the memo via
 	// ComputeMemoized on the forced-full first segment), so stale
 	// contents are unreachable.
 	nk.opDirty = true
@@ -366,7 +373,6 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	// is invalid in the child (opDirty forces a rebuild before the first
 	// Apply); reseat the harvested private backing.
 	nk.eplan.Attach(eplanEntries)
-	nk.Power.ResetScratch()
 	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores =
 		loadsBuf, coresBuf, statesBuf, resultsBuf, telCores
 	// The harvested telemetry buffer holds the old child's values, not
@@ -376,8 +382,7 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	nk.statReplay, nk.statFull = 0, 0
 	nk.statReplayFlushed, nk.statFullFlushed = 0, 0
 
-	// Residency: one contiguous slab per socket, eagerly copied from
-	// the parent so the per-segment add() path needs no barrier.
+	// Residency: one contiguous slab per socket, copied from the parent.
 	bins := residencyBins(sk.Spec)
 	need := len(cores) * bins
 	if cap(residSlab) >= need {

@@ -387,3 +387,40 @@ func TestForkReleaseConcurrentStress(t *testing.T) {
 		}
 	}
 }
+
+// TestForkLeavesOtherPlatformsAlone: forking one platform copies only
+// that platform's state, so an unrelated platform running next to it
+// keeps its storage and its PCU steady-tick memo, and its steady Run
+// allocates nothing however many forks happen elsewhere.
+func TestForkLeavesOtherPlatformsAlone(t *testing.T) {
+	a, b := benchSystem(t), benchSystem(t)
+	if allocs := testing.AllocsPerRun(100, func() {
+		child, err := b.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		child.Release()
+		a.Run(sim.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("fork of B plus a steady 1 ms of A allocates %.1f objects/op; want 0", allocs)
+	}
+}
+
+// TestForkedSweepPointAllocs pins the pooled sweep point: fork the warm
+// parent into a recycled child, change the operating point, run a
+// millisecond and release, without allocating.
+func TestForkedSweepPointAllocs(t *testing.T) {
+	sys := benchSystem(t)
+	spec := sys.Spec()
+	if allocs := testing.AllocsPerRun(100, func() {
+		child, err := sys.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		child.SetPStateAll(spec.MinMHz)
+		child.Run(sim.Millisecond)
+		child.Release()
+	}); allocs != 0 {
+		t.Fatalf("pooled fork, SetPStateAll, 1 ms and Release allocate %.1f objects/op; want 0", allocs)
+	}
+}

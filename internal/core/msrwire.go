@@ -25,7 +25,7 @@ func powerLimitLabel(v uint64, tdp float64) string {
 // system and shared by reference with every fork; handlers reach the
 // owning system through the issuing device's Owner() indirection, so no
 // handler closes over a particular *System and forking the device is a
-// three-word copy plus a copy-on-write share of the register file.
+// three-word copy plus a copy of the register file.
 type msrLayout struct {
 	lay *msr.Layout
 
@@ -247,7 +247,7 @@ func buildMSRLayout(spec *uarch.Spec, ncpu, nsock int) *msrLayout {
 // initFile seeds a freshly minted register file with the power-on
 // values (EPB balanced, power limit at rated TDP, uncore limits at the
 // spec range; PERF_CTL words start at zero). Forked systems never call
-// this — they share the parent's file copy-on-write.
+// this — they copy the parent's file.
 func (ml *msrLayout) initFile(d *msr.Device, spec *uarch.Spec, ncpu, nsock int) {
 	for i := 0; i < ncpu; i++ {
 		d.Store(ml.epbBase+i, 6) // balanced

@@ -26,8 +26,8 @@ type Socket struct {
 
 	// The stateful components are embedded by value: forking a socket is
 	// a struct copy (plus a handful of fixups) instead of a pointer-clone
-	// per component. Components with internal slices (PCU) are
-	// copy-on-write behind a fork-generation stamp.
+	// per component. Fork copies the slices of those with internal
+	// slices (PCU) into the child's own storage.
 	Power power.PackageModel
 	RAPL  rapl.Package
 	PCU   pcu.PCU
@@ -41,9 +41,8 @@ type Socket struct {
 	// residSlab backs every core's p-state residency bins in one
 	// contiguous allocation (cores × residencyBins, subsliced with full
 	// capacity caps per core). It is always private to this socket:
-	// newSocket allocates it and forkInto eagerly copies the parent's
-	// slab into the child's own (recycled) one, which is what lets the
-	// residency credit path skip any copy-on-write barrier.
+	// newSocket allocates it and forkInto copies the parent's slab into
+	// the child's own (recycled) one.
 	residSlab []sim.Time
 	pkgCState cstate.PkgState
 	// prevDeepState/leftDeepAt track a just-exited package sleep state

@@ -102,13 +102,13 @@ type System struct {
 	sockets []*Socket
 	// mlay is the immutable MSR layout (register map + slot bases),
 	// built once per root system and shared by reference with every
-	// fork; msrDev is this system's device: layout pointer plus a
-	// copy-on-write register file.
+	// fork; msrDev is this system's device: layout pointer plus its own
+	// register file.
 	mlay   *msrLayout
 	msrDev *msr.Device
 	// meter and rng are embedded by value: a struct copy of the System
-	// carries them wholesale (the meter's sample history is
-	// copy-on-write inside LMG450).
+	// carries them wholesale (Fork copies the meter's sample history
+	// into the child's own log).
 	meter power.LMG450
 	rng   sim.RNG
 
@@ -158,8 +158,8 @@ type System struct {
 
 	// eprof is nil unless EnableEnergyProfile was called; the sockets'
 	// integration paths guard on it (the disabled cost is one nil
-	// check). Forks carry a COW clone so child accumulation never
-	// touches the parent (see populateFork).
+	// check). Forks carry a copy so child accumulation never touches
+	// the parent (see populateFork).
 	eprof *eprof.Collector
 	// eprofSegsFlushed mirrors the collector's segment count at the
 	// last flushObs (delta pattern, same as the trace counters).

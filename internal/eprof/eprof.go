@@ -26,12 +26,10 @@
 //     and re-apply the current temperature factor with exactly the
 //     arithmetic power.Replay uses, so the summed attribution tracks
 //     the integrator's own totals to float-grouping precision.
-//   - Collectors fork with the platform (core.System.Fork) under the
-//     cow generation protocol: value arrays and interning tables are
-//     shared copy-on-write, so forking a profiled platform costs
-//     nothing until either side accumulates. Child deltas merge back
-//     in sweep-point order (internal/exp), which is what makes the
-//     exported profile byte-identical across serial and
+//   - Collectors fork with the platform (core.System.Fork): the child
+//     gets its own copy of the value arrays and interning tables. Child
+//     deltas merge back in sweep-point order (internal/exp), which is
+//     what makes the exported profile byte-identical across serial and
 //     forked-parallel runs.
 //
 // Export goes through Build: quantized to integer nanojoules, rendered
@@ -41,8 +39,8 @@ package eprof
 
 import (
 	"fmt"
-
-	"hswsim/internal/cow"
+	"maps"
+	"slices"
 )
 
 // Component is the power-model term a bucket attributes.
@@ -208,9 +206,8 @@ func (p *Plan) Len() int { return len(p.entries) }
 type Collector struct {
 	root string // root frame, e.g. "tab3#0"
 
-	// Interning and bucket-identity tables, shared copy-on-write across
-	// forks (append-only between forks; tableGen guards inserts).
-	tableGen  cow.Stamp
+	// Interning and bucket-identity tables (append-only, so a forked
+	// child's tables extend its parent's).
 	index     map[key]int32
 	stacks    []Stack
 	phases    []string
@@ -218,13 +215,11 @@ type Collector struct {
 	kernels   []string
 	kernelIdx map[string]uint16
 
-	// Per-bucket accumulators, shared copy-on-write across forks.
-	// Energy is accumulated in float64 joules in attribution-event
-	// order (quantization to integer nanojoules happens at export);
-	// virtual time is exact int64 nanoseconds.
-	valsGen cow.Stamp
-	energy  []float64
-	vtime   []int64
+	// Per-bucket accumulators. Energy is accumulated in float64 joules
+	// in attribution-event order (quantization to integer nanojoules
+	// happens at export); virtual time is exact int64 nanoseconds.
+	energy []float64
+	vtime  []int64
 
 	// plans lists the attribution plans registered with this collector
 	// (one per actively integrating socket), so collector-level reads
@@ -250,8 +245,6 @@ func NewCollector(root string) *Collector {
 		phaseIdx:  map[string]uint16{},
 		kernelIdx: map[string]uint16{},
 	}
-	c.tableGen.Own()
-	c.valsGen.Own()
 	c.phase = c.internPhase("main")
 	return c
 }
@@ -259,61 +252,30 @@ func NewCollector(root string) *Collector {
 // Root returns the collector's root frame label.
 func (c *Collector) Root() string { return c.root }
 
-// Fork returns a copy-on-write clone for a forked platform: value
-// arrays and interning tables are shared until either side writes.
-// Nil-safe (profiling disabled forks to profiling disabled).
+// Fork returns a copy for a forked platform, with its own value arrays
+// and interning tables and no registered plans. Nil-safe (profiling
+// disabled forks to profiling disabled).
 func (c *Collector) Fork() *Collector {
 	if c == nil {
 		return nil
 	}
-	cow.Bump()
 	n := *c
+	n.index = maps.Clone(c.index)
+	n.stacks = slices.Clone(c.stacks)
+	n.phases = slices.Clone(c.phases)
+	n.phaseIdx = maps.Clone(c.phaseIdx)
+	n.kernels = slices.Clone(c.kernels)
+	n.kernelIdx = maps.Clone(c.kernelIdx)
+	n.energy = slices.Clone(c.energy)
+	n.vtime = slices.Clone(c.vtime)
 	n.plans = nil
 	return &n
-}
-
-// ownVals is the write barrier for the accumulator arrays.
-func (c *Collector) ownVals() {
-	if c.valsGen.Owned() {
-		return
-	}
-	c.energy = append(make([]float64, 0, cap(c.energy)), c.energy...)
-	c.vtime = append(make([]int64, 0, cap(c.vtime)), c.vtime...)
-	c.valsGen.Own()
-}
-
-// ownTable is the write barrier for the interning tables (bucket
-// inserts and phase/kernel interning).
-func (c *Collector) ownTable() {
-	if c.tableGen.Owned() {
-		return
-	}
-	idx := make(map[key]int32, len(c.index))
-	for k, v := range c.index {
-		idx[k] = v
-	}
-	c.index = idx
-	c.stacks = append([]Stack(nil), c.stacks...)
-	c.phases = append([]string(nil), c.phases...)
-	pidx := make(map[string]uint16, len(c.phaseIdx))
-	for k, v := range c.phaseIdx {
-		pidx[k] = v
-	}
-	c.phaseIdx = pidx
-	c.kernels = append([]string(nil), c.kernels...)
-	kidx := make(map[string]uint16, len(c.kernelIdx))
-	for k, v := range c.kernelIdx {
-		kidx[k] = v
-	}
-	c.kernelIdx = kidx
-	c.tableGen.Own()
 }
 
 func (c *Collector) internPhase(name string) uint16 {
 	if id, ok := c.phaseIdx[name]; ok {
 		return id
 	}
-	c.ownTable()
 	id := uint16(len(c.phases))
 	c.phases = append(c.phases, name)
 	c.phaseIdx[name] = id
@@ -324,7 +286,6 @@ func (c *Collector) internKernel(name string) uint16 {
 	if id, ok := c.kernelIdx[name]; ok {
 		return id
 	}
-	c.ownTable()
 	id := uint16(len(c.kernels))
 	c.kernels = append(c.kernels, name)
 	c.kernelIdx[name] = id
@@ -342,8 +303,6 @@ func (c *Collector) bucket(k key, render func() Stack) int32 {
 	if b, ok := c.index[k]; ok {
 		return b
 	}
-	c.ownTable()
-	c.ownVals()
 	b := int32(len(c.stacks))
 	c.stacks = append(c.stacks, render())
 	c.energy = append(c.energy, 0)
@@ -404,7 +363,6 @@ func (c *Collector) flushPlan(p *Plan) {
 	if p.sumNS == 0 {
 		return
 	}
-	c.ownVals()
 	for i := range p.entries {
 		e := &p.entries[i]
 		c.energy[e.bucket] += e.constW*p.sumDt + e.tfW*p.sumTfDt
@@ -496,7 +454,6 @@ func (c *Collector) Merge(samples []Sample) {
 	c.flushAll()
 	for _, s := range samples {
 		b := c.bucketForStack(s.Stack)
-		c.ownVals()
 		c.energy[b] += s.Energy
 		c.vtime[b] += s.VTime
 	}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"hswsim/internal/cow"
 )
 
 // buildPlan assembles a small plan against c with one of each entry
@@ -56,7 +54,6 @@ func TestForkIsolationCOW(t *testing.T) {
 	parent.Apply(pp, 1, 1_000_000_000, 1)
 	parentTotal := parent.TotalEnergyJ()
 
-	cow.Bump() // the platform fork protocol bumps before sharing
 	child := parent.Fork()
 
 	// Child accumulates through its own plan (fresh, as after
@@ -100,7 +97,6 @@ func TestMergeOrderDeterminism(t *testing.T) {
 	forked := build()
 
 	mk := func(parent *Collector, dt float64, tf float64) []Sample {
-		cow.Bump()
 		ch := parent.Fork()
 		cp := &Plan{}
 		ch.SyncPlan(cp)

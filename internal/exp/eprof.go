@@ -18,8 +18,8 @@ import (
 //
 // Registration mirrors SpanTrace exactly: only platforms built
 // sequentially on an experiment's own goroutine register (the
-// o.newSystem path). Forked sweep-point children inherit a COW clone
-// of their parent's collector, accumulate privately, and forkMap
+// o.newSystem path). Forked sweep-point children inherit a copy of
+// their parent's collector, accumulate privately, and forkMap
 // merges their deltas back in point order — which is why the exported
 // profile is byte-identical whether the sweep ran serially or
 // forked-parallel. Platforms constructed inside parallelMap callbacks

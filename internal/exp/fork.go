@@ -28,7 +28,7 @@ import (
 func forkMap[T, R any](o Options, parent *core.System, items []T, fn func(*core.System, T) (R, error)) ([]R, error) {
 	pep := parent.EnergyProfile()
 	// deltas[i] is point i's energy-profile accumulation, extracted
-	// from the child's COW-cloned collector before release and merged
+	// from the child's copied collector before release and merged
 	// back after the barrier — in point order, so the parent profile is
 	// byte-identical to a serial sweep no matter how the points
 	// interleaved. Points are dispatched by index so each knows its

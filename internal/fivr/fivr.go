@@ -51,14 +51,6 @@ func NewRegulator(pm *uarch.PowerModel, offsetVolts float64, switchUS float64, r
 	return r
 }
 
-// Clone returns an independent copy of the regulator whose jitter
-// stream continues from the same position, so a clone and the original
-// produce identical switching times for identical request sequences.
-func (r *Regulator) Clone() *Regulator {
-	c := *r
-	return &c
-}
-
 // VoltageFor returns the operating voltage this domain requires for the
 // given frequency: the spec V/f line plus this part's offset, clamped to
 // the rail limits.
@@ -138,12 +130,6 @@ type MBVR struct {
 // NewMBVR returns the Haswell-EP three-lane mainboard regulator.
 func NewMBVR() *MBVR {
 	return &MBVR{vccin: 1.8, state: MBVRNormal, lanes: 3, lightMaxW: 25, normMaxW: 90}
-}
-
-// Clone returns an independent copy of the mainboard regulator.
-func (m *MBVR) Clone() *MBVR {
-	c := *m
-	return &c
 }
 
 // Lanes returns the number of voltage lanes to the processor package.

@@ -7,8 +7,7 @@
 // measures the per-part spread on its own two test processors).
 //
 // The package is built for throughput: one ForkN batch fans the parent
-// out with slab-allocated children and a single copy-on-write
-// generation bump, node stepping is sharded across the process-wide
+// out with slab-allocated children, node stepping is sharded across the process-wide
 // compute-slot pool with work stealing (internal/slots), the
 // steady-state per-node step allocates nothing, and per-node statistics
 // stream through O(1) sketches (internal/stats) instead of sample

@@ -1,9 +1,7 @@
 package msr
 
-import "hswsim/internal/cow"
-
 // This file splits the MSR device into two halves so that forking a
-// system no longer rebuilds the register interface:
+// system never rebuilds the register interface:
 //
 //   - Layout is the immutable per-configuration half: which registers
 //     exist, how each is implemented, and where its backing state lives
@@ -11,21 +9,17 @@ import "hswsim/internal/cow"
 //     shared by reference with every fork — handlers resolve the owning
 //     system through the Device's Owner() indirection instead of
 //     closing over it.
-//   - File is the small mutable half: a flat []uint64 of register
-//     words, one slot per piece of architectural state (per-CPU EPB and
-//     PERF_CTL words, per-socket power-limit words, ...). It forks as a
-//     copy-on-write slice share; the first Store after a fork copies it
-//     out — a few hundred bytes at most.
-//
-// The legacy per-device Handler map (NewDevice/Implement) remains fully
-// supported for tests and ad-hoc devices; Read/Write consult the layout
-// first and fall back to the map.
+//   - The register file is the small mutable half: a flat []uint64 of
+//     register words, one slot per piece of architectural state
+//     (per-CPU EPB and PERF_CTL words, per-socket power-limit words,
+//     ...). A fork copies it into the child's own file — a few hundred
+//     bytes at most.
 
-// LayoutHandler implements one register in a shared layout. Unlike the
-// legacy Handler it receives the issuing Device, through which it
-// reaches both the mutable register file (d.Load/d.Store) and the
-// owning system (d.Owner()) — the one indirection that lets a single
-// handler instance serve every fork of a configuration.
+// LayoutHandler implements one register in a shared layout. It
+// receives the issuing Device, through which it reaches both the
+// mutable register file (d.Load/d.Store) and the owning system
+// (d.Owner()) — the one indirection that lets a single handler
+// instance serve every fork of a configuration.
 type LayoutHandler interface {
 	ReadMSR(d *Device, cpu int) (uint64, error)
 	WriteMSR(d *Device, cpu int, v uint64) error
@@ -62,38 +56,24 @@ func (l *Layout) Words(n int) int {
 // Device mints a root device for this layout: a zeroed register file of
 // the reserved size, owned by owner.
 func (l *Layout) Device(owner any) *Device {
-	d := &Device{layout: l, owner: owner, words: make([]uint64, l.words)}
-	d.gen.Own()
-	return d
+	return &Device{layout: l, owner: owner, words: make([]uint64, l.words)}
 }
 
 // Owner returns the value the device was minted or forked for —
 // layout handlers cast it back to their system type.
 func (d *Device) Owner() any { return d.owner }
 
-// Load reads one register-file word. Reading never copies: a forked
-// file may still share its backing with the parent, and shared backings
-// are frozen until a Store copies them out.
+// Load reads one register-file word.
 func (d *Device) Load(slot int) uint64 { return d.words[slot] }
 
-// Store writes one register-file word, running the copy-on-write
-// barrier first.
-func (d *Device) Store(slot int, v uint64) {
-	if !d.gen.Owned() {
-		d.words = append([]uint64(nil), d.words...)
-		d.gen.Own()
-	}
-	d.words[slot] = v
-}
+// Store writes one register-file word.
+func (d *Device) Store(slot int, v uint64) { d.words[slot] = v }
 
-// FileWords returns the register-file size in words (0 for a legacy
-// map-only device).
+// FileWords returns the register-file size in words.
 func (d *Device) FileWords() int { return len(d.words) }
 
-// Fork returns a device for a forked system: same layout, register file
-// shared copy-on-write, owned by owner. Only layout-backed devices can
-// fork — the legacy handler map closes over one system and cannot be
-// rebound.
+// Fork returns a device for a forked system: same layout, a copy of the
+// register file, owned by owner.
 func (d *Device) Fork(owner any) *Device {
 	n := &Device{}
 	d.ForkInto(n, owner)
@@ -101,17 +81,12 @@ func (d *Device) Fork(owner any) *Device {
 }
 
 // ForkInto is Fork writing into caller-provided storage (a pooled
-// child's existing Device), for allocation-free reuse.
+// child's existing Device), copying into its register file so reuse
+// allocates nothing.
 func (d *Device) ForkInto(dst *Device, owner any) {
-	if d.layout == nil {
-		panic("msr: Fork of a device without a shared layout")
-	}
-	cow.Bump()
 	dst.layout = d.layout
 	dst.owner = owner
-	dst.words = d.words
-	dst.gen = d.gen // both sides stale after the Bump: either copies out on Store
-	dst.regs = nil
+	dst.words = append(dst.words[:0], d.words...)
 }
 
 // LConst is a LayoutHandler for a read-only constant (same value for

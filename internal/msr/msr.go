@@ -2,17 +2,16 @@
 // the paper's tools observe and steer the processor: RAPL energy
 // counters, the energy/performance bias, p-state control, and the
 // (undocumented) uncore ratio limit. Platform components register
-// handlers for the registers they implement; tools issue Read/Write with
-// rdmsr/wrmsr semantics, including #GP-style errors for unimplemented
-// registers — the awkward part of real MSR access, reproduced faithfully
-// but safely.
+// handlers for the registers they implement in a shared Layout; tools
+// issue Read/Write with rdmsr/wrmsr semantics, including #GP-style
+// errors for unimplemented registers — the awkward part of real MSR
+// access, reproduced faithfully but safely.
 package msr
 
 import (
 	"fmt"
-	"sort"
-
-	"hswsim/internal/cow"
+	"maps"
+	"slices"
 )
 
 // Register numbers for the modeled MSRs (Intel SDM Vol. 4 numbering).
@@ -83,159 +82,33 @@ func (e *GPFault) Error() string {
 	return fmt.Sprintf("msr: #GP on %s %s (cpu %d)", op, Name(e.Reg), e.CPU)
 }
 
-// Handler implements one register. CPU is the logical CPU issuing the
-// access; package-scoped registers must map it to their socket
-// themselves (see PerPackage).
-type Handler interface {
-	ReadMSR(cpu int) (uint64, error)
-	WriteMSR(cpu int, v uint64) error
-}
-
-// Device is the per-system MSR access multiplexer. It serves registers
-// from two sources: a shared immutable Layout plus its per-system
-// register file (see layout.go), and/or a legacy per-device Handler
-// map. The layout wins on overlap.
+// Device is the per-system MSR access multiplexer: a shared immutable
+// Layout plus this system's register file (see layout.go).
 type Device struct {
-	// Layout half: shared register map, per-system copy-on-write file.
 	layout *Layout
 	owner  any
 	words  []uint64
-	gen    cow.Stamp // ownership of the words backing
-
-	// Legacy half: per-device handlers (tests, ad-hoc devices).
-	regs map[uint32]Handler
 }
 
-// NewDevice returns an empty register file.
-func NewDevice() *Device {
-	return &Device{regs: make(map[uint32]Handler)}
-}
-
-// Implement installs a legacy handler for reg, replacing any previous
-// one (but not shadowing a layout handler — the layout wins).
-func (d *Device) Implement(reg uint32, h Handler) {
-	if d.regs == nil {
-		d.regs = make(map[uint32]Handler)
-	}
-	d.regs[reg] = h
-}
-
-// Implemented lists the implemented register numbers in ascending order,
-// merging the shared layout with the per-device handlers.
-func (d *Device) Implemented() []uint32 {
-	seen := make(map[uint32]bool, len(d.regs))
-	out := make([]uint32, 0, len(d.regs))
-	if d.layout != nil {
-		for r := range d.layout.regs {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for r := range d.regs {
-		if !seen[r] {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Implemented lists the implemented register numbers in ascending order.
+func (d *Device) Implemented() []uint32 { return slices.Sorted(maps.Keys(d.layout.regs)) }
 
 // Read performs rdmsr on the given logical CPU.
 func (d *Device) Read(cpu int, reg uint32) (uint64, error) {
-	if d.layout != nil {
-		if h, ok := d.layout.regs[reg]; ok {
-			return h.ReadMSR(d, cpu)
-		}
-	}
-	h, ok := d.regs[reg]
+	h, ok := d.layout.regs[reg]
 	if !ok {
 		return 0, &GPFault{Reg: reg, CPU: cpu}
 	}
-	return h.ReadMSR(cpu)
+	return h.ReadMSR(d, cpu)
 }
 
 // Write performs wrmsr on the given logical CPU.
 func (d *Device) Write(cpu int, reg uint32, v uint64) error {
-	if d.layout != nil {
-		if h, ok := d.layout.regs[reg]; ok {
-			return h.WriteMSR(d, cpu, v)
-		}
-	}
-	h, ok := d.regs[reg]
+	h, ok := d.layout.regs[reg]
 	if !ok {
 		return &GPFault{Reg: reg, CPU: cpu, Write: true}
 	}
-	return h.WriteMSR(cpu, v)
-}
-
-// Static is a Handler backed by one shared value (global scope).
-type Static struct {
-	V        uint64
-	ReadOnly bool
-	Reg      uint32 // for error reporting
-}
-
-func (s *Static) ReadMSR(cpu int) (uint64, error) { return s.V, nil }
-func (s *Static) WriteMSR(cpu int, v uint64) error {
-	if s.ReadOnly {
-		return &GPFault{Reg: s.Reg, CPU: cpu, Write: true}
-	}
-	s.V = v
-	return nil
-}
-
-// PerCPU is a Handler with one value per logical CPU.
-type PerCPU struct {
-	Vals     []uint64
-	ReadOnly bool
-	Reg      uint32
-	// OnWrite, if set, is invoked after a successful write.
-	OnWrite func(cpu int, v uint64)
-}
-
-// NewPerCPU allocates per-CPU storage for n logical CPUs.
-func NewPerCPU(reg uint32, n int, readOnly bool) *PerCPU {
-	return &PerCPU{Vals: make([]uint64, n), ReadOnly: readOnly, Reg: reg}
-}
-
-func (p *PerCPU) ReadMSR(cpu int) (uint64, error) {
-	if cpu < 0 || cpu >= len(p.Vals) {
-		return 0, &GPFault{Reg: p.Reg, CPU: cpu}
-	}
-	return p.Vals[cpu], nil
-}
-
-func (p *PerCPU) WriteMSR(cpu int, v uint64) error {
-	if cpu < 0 || cpu >= len(p.Vals) || p.ReadOnly {
-		return &GPFault{Reg: p.Reg, CPU: cpu, Write: true}
-	}
-	p.Vals[cpu] = v
-	if p.OnWrite != nil {
-		p.OnWrite(cpu, v)
-	}
-	return nil
-}
-
-// Func adapts read/write callbacks to a Handler; nil write means
-// read-only.
-type Func struct {
-	Reg     uint32
-	ReadFn  func(cpu int) (uint64, error)
-	WriteFn func(cpu int, v uint64) error
-}
-
-func (f *Func) ReadMSR(cpu int) (uint64, error) {
-	if f.ReadFn == nil {
-		return 0, &GPFault{Reg: f.Reg, CPU: cpu}
-	}
-	return f.ReadFn(cpu)
-}
-
-func (f *Func) WriteMSR(cpu int, v uint64) error {
-	if f.WriteFn == nil {
-		return &GPFault{Reg: f.Reg, CPU: cpu, Write: true}
-	}
-	return f.WriteFn(cpu, v)
+	return h.WriteMSR(d, cpu, v)
 }
 
 // RAPL unit-register helpers (MSR_RAPL_POWER_UNIT layout):

@@ -7,7 +7,7 @@ import (
 )
 
 func TestUnimplementedRegisterFaults(t *testing.T) {
-	d := NewDevice()
+	d := NewLayout().Device(nil)
 	if _, err := d.Read(0, 0xdead); err == nil {
 		t.Fatal("read of unimplemented register succeeded")
 	} else {
@@ -23,69 +23,6 @@ func TestUnimplementedRegisterFaults(t *testing.T) {
 		if !errors.As(err, &gp) || !gp.Write || gp.CPU != 1 {
 			t.Fatalf("wrong fault: %v", err)
 		}
-	}
-}
-
-func TestStaticHandler(t *testing.T) {
-	d := NewDevice()
-	d.Implement(MSR_PLATFORM_INFO, &Static{V: 25 << 8, ReadOnly: true, Reg: MSR_PLATFORM_INFO})
-	v, err := d.Read(3, MSR_PLATFORM_INFO)
-	if err != nil || v != 25<<8 {
-		t.Fatalf("Read = %v, %v", v, err)
-	}
-	if err := d.Write(0, MSR_PLATFORM_INFO, 1); err == nil {
-		t.Fatal("write to read-only register succeeded")
-	}
-	d.Implement(MSR_PKG_POWER_LIMIT, &Static{Reg: MSR_PKG_POWER_LIMIT})
-	if err := d.Write(0, MSR_PKG_POWER_LIMIT, 0x42); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := d.Read(5, MSR_PKG_POWER_LIMIT); v != 0x42 {
-		t.Fatalf("global scope write not visible from other cpu: %v", v)
-	}
-}
-
-func TestPerCPUHandler(t *testing.T) {
-	d := NewDevice()
-	writes := map[int]uint64{}
-	h := NewPerCPU(IA32_ENERGY_PERF_BIAS, 4, false)
-	h.OnWrite = func(cpu int, v uint64) { writes[cpu] = v }
-	d.Implement(IA32_ENERGY_PERF_BIAS, h)
-
-	if err := d.Write(2, IA32_ENERGY_PERF_BIAS, 6); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := d.Read(2, IA32_ENERGY_PERF_BIAS); v != 6 {
-		t.Fatalf("cpu2 EPB = %v, want 6", v)
-	}
-	if v, _ := d.Read(0, IA32_ENERGY_PERF_BIAS); v != 0 {
-		t.Fatalf("cpu0 EPB leaked to %v", v)
-	}
-	if writes[2] != 6 {
-		t.Fatalf("OnWrite hook not called: %v", writes)
-	}
-	if _, err := d.Read(9, IA32_ENERGY_PERF_BIAS); err == nil {
-		t.Fatal("out-of-range cpu read succeeded")
-	}
-	if err := d.Write(-1, IA32_ENERGY_PERF_BIAS, 0); err == nil {
-		t.Fatal("negative cpu write succeeded")
-	}
-}
-
-func TestFuncHandler(t *testing.T) {
-	d := NewDevice()
-	counter := uint64(100)
-	d.Implement(MSR_PKG_ENERGY_STATUS, &Func{
-		Reg:    MSR_PKG_ENERGY_STATUS,
-		ReadFn: func(cpu int) (uint64, error) { counter += 10; return counter, nil },
-	})
-	v1, _ := d.Read(0, MSR_PKG_ENERGY_STATUS)
-	v2, _ := d.Read(0, MSR_PKG_ENERGY_STATUS)
-	if v2 <= v1 {
-		t.Fatalf("dynamic counter did not advance: %d then %d", v1, v2)
-	}
-	if err := d.Write(0, MSR_PKG_ENERGY_STATUS, 0); err == nil {
-		t.Fatal("write to read-only Func handler succeeded")
 	}
 }
 
@@ -124,11 +61,11 @@ func TestNames(t *testing.T) {
 }
 
 func TestImplementedSorted(t *testing.T) {
-	d := NewDevice()
-	d.Implement(MSR_PKG_ENERGY_STATUS, &Static{})
-	d.Implement(IA32_APERF, &Static{})
-	d.Implement(MSR_RAPL_POWER_UNIT, &Static{})
-	got := d.Implemented()
+	l := NewLayout()
+	l.Implement(MSR_PKG_ENERGY_STATUS, &LConst{Reg: MSR_PKG_ENERGY_STATUS})
+	l.Implement(IA32_APERF, &LConst{Reg: IA32_APERF})
+	l.Implement(MSR_RAPL_POWER_UNIT, &LConst{Reg: MSR_RAPL_POWER_UNIT})
+	got := l.Device(nil).Implemented()
 	if len(got) != 3 || got[0] != IA32_APERF || got[2] != MSR_PKG_ENERGY_STATUS {
 		t.Fatalf("Implemented = %#x", got)
 	}

@@ -19,14 +19,15 @@ var (
 	SimForks = std.Counter("sim_forks_total",
 		"engine forks (one per parallel sweep point)")
 
-	// Platform forks: copy-on-write System.Fork cost and child reuse.
-	// The wall histogram is the fork latency budget gate (~10 us
-	// target); the bytes counter tracks eagerly copied state (struct
-	// shells + register file — COW backings excluded until written).
+	// Platform forks: System.Fork cost and child reuse. The wall
+	// histogram is the fork latency budget gate (~10 us target); the
+	// bytes counter tracks the state each fork copies into its child
+	// (struct shells, residency, PCU bookkeeping, MSR file, meter
+	// samples, and the span ring and profile buckets when enabled).
 	CoreForkReuse = std.Counter("core_fork_child_reuse_total",
 		"forks served from the released-child free list (no fresh allocation)")
 	CoreForkBytes = std.Counter("core_fork_copied_bytes_total",
-		"bytes copied eagerly per platform fork (shells + MSR file; COW shares excluded)")
+		"bytes each platform fork copies into its child")
 	CoreForkWall = std.Histogram("core_fork_wall_ns",
 		"wall-clock latency of core.System.Fork",
 		[]int64{500, 1_000, 2_000, 5_000, 10_000, 25_000, 100_000, 1_000_000})

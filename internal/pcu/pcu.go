@@ -23,8 +23,8 @@ package pcu
 
 import (
 	"fmt"
+	"unsafe"
 
-	"hswsim/internal/cow"
 	"hswsim/internal/cstate"
 	"hswsim/internal/sim"
 	"hswsim/internal/uarch"
@@ -181,8 +181,7 @@ type PCU struct {
 	// ladder, the budget controller and the uncore map walk. lastCores
 	// is the PCU's own copy (the caller reuses its telemetry buffer);
 	// lastUncTarget memoizes uncoreUnconstrained for the fixed-point
-	// check. Invalidated by Clone (via own), SetTDPWatts and
-	// SetUncoreLimits.
+	// check. Invalidated by SetTDPWatts and SetUncoreLimits.
 	lastValid     bool
 	lastSteady    bool // previous tick took the steady path
 	lastCores     []CoreTelemetry
@@ -191,11 +190,6 @@ type PCU struct {
 	lastMemSt     bool
 	lastSysMax    uarch.MHz
 	lastUncTarget uarch.MHz
-
-	// gen covers the AVX/EET bookkeeping slices and the Tick scratch:
-	// clones (and the plain struct copies core.System.Fork makes) share
-	// them, and Tick copies out on first use after a share.
-	gen cow.Stamp
 }
 
 // New builds a PCU.
@@ -215,40 +209,33 @@ func New(cfg Config) *PCU {
 	for i := range p.lastAVX {
 		p.lastAVX[i] = -sim.Second
 	}
-	p.gen.Own()
 	return p
 }
 
-// Clone returns an independent copy of the PCU: same controller state
-// (throttle depth, uncore clock, AVX/EET bookkeeping). cfg is copied
-// as-is — its Spec pointer is immutable and safe to share. The
-// bookkeeping slices are shared copy-on-write: whichever side Ticks
-// next copies them out (and drops the shared Decision scratch). A
-// clone's future Tick decisions match the original's exactly for
-// identical telemetry.
-func (p *PCU) Clone() *PCU {
-	cow.Bump()
-	c := *p
-	return &c
+// ForkInto overwrites dst with a copy of the PCU, reusing dst's slice
+// storage: same controller state (throttle depth, uncore clock, AVX/EET
+// bookkeeping), steady-tick memo and Decision scratch, so the copy's
+// future Tick decisions match the original's exactly for identical
+// telemetry. cfg is copied as-is — its Spec pointer is immutable and
+// safe to share.
+func (p *PCU) ForkInto(dst *PCU) {
+	lastAVX, eetStall, decCore, decAVX, lastCores :=
+		dst.lastAVX, dst.eetStall, dst.decCore, dst.decAVX, dst.lastCores
+	*dst = *p
+	dst.lastAVX = append(lastAVX[:0], p.lastAVX...)
+	dst.eetStall = append(eetStall[:0], p.eetStall...)
+	dst.decCore = append(decCore[:0], p.decCore...)
+	dst.decAVX = append(decAVX[:0], p.decAVX...)
+	dst.lastCores = append(lastCores[:0], p.lastCores...)
 }
 
-// own runs the copy-on-write barrier before Tick mutates the
-// bookkeeping slices or reuses the Decision scratch.
-func (p *PCU) own() {
-	if p.gen.Owned() {
-		return
-	}
-	p.lastAVX = append([]sim.Time(nil), p.lastAVX...)
-	p.eetStall = append([]float64(nil), p.eetStall...)
-	// The Decision scratch may be shared with the clone source; Tick
-	// lazily reallocates nil scratch. The steady-tick memo points into
-	// that scratch, so it goes with it.
-	p.decCore = nil
-	p.decAVX = nil
-	p.lastCores = nil
-	p.lastValid = false
-	p.lastSteady = false
-	p.gen.Own()
+// ForkBytes returns the bytes ForkInto copies out of the PCU's slices.
+func (p *PCU) ForkBytes() int64 {
+	return int64(len(p.lastAVX))*int64(unsafe.Sizeof(sim.Time(0))) +
+		int64(len(p.eetStall))*8 +
+		int64(len(p.decCore))*int64(unsafe.Sizeof(uarch.MHz(0))) +
+		int64(len(p.decAVX)) +
+		int64(len(p.lastCores))*int64(unsafe.Sizeof(CoreTelemetry{}))
 }
 
 // TDPWatts returns the enforced package power limit.
@@ -332,7 +319,6 @@ func (p *PCU) eetPeriod() sim.Time {
 // Tick runs one grid evaluation and returns the new operating targets.
 // The returned slices are reused by the next Tick call.
 func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
-	p.own()
 	p.ticks++
 	if p.steadyTick(now, tel) {
 		return Decision{
@@ -343,7 +329,7 @@ func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
 		}
 	}
 	n := p.cfg.Spec.Cores
-	if p.decCore == nil {
+	if len(p.decCore) == 0 {
 		p.decCore = make([]uarch.MHz, n)
 		p.decAVX = make([]bool, n)
 	}
@@ -458,7 +444,7 @@ func (p *PCU) steadyTick(now sim.Time, tel Telemetry) bool {
 	// (uncore snap-to-target) and the headroom deadband, so ulp-level
 	// drift in the measured watts cannot change the decision once the
 	// same sides hold.
-	if !p.lastValid || p.decCore == nil ||
+	if !p.lastValid || len(p.decCore) == 0 ||
 		p.throttleBins != 0 || p.thermalBins != 0 ||
 		len(tel.Cores) != len(p.lastCores) || len(tel.Cores) != len(p.decAVX) ||
 		tel.PkgPowerW > p.tdp ||

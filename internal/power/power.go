@@ -13,7 +13,6 @@ package power
 import (
 	"fmt"
 
-	"hswsim/internal/cow"
 	"hswsim/internal/cstate"
 	"hswsim/internal/sim"
 	"hswsim/internal/uarch"
@@ -69,9 +68,6 @@ type PackageModel struct {
 	AmbientC float64
 
 	tempC float64 // current die temperature
-	// scratch backs Compute's memo so plain Compute calls stay
-	// allocation-free after the first.
-	scratch ComputeMemo
 }
 
 // NewPackageModel builds the model with the die at ambient temperature.
@@ -81,24 +77,6 @@ func NewPackageModel(pm *uarch.PowerModel, ceffScale, ambientC float64) *Package
 	}
 	return &PackageModel{PM: pm, CeffScale: ceffScale, LeakScale: 1, AmbientC: ambientC, tempC: ambientC}
 }
-
-// Clone returns an independent copy of the model at the same die
-// temperature. The scratch memo is deliberately dropped (nil slices):
-// the first Compute on the clone re-derives it, and the change-driven
-// integrator's replay contract guarantees that recomputation is
-// bit-for-bit identical to a replay of the dropped memo.
-func (p *PackageModel) Clone() *PackageModel {
-	c := *p
-	c.scratch = ComputeMemo{}
-	return &c
-}
-
-// ResetScratch drops the internal Compute memo. A plain struct copy of
-// a PackageModel (core.System.Fork's copy-on-write socket clone) shares
-// the memo's backing slices with the source; the copy must call this so
-// its next Compute re-derives a private memo instead of scribbling into
-// shared storage.
-func (p *PackageModel) ResetScratch() { p.scratch = ComputeMemo{} }
 
 // TempC returns the present die temperature.
 func (p *PackageModel) TempC() float64 { return p.tempC }
@@ -115,14 +93,14 @@ func (p *PackageModel) effectiveActivity(c CoreState) float64 {
 }
 
 // ComputeMemo caches the temperature-independent decomposition of one
-// Compute call so that steady-state integration segments can advance
-// the breakdown without re-deriving the operating point (Replay). Only
-// leakage depends on die temperature, so the memo keeps per-core
-// leakage bases (everything but the temperature factor) in core order;
-// Replay folds the current temperature back in with exactly the
-// arithmetic Compute would use, keeping replayed segments bit-for-bit
-// identical to recomputed ones — the determinism contract of the
-// change-driven integrator.
+// ComputeMemoized call so that steady-state integration segments can
+// advance the breakdown without re-deriving the operating point
+// (Replay). Only leakage depends on die temperature, so the memo keeps
+// per-core leakage bases (everything but the temperature factor) in
+// core order; Replay folds the current temperature back in with
+// exactly the arithmetic ComputeMemoized would use, keeping replayed
+// segments bit-for-bit identical to recomputed ones — the determinism
+// contract of the change-driven integrator.
 type ComputeMemo struct {
 	coresDynamic float64
 	uncore       float64
@@ -173,19 +151,14 @@ func (p *PackageModel) tempFactor() float64 {
 
 // TempFactor exposes the leakage temperature multiplier so the energy
 // profiler can re-scale memoized leakage bases with exactly the
-// arithmetic Compute and Replay use.
+// arithmetic ComputeMemoized and Replay use.
 func (p *PackageModel) TempFactor() float64 { return p.tempFactor() }
 
-// Compute returns the package power breakdown for the given core states
-// and uncore operating point at the current die temperature.
-func (p *PackageModel) Compute(cores []CoreState, uncoreGHz, uncoreVolts float64) Breakdown {
-	return p.ComputeMemoized(&p.scratch, cores, uncoreGHz, uncoreVolts)
-}
-
-// ComputeMemoized is Compute, additionally recording the breakdown's
-// temperature-independent parts into memo so later segments at the same
-// operating point can be advanced with Replay. The memo's slices are
-// reused across calls.
+// ComputeMemoized returns the package power breakdown for the given
+// core states and uncore operating point at the current die
+// temperature, recording its temperature-independent parts into memo so
+// later segments at the same operating point can be advanced with
+// Replay. The memo's slices are reused across calls.
 func (p *PackageModel) ComputeMemoized(memo *ComputeMemo, cores []CoreState, uncoreGHz, uncoreVolts float64) Breakdown {
 	var b Breakdown
 	tempFactor := p.tempFactor()
@@ -330,14 +303,11 @@ func (n NodeConfig) ACWatts(raplDomainsW float64) float64 {
 // LMG450 models the ZES ZIMMER LMG450 4-channel power meter: 20 Sa/s AC
 // power samples with 0.07 % + 0.23 W accuracy.
 //
-// The meter is a plain value: the noise stream is held inline and the
-// sample log is copy-on-write across clones (and across the plain
-// struct copies core.System.Fork makes), so cloning a meter with a long
-// recording costs nothing until one side records again.
+// The meter is a plain value with the noise stream held inline; ForkInto
+// copies it for a forked platform.
 type LMG450 struct {
 	rng     sim.RNG
 	samples []Sample
-	gen     cow.Stamp // ownership of the samples backing
 }
 
 // Sample is one 50 ms meter reading.
@@ -351,29 +321,21 @@ const SamplePeriod = 50 * sim.Millisecond
 
 // NewLMG450 returns a meter with a deterministic noise stream.
 func NewLMG450(rng *sim.RNG) *LMG450 {
-	m := &LMG450{rng: *rng}
-	m.gen.Own()
-	return m
+	return &LMG450{rng: *rng}
 }
 
-// Clone returns an independent copy of the meter: same recorded
-// samples, noise stream continuing from the same position — so clone
-// and original record identical readings for identical inputs. The
-// sample log is shared copy-on-write; whichever side records next
-// copies it out first.
-func (m *LMG450) Clone() *LMG450 {
-	cow.Bump()
-	c := *m
-	return &c
+// ForkInto overwrites dst with a copy of the meter, reusing dst's sample
+// storage: same recorded samples, noise stream continuing from the same
+// position — so the copy and the original record identical readings
+// for identical inputs.
+func (m *LMG450) ForkInto(dst *LMG450) {
+	dst.rng = m.rng
+	dst.samples = append(dst.samples[:0], m.samples...)
 }
 
 // Record stores one reading of the true AC power, applying the meter's
 // accuracy band.
 func (m *LMG450) Record(at sim.Time, trueWatts float64) {
-	if !m.gen.Owned() {
-		m.samples = append([]Sample(nil), m.samples...)
-		m.gen.Own()
-	}
 	noise := m.rng.Uniform(-1, 1) * (0.0007*trueWatts + 0.23)
 	m.samples = append(m.samples, Sample{At: at, W: trueWatts + noise})
 }

@@ -16,6 +16,12 @@ func hswPM() *uarch.PowerModel {
 
 func voltsFor(f float64) float64 { return 0.75 + 0.22*(f-1.2) }
 
+// compute evaluates the model once into a throwaway memo.
+func compute(p *PackageModel, cores []CoreState, uncoreGHz, uncoreVolts float64) Breakdown {
+	var memo ComputeMemo
+	return p.ComputeMemoized(&memo, cores, uncoreGHz, uncoreVolts)
+}
+
 func firestarterCores(n int, ghz float64, ht bool) []CoreState {
 	cs := make([]CoreState, n)
 	share := 2.8 / 3.1
@@ -39,10 +45,10 @@ func TestFirestarterTDPCalibration(t *testing.T) {
 	p := NewPackageModel(hswPM(), 1.0, 30)
 	// Settle temperature at the operating point.
 	for i := 0; i < 100; i++ {
-		b := p.Compute(firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3))
+		b := compute(p, firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3))
 		p.UpdateTemp(b.Total(), 100*sim.Millisecond)
 	}
-	got := p.Compute(firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3)).Total()
+	got := compute(p, firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3)).Total()
 	if got < 112 || got > 128 {
 		t.Fatalf("FIRESTARTER@2.3/2.3 package power = %.1f W, want ~120 (TDP)", got)
 	}
@@ -53,8 +59,8 @@ func TestFirestarterTDPCalibration(t *testing.T) {
 // why Table V shows it sustaining ~2.45 GHz instead of Table IV's 2.30.
 func TestHTOffDrawsLess(t *testing.T) {
 	p := NewPackageModel(hswPM(), 1.0, 30)
-	ht := p.Compute(firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3)).Total()
-	noHT := p.Compute(firestarterCores(12, 2.3, false), 2.3, voltsFor(2.3)).Total()
+	ht := compute(p, firestarterCores(12, 2.3, true), 2.3, voltsFor(2.3)).Total()
+	noHT := compute(p, firestarterCores(12, 2.3, false), 2.3, voltsFor(2.3)).Total()
 	if noHT >= ht {
 		t.Fatalf("no-HT power %.1f must be below HT power %.1f", noHT, ht)
 	}
@@ -69,7 +75,7 @@ func TestIdlePackagePower(t *testing.T) {
 	for i := range idle {
 		idle[i] = CoreState{CState: cstate.C6, Volts: 0.75}
 	}
-	b := p.Compute(idle, 1.2, voltsFor(1.2))
+	b := compute(p, idle, 1.2, voltsFor(1.2))
 	// Power-gated cores: only uncore + static remain (~12 W).
 	if b.CoresDynamic != 0 || b.Leakage != 0 {
 		t.Fatalf("C6 cores must not burn power: %+v", b)
@@ -83,7 +89,7 @@ func TestCStateLadderPower(t *testing.T) {
 	p := NewPackageModel(hswPM(), 1.0, 30)
 	one := func(s cstate.State) float64 {
 		c := []CoreState{{FreqGHz: 2.5, Volts: voltsFor(2.5), Activity: 0.8, IPCShare: 1, CState: s}}
-		return p.Compute(c, 0, 0).Total()
+		return compute(p, c, 0, 0).Total()
 	}
 	c0, c1, c3, c6 := one(cstate.C0), one(cstate.C1), one(cstate.C3), one(cstate.C6)
 	if !(c0 > c1 && c1 > c3 && c3 > c6) {
@@ -96,8 +102,8 @@ func TestAVXBoostsPower(t *testing.T) {
 	mk := func(avx float64) []CoreState {
 		return []CoreState{{FreqGHz: 2.5, Volts: voltsFor(2.5), Activity: 0.9, AVXFrac: avx, IPCShare: 1, CState: cstate.C0}}
 	}
-	scalar := p.Compute(mk(0), 0, 0).Total()
-	avx := p.Compute(mk(0.8), 0, 0).Total()
+	scalar := compute(p, mk(0), 0, 0).Total()
+	avx := compute(p, mk(0.8), 0, 0).Total()
 	if avx <= scalar*1.1 {
 		t.Fatalf("AVX-heavy core %.2f W should draw clearly more than scalar %.2f W", avx, scalar)
 	}
@@ -107,7 +113,7 @@ func TestCeffScaleMakesSocketLessEfficient(t *testing.T) {
 	p0 := NewPackageModel(hswPM(), 1.02, 30)
 	p1 := NewPackageModel(hswPM(), 1.0, 30)
 	c := firestarterCores(12, 2.3, true)
-	if p0.Compute(c, 2.3, voltsFor(2.3)).Total() <= p1.Compute(c, 2.3, voltsFor(2.3)).Total() {
+	if compute(p0, c, 2.3, voltsFor(2.3)).Total() <= compute(p1, c, 2.3, voltsFor(2.3)).Total() {
 		t.Fatal("socket with CeffScale > 1 must draw more power")
 	}
 }
@@ -115,11 +121,11 @@ func TestCeffScaleMakesSocketLessEfficient(t *testing.T) {
 func TestTemperatureFeedbackIncreasesLeakage(t *testing.T) {
 	p := NewPackageModel(hswPM(), 1.0, 30)
 	c := firestarterCores(12, 2.5, true)
-	cold := p.Compute(c, 2.5, voltsFor(2.5))
+	cold := compute(p, c, 2.5, voltsFor(2.5))
 	for i := 0; i < 200; i++ {
 		p.UpdateTemp(130, 100*sim.Millisecond)
 	}
-	hot := p.Compute(c, 2.5, voltsFor(2.5))
+	hot := compute(p, c, 2.5, voltsFor(2.5))
 	if hot.Leakage <= cold.Leakage {
 		t.Fatalf("leakage must rise with temperature: %.2f vs %.2f", hot.Leakage, cold.Leakage)
 	}
@@ -222,8 +228,8 @@ func TestBreakdownString(t *testing.T) {
 
 func TestZeroIPCShareDefaultsToFull(t *testing.T) {
 	p := NewPackageModel(hswPM(), 1.0, 30)
-	a := p.Compute([]CoreState{{FreqGHz: 2, Volts: 1, Activity: 0.5, IPCShare: 0, CState: cstate.C0}}, 0, 0)
-	b := p.Compute([]CoreState{{FreqGHz: 2, Volts: 1, Activity: 0.5, IPCShare: 1, CState: cstate.C0}}, 0, 0)
+	a := compute(p, []CoreState{{FreqGHz: 2, Volts: 1, Activity: 0.5, IPCShare: 0, CState: cstate.C0}}, 0, 0)
+	b := compute(p, []CoreState{{FreqGHz: 2, Volts: 1, Activity: 0.5, IPCShare: 1, CState: cstate.C0}}, 0, 0)
 	if a.Total() != b.Total() {
 		t.Fatal("unset IPCShare must behave as 1.0")
 	}
@@ -253,7 +259,7 @@ func TestTableIVContour(t *testing.T) {
 				CState: cstate.C0,
 			}
 		}
-		got := p.Compute(cores, pt.uncore, voltsFor(pt.uncore)).Total()
+		got := compute(p, cores, pt.uncore, voltsFor(pt.uncore)).Total()
 		if math.Abs(got-120) > 6 {
 			t.Errorf("(%.2f, %.2f): %.1f W, want on the 120 W contour (+/-6)",
 				pt.core, pt.uncore, got)
@@ -285,7 +291,7 @@ func TestReplayMatchesComputeBitwise(t *testing.T) {
 				t.Fatalf("mix %d step %d: Replay = %+v, ComputeMemoized = %+v", mix, step, got, want)
 			}
 			p.UpdateTemp(want.Total()+40, 300*sim.Millisecond)
-			want = p.Compute(cores, 2.4, voltsFor(2.4))
+			want = compute(p, cores, 2.4, voltsFor(2.4))
 		}
 	}
 }

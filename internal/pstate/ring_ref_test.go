@@ -1,20 +1,22 @@
 package pstate
 
 import (
-	"hswsim/internal/cow"
+	"slices"
+
 	"hswsim/internal/sim"
 	"hswsim/internal/uarch"
 )
 
-// refDomain is the reference Domain is fuzzed against: the bounded,
-// copy-on-write transition ring Domain kept before it held only the
-// in-flight transition and the last completed one. The ring code is
-// kept unchanged (renamed, and without the fork-harvest and re-cap
-// entry points, which only managed the ring's storage), so
-// LastTransition's answer is checked against the full history it was
-// once read from. Domain answers the same for every sequence the ring
-// holds completely, that is fewer than logLimit Begin calls after the
-// last completed transition; FuzzLastTransition stays below that.
+// refDomain is the reference Domain is fuzzed against: the bounded
+// transition ring Domain kept before it held only the in-flight
+// transition and the last completed one. The ring code is kept
+// unchanged (renamed, copied eagerly by Clone, and without the
+// fork-harvest and re-cap entry points, which only managed the ring's
+// storage), so LastTransition's answer is checked against the full
+// history it was once read from. Domain answers the same for every
+// sequence the ring holds completely, that is fewer than logLimit Begin
+// calls after the last completed transition; FuzzLastTransition stays
+// below that.
 type refDomain struct {
 	spec *uarch.Spec
 
@@ -29,53 +31,31 @@ type refDomain struct {
 	// transitions. Storage grows by append (domains that never change
 	// frequency pay nothing, lightly-used domains hold only what they
 	// logged); once len reaches logLimit the ring wraps through head,
-	// so the steady logging path never allocates. The ring is
-	// copy-on-write across clones: Clone shares the backing and bumps
-	// the fork generation, and the write paths copy it out — exactly
-	// len entries, preserving head — before mutating.
+	// so the steady logging path never allocates. Clone copies exactly
+	// len entries, preserving head.
 	transitions []Transition
 	head        int // oldest entry once the ring is full
 	logLimit    int
-	gen         cow.Stamp // ownership of the transitions backing
 }
 
 // newRefDomain builds a domain running at the minimum p-state.
 func newRefDomain(spec *uarch.Spec) *refDomain {
-	d := &refDomain{
+	return &refDomain{
 		spec:      spec,
 		requested: spec.BaseMHz,
 		granted:   spec.MinMHz,
 		logLimit:  4096,
 	}
-	d.gen.Own()
-	return d
 }
 
 // Clone returns an independent copy of the domain — same requested,
-// granted and in-flight transition state. The transition ring is shared
-// copy-on-write: both sides keep reading the common backing and the
-// first of them to log or complete a transition copies it out first, so
-// a clone's future evolution matches the original's exactly without an
-// eager ring copy.
+// granted and in-flight transition state, and its own copy of the
+// transition ring (same layout — head still indexes correctly), so a
+// clone's future evolution matches the original's exactly.
 func (d *refDomain) Clone() *refDomain {
-	cow.Bump()
 	c := *d
+	c.transitions = slices.Clone(d.transitions)
 	return &c
-}
-
-// own runs the copy-on-write barrier: if the transition ring may be
-// shared with a clone, replace it with a private right-sized copy
-// (same layout — head still indexes correctly).
-func (d *refDomain) own() {
-	if d.gen.Owned() {
-		return
-	}
-	if d.transitions != nil {
-		nt := make([]Transition, len(d.transitions))
-		copy(nt, d.transitions)
-		d.transitions = nt
-	}
-	d.gen.Own()
 }
 
 // Granted returns the currently active frequency.
@@ -107,7 +87,6 @@ func (d *refDomain) Begin(requestedAt, grantedAt sim.Time, target uarch.MHz, swi
 // log appends to the transition ring, overwriting the oldest entry once
 // full.
 func (d *refDomain) log(t Transition) {
-	d.own()
 	if len(d.transitions) < d.logLimit {
 		d.transitions = append(d.transitions, t)
 		return
@@ -139,7 +118,6 @@ func (d *refDomain) Complete(now sim.Time) bool {
 	}
 	d.granted = d.target
 	d.inFlight = false
-	d.own() // Complete writes through last()'s pointer into the ring
 	if t := d.last(); t != nil && t.CompletedAt == 0 {
 		t.CompletedAt = d.completes
 	}

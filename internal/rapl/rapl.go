@@ -127,14 +127,6 @@ func NewPackage(spec *uarch.Spec, seedGain float64) *Package {
 	return p
 }
 
-// Clone returns an independent copy of the RAPL unit with identical
-// accumulated energy and calibration, so clone and original produce
-// identical counter streams for identical power inputs.
-func (p *Package) Clone() *Package {
-	c := *p
-	return &c
-}
-
 // Integrate advances the counters over dt. truePkgW/truePP0W/trueDRAMW
 // come from the physical power model (PP0 = core plane: dynamic +
 // leakage); ev carries the event counts the modeled variant estimates

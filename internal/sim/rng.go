@@ -33,15 +33,6 @@ func (r *RNG) Fork(label uint64) *RNG {
 	return NewRNG(r.s[0] ^ (label * 0x9e3779b97f4a7c15) ^ r.s[2])
 }
 
-// Clone returns an independent generator that continues this
-// generator's stream from exactly its current position (unlike Fork,
-// which derives a new stream). Used when forking a platform: parent and
-// clone then draw identical sequences.
-func (r *RNG) Clone() *RNG {
-	c := *r
-	return &c
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

@@ -7,10 +7,11 @@ package trace
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
-	"hswsim/internal/cow"
 	"hswsim/internal/sim"
 )
 
@@ -118,9 +119,7 @@ type openSpan struct {
 // collectors, and Clone preserves that property across System.Fork.
 type Collector struct {
 	// spans is the completed-span ring, in End order. It grows by
-	// append up to cap, then wraps through next, and is copy-on-write
-	// across clones together with the open-episode table (one stamp
-	// covers both).
+	// append up to cap, then wraps through next.
 	spans []Span
 	next  int
 	cap   int
@@ -130,7 +129,6 @@ type Collector struct {
 	recorded  uint64
 
 	open map[spanKey]openSpan
-	gen  cow.Stamp // ownership of spans and open
 }
 
 // NewCollector creates a collector holding up to capacity completed
@@ -139,50 +137,28 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	c := &Collector{
+	return &Collector{
 		cap:  capacity,
 		open: map[spanKey]openSpan{},
 	}
-	c.gen.Own()
-	return c
 }
 
-// Clone returns an independent copy (nil clones to nil). Used by
+// Clone returns an independent copy (nil clones to nil), with its own
+// copy of the span ring and the open-episode table. Used by
 // core.System.Fork: the child's trace evolves bitwise-identically to
-// what the parent's would under the same subsequent events. The span
-// ring and open-episode table are shared copy-on-write — whichever side
-// records next copies only the used region out.
+// what the parent's would under the same subsequent events.
 func (c *Collector) Clone() *Collector {
 	if c == nil {
 		return nil
 	}
-	cow.Bump()
 	n := *c
+	n.spans = slices.Clone(c.spans)
+	n.open = maps.Clone(c.open)
 	return &n
-}
-
-// own runs the copy-on-write barrier for the span ring and the
-// open-episode table.
-func (c *Collector) own() {
-	if c.gen.Owned() {
-		return
-	}
-	if c.spans != nil {
-		ns := make([]Span, len(c.spans))
-		copy(ns, c.spans)
-		c.spans = ns
-	}
-	m := make(map[spanKey]openSpan, len(c.open))
-	for k, v := range c.open {
-		m[k] = v
-	}
-	c.open = m
-	c.gen.Own()
 }
 
 // add records one completed span into the ring.
 func (c *Collector) add(s Span) {
-	c.own()
 	if len(c.spans) < c.cap {
 		c.spans = append(c.spans, s)
 		c.next = len(c.spans) % c.cap
@@ -225,7 +201,6 @@ func (c *Collector) Begin(at sim.Time, k SpanKind, socket, cpu int, label string
 	if c == nil {
 		return
 	}
-	c.own()
 	key := spanKey{kind: k, socket: socket, cpu: cpu}
 	if prev, ok := c.open[key]; ok {
 		c.add(Span{Kind: k, Socket: socket, CPU: cpu, Start: prev.start, End: at, Label: prev.label})
@@ -251,7 +226,6 @@ func (c *Collector) End(at sim.Time, k SpanKind, socket, cpu int) {
 	if !ok {
 		return
 	}
-	c.own()
 	delete(c.open, key)
 	c.add(Span{Kind: k, Socket: socket, CPU: cpu, Start: prev.start, End: at, Label: prev.label})
 }

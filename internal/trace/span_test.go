@@ -171,9 +171,8 @@ func TestCloneCopiesOnlyUsedRegion(t *testing.T) {
 		c.Add(SpanWake, 0, 0, sim.Time(i), sim.Time(i+1), "")
 	}
 	n := c.Clone()
-	// The clone shares the parent's span ring lazily; its first write
-	// runs the copy-on-write barrier, which must copy only the 3 used
-	// entries, never the full 4096-slot capacity.
+	// Clone copies the parent's span ring, and must copy only the 3
+	// used entries, never the full 4096-slot capacity.
 	n.Add(SpanWake, 0, 0, 3, 4, "")
 	if got := cap(n.spans); got >= c.cap {
 		t.Errorf("post-clone write copied a %d-cap backing; want a right-sized copy of the used region", got)
@@ -184,8 +183,8 @@ func TestCloneCopiesOnlyUsedRegion(t *testing.T) {
 	if sp := c.Spans(); sp[len(sp)-1].Start != 2 {
 		t.Errorf("parent saw the clone's span: %v", sp)
 	}
-	// The reverse direction shares too: a parent write must not reach an
-	// already-forked clone.
+	// The other direction is independent too: a parent write must not
+	// reach an already-forked clone.
 	n2 := c.Clone()
 	c.Add(SpanWake, 0, 0, 9, 10, "")
 	if n2.SpanCount() != 3 {
