@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"hswsim/internal/mem"
 	"hswsim/internal/ring"
@@ -62,6 +63,9 @@ type Model struct {
 	// pure topology functions and sit on the solver's hot path.
 	l3Hops  []float64
 	imcHops []float64
+	// ringClass[c] numbers the distinct (l3Hops, imcHops) bit patterns
+	// in core order: cores of one class solve identically.
+	ringClass []int
 }
 
 // NewModel builds the solver for a package.
@@ -70,11 +74,36 @@ func NewModel(spec *uarch.Spec, topo *ring.Topology) *Model {
 	n := topo.Cores()
 	m.l3Hops = make([]float64, n)
 	m.imcHops = make([]float64, n)
+	m.ringClass = make([]int, n)
+	classes := 0
 	for c := 0; c < n; c++ {
 		m.l3Hops[c] = topo.AvgL3HopCycles(c)
 		m.imcHops[c] = topo.AvgIMCHopCycles(c)
+		m.ringClass[c] = classes
+		for d := 0; d < c; d++ {
+			if math.Float64bits(m.l3Hops[d]) == math.Float64bits(m.l3Hops[c]) &&
+				math.Float64bits(m.imcHops[d]) == math.Float64bits(m.imcHops[c]) {
+				m.ringClass[c] = m.ringClass[d]
+				break
+			}
+		}
+		if m.ringClass[c] == classes {
+			classes++
+		}
 	}
 	return m
+}
+
+// RingClass returns the core's ring class: cores whose L3 and IMC hop
+// costs are bitwise equal share one, so given equal clock, threads and
+// profile they solve to the same result. The 12-core die has two
+// classes, cores 0–7 and 8–11. Core ids beyond the topology (truncated
+// SKUs) share class -1.
+func (m *Model) RingClass(core int) int {
+	if core >= 0 && core < len(m.ringClass) {
+		return m.ringClass[core]
+	}
+	return -1
 }
 
 // hop lookups tolerate core ids beyond the topology (truncated SKUs).
@@ -137,25 +166,34 @@ func (m *Model) Solve(loads []CoreLoad, uncoreGHz float64) []CoreResult {
 	return m.SolveInto(nil, loads, uncoreGHz)
 }
 
-// SolveInto is Solve with a caller-provided result buffer (hot path).
+// SolveInto is Solve with a caller-provided result buffer, one load
+// and one result per active core.
 func (m *Model) SolveInto(dst []CoreResult, loads []CoreLoad, uncoreGHz float64) []CoreResult {
-	var res []CoreResult
-	if cap(dst) >= len(loads) {
-		res = dst[:len(loads)]
-		clear(res)
-	} else {
-		res = make([]CoreResult, len(loads))
+	return m.SolveShared(dst, loads, nil, uncoreGHz)
+}
+
+// SolveShared solves active cores grouped into operating points (hot
+// path): points holds one load per distinct point, and of holds, in
+// core order, the point index of every active core (nil means one core
+// per point). Each point is solved and rescaled once, and the result
+// buffer holds one result per point. Shared-capacity demand is summed
+// over the cores in core order, so every result is bitwise what
+// SolveInto returns for the expanded per-core loads, provided the cores
+// of a point agree in clock, threads, profile and RingClass.
+func (m *Model) SolveShared(dst []CoreResult, points []CoreLoad, of []int, uncoreGHz float64) []CoreResult {
+	res := dst[:0]
+	if cap(dst) < len(points) {
+		res = make([]CoreResult, 0, len(points))
 	}
-	// Pass 1: per-core latency/MLP limits. Loads are passed by pointer:
-	// a CoreLoad embeds the 80-byte Profile and the copies dominate the
-	// solver's cost at fleet scale.
-	for i := range loads {
-		res[i] = m.solveCore(&loads[i], uncoreGHz)
+	// Pass 1: per-point latency/MLP limits. Loads are passed by pointer:
+	// a CoreLoad embeds the 80-byte Profile.
+	for i := range points {
+		res = append(res, m.solveCore(&points[i], uncoreGHz))
 	}
-	// Pass 2: shared-resource capacity. Scale memory-traffic cores by a
+	// Pass 2: shared-resource capacity. Scale memory-traffic points by a
 	// common factor when aggregate demand exceeds capacity (fair
 	// bandwidth sharing), then recompute dependent quantities.
-	m.applyCapacity(loads, res, uncoreGHz)
+	m.applyCapacity(points, of, res, uncoreGHz)
 	return res
 }
 
@@ -219,46 +257,57 @@ func (m *Model) solveCore(ld *CoreLoad, uncoreGHz float64) CoreResult {
 	return out
 }
 
-func (m *Model) applyCapacity(loads []CoreLoad, res []CoreResult, uncoreGHz float64) {
-	// QPI capacity: remote (NUMA) traffic shares the socket interconnect.
-	remoteDemand := 0.0
-	for i := range res {
-		remoteDemand += res[i].MemGBs * loads[i].Prof.RemoteMemFrac
+// demand sums the QPI (remote DRAM), DRAM and L3 bandwidth demand over
+// the active cores in core order, in one pass.
+func demand(points []CoreLoad, of []int, res []CoreResult) (remote, mem, l3 float64) {
+	if of == nil {
+		for i := range res {
+			remote += res[i].MemGBs * points[i].Prof.RemoteMemFrac
+			mem += res[i].MemGBs
+			l3 += res[i].L3GBs
+		}
+		return remote, mem, l3
 	}
+	for _, p := range of {
+		remote += res[p].MemGBs * points[p].Prof.RemoteMemFrac
+		mem += res[p].MemGBs
+		l3 += res[p].L3GBs
+	}
+	return remote, mem, l3
+}
+
+func (m *Model) applyCapacity(points []CoreLoad, of []int, res []CoreResult, uncoreGHz float64) {
+	remoteDemand, memDemand, l3Demand := demand(points, of, res)
+	// QPI capacity: remote (NUMA) traffic shares the socket interconnect.
 	if capQPI := m.Spec.Mem.QPIGBs; capQPI > 0 && remoteDemand > capQPI {
 		scale := capQPI / remoteDemand
 		for i := range res {
-			p := &loads[i].Prof
+			p := &points[i].Prof
 			if p.MemBytesPerInst > 0 && p.RemoteMemFrac > 0 {
 				// Only the remote share slows down.
 				remoteScale := 1 - p.RemoteMemFrac*(1-scale)
-				m.rescale(&res[i], &loads[i], scaleFactorForMem(p, remoteScale))
+				m.rescale(&res[i], &points[i], scaleFactorForMem(p, remoteScale))
 			}
 		}
+		// The rescale moved the DRAM and L3 demand the next stages read.
+		_, memDemand, l3Demand = demand(points, of, res)
 	}
 	// DRAM capacity.
-	memDemand := 0.0
-	for i := range res {
-		memDemand += res[i].MemGBs
-	}
 	if capMem := m.IMC.StreamCapacityGBs(uncoreGHz); memDemand > capMem && memDemand > 0 {
 		scale := capMem / memDemand
 		for i := range res {
-			if loads[i].Prof.MemBytesPerInst > 0 {
-				m.rescale(&res[i], &loads[i], scaleFactorForMem(&loads[i].Prof, scale))
+			if points[i].Prof.MemBytesPerInst > 0 {
+				m.rescale(&res[i], &points[i], scaleFactorForMem(&points[i].Prof, scale))
 			}
 		}
+		_, _, l3Demand = demand(points, of, res)
 	}
 	// L3/ring capacity.
-	l3Demand := 0.0
-	for i := range res {
-		l3Demand += res[i].L3GBs
-	}
 	if capL3 := m.L3CapacityGBs(uncoreGHz); l3Demand > capL3 && l3Demand > 0 {
 		scale := capL3 / l3Demand
 		for i := range res {
-			if loads[i].Prof.L3BytesPerInst > 0 {
-				m.rescale(&res[i], &loads[i], scale)
+			if points[i].Prof.L3BytesPerInst > 0 {
+				m.rescale(&res[i], &points[i], scale)
 			}
 		}
 	}

@@ -132,7 +132,6 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	c.sk.markDirty()
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
-	c.sk.loadsStale = true
 	cacheable := true
 	for i, cc := range c.sk.cores {
 		cc.profLeader = i

@@ -351,8 +351,8 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	oldPCU := nk.PCU
 	oldMemo := nk.memo
 	eplanEntries := nk.eplan.Detach()
-	loadsBuf, coresBuf, statesBuf, resultsBuf, telCores :=
-		nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores
+	coresBuf, pointOf, pointsBuf, pointsMeta := nk.coresBuf, nk.pointOf, nk.pointsBuf, nk.pointsMeta
+	statesBuf, resultsBuf, telCores := nk.statesBuf, nk.resultsBuf, nk.telCores
 
 	*nk = *sk
 	nk.sys = sys
@@ -373,14 +373,14 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	// is invalid in the child (opDirty forces a rebuild before the first
 	// Apply); reseat the harvested private backing.
 	nk.eplan.Attach(eplanEntries)
-	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores =
-		loadsBuf, coresBuf, statesBuf, resultsBuf, telCores
+	nk.coresBuf, nk.pointOf, nk.pointsBuf, nk.pointsMeta = coresBuf, pointOf, pointsBuf, pointsMeta
+	nk.statesBuf, nk.resultsBuf, nk.telCores = statesBuf, resultsBuf, telCores
 	// The harvested telemetry buffer holds the old child's values, not
 	// the parent's: force a rebuild on the child's first grid tick.
 	nk.telBuilt = 0
 	// Forked sockets count their own integration segments from zero.
-	nk.statReplay, nk.statFull = 0, 0
-	nk.statReplayFlushed, nk.statFullFlushed = 0, 0
+	nk.statReplay, nk.statFull, nk.statLoads, nk.statPoints = 0, 0, 0, 0
+	nk.statReplayFlushed, nk.statFullFlushed, nk.statLoadsFlushed, nk.statPointsFlushed = 0, 0, 0, 0
 
 	// Residency: one contiguous slab per socket, copied from the parent.
 	bins := residencyBins(sk.Spec)

@@ -326,6 +326,47 @@ func TestForkReleaseReuse(t *testing.T) {
 	}
 }
 
+// TestForkReuseAfterChildReassign: a child that put a different
+// constant kernel on the same active set is released, and its storage
+// recycled. The recycled child must integrate with the parent's kernel,
+// not with its previous tenant's.
+func TestForkReuseAfterChildReassign(t *testing.T) {
+	sys := forkScenario(t, func(s *System) {
+		if err := s.AssignKernel(0, workload.Firestarter(), 2); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(40 * sim.Millisecond)
+	})
+	ref, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	ref.Run(20 * sim.Millisecond)
+	want := fingerprint(t, ref)
+
+	c1, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if err := c1.AssignKernel(0, workload.MemStream(), 2); err != nil {
+		t.Fatal(err)
+	}
+	c1.Run(5 * sim.Millisecond)
+	c1.Release()
+	c2, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if c2 != c1 {
+		t.Fatal("fork after Release did not reuse the released child's storage")
+	}
+	c2.Run(20 * sim.Millisecond)
+	if got := fingerprint(t, c2); !reflect.DeepEqual(got, want) {
+		t.Errorf("recycled child diverged from a fresh child: cpu0 retired %d instructions, want %d",
+			got.Instr[0], want.Instr[0])
+	}
+}
+
 func TestForkReleaseConcurrentStress(t *testing.T) {
 	sys := forkScenario(t, func(s *System) {
 		for cpu := 0; cpu < s.CPUs(); cpu += 4 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"hswsim/internal/cache"
 	"hswsim/internal/cstate"
 	"hswsim/internal/eprof"
@@ -13,6 +15,7 @@ import (
 	"hswsim/internal/sim"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
+	"hswsim/internal/workload"
 )
 
 // Socket is one processor package.
@@ -68,8 +71,6 @@ type Socket struct {
 	tickJoules  float64
 	lastTick    sim.Time
 	lastPkgPowW float64
-	// Cached solver outputs for the current segment.
-	dramGBs float64
 
 	// Change-driven integration state: opDirty is raised by every
 	// operating-point mutation (c-state, p-state, uncore, AVX mode,
@@ -84,12 +85,13 @@ type Socket struct {
 	segUncGHz float64
 
 	// Change-driven integration accounting: replay vs full-recompute
-	// segment counts. Plain fields (a socket integrates on one
+	// segment counts, and the core loads and operating points the full
+	// segments solved. Plain fields (a socket integrates on one
 	// goroutine); System.flushObs pushes deltas to the obs registry at
 	// run boundaries, so the per-segment path stays atomic-free. Forked
 	// sockets start at zero and count their own segments.
-	statReplay, statFull               uint64
-	statReplayFlushed, statFullFlushed uint64
+	statReplay, statFull, statLoads, statPoints                             uint64
+	statReplayFlushed, statFullFlushed, statLoadsFlushed, statPointsFlushed uint64
 
 	// eplan is the energy profiler's attribution plan for the memoized
 	// segment: one prebuilt (bucket, rate) entry per power-model term,
@@ -99,16 +101,18 @@ type Socket struct {
 	// the other scratch buffers.
 	eplan eprof.Plan
 
-	// Scratch buffers for the per-segment integration (hot path).
-	loadsBuf   []cache.CoreLoad
+	// Scratch buffers for the per-segment integration (hot path), all
+	// rebuilt by every full segment. coresBuf lists the active cores in
+	// core order and pointOf the operating point each runs at; pointsBuf
+	// holds one solver load per point, pointsMeta its grouping key and
+	// per-point derivations, and resultsBuf one solver result per point.
 	coresBuf   []*Core
+	pointOf    []int
+	pointsBuf  []cache.CoreLoad
+	pointsMeta []opPoint
 	statesBuf  []power.CoreState
 	resultsBuf []cache.CoreResult
 	telCores   []pcu.CoreTelemetry
-	// loadsStale forces integrateFull to rebuild loadsBuf from scratch:
-	// a kernel assignment can change a core's profile without changing
-	// the active set, which is what the in-place refresh keys on.
-	loadsStale bool
 
 	// Telemetry version cache: telVersion is bumped by every mutation
 	// that can move a per-core telemetry field (kernel assignment,
@@ -381,13 +385,19 @@ var debugForceFullIntegration = false
 // slowdown are the only integration inputs that drift without an
 // explicit state-change event, so they are re-checked each segment.
 func (sk *Socket) steadyAt(from sim.Time) bool {
+	leader, point := -1, -1
 	for j, c := range sk.coresBuf {
 		if c.slowdown() != c.lastSD {
 			return false
 		}
 		// Constant kernels cannot drift; only phase-varying profiles need
-		// the (80-byte) compare against the memoized load.
-		if !c.constProf && *c.profileNow(from) != sk.loadsBuf[j].Prof {
+		// the (80-byte) compare against the memoized point, and cores
+		// sharing a profile leader and a point would repeat it.
+		if c.constProf || (c.profLeader == leader && sk.pointOf[j] == point) {
+			continue
+		}
+		leader, point = c.profLeader, sk.pointOf[j]
+		if *c.profileNow(from) != sk.pointsBuf[point].Prof {
 			return false
 		}
 	}
@@ -396,9 +406,10 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 
 // integrateSteady replays the memoized segment over dt.
 func (sk *Socket) integrateSteady(dt sim.Time) float64 {
+	sec := dt.Seconds()
 	tscGHz := sk.Spec.BaseMHz.GHz()
 	for j, c := range sk.coresBuf {
-		c.ctr.Advance(dt, sk.loadsBuf[j].FreqGHz, tscGHz, c.lastRate, c.lastStall)
+		c.ctr.Advance(sec, sk.pointsBuf[sk.pointOf[j]].FreqGHz, tscGHz, c.lastRate, c.lastStall)
 	}
 	pkg := sk.Power.Replay(&sk.memo)
 	pkgW := pkg.Total()
@@ -406,104 +417,146 @@ func (sk *Socket) integrateSteady(dt sim.Time) float64 {
 	// Attribution must see the same temperature factor Replay used, so
 	// it runs before UpdateTemp mutates it.
 	if ep := sk.sys.eprof; ep != nil {
-		ep.Apply(&sk.eplan, dt.Seconds(), int64(dt), sk.Power.TempFactor())
+		ep.Apply(&sk.eplan, sec, int64(dt), sk.Power.TempFactor())
 	}
 	sk.Power.UpdateTemp(pkgW, dt)
 	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, sk.segEV, dt)
 	sk.uncoreCtr.Advance(dt, sk.segUncGHz)
-	sk.tickJoules += pkgW * dt.Seconds()
+	sk.tickJoules += pkgW * sec
 	return sk.RAPLDomainsPowerW(pkgW, dramW)
 }
 
+// opPoint is one operating point's grouping key and per-segment
+// derivations. The clock, ring class and threads of a point are equal
+// for all its cores, and so is the profile: the cores share a profile
+// leader, or their profiles are == (which lets constant kernels share).
+// NaN never matches, so a NaN profile gets a point of its own; +0 and
+// −0 match, which no consumer can tell apart (every profile field is
+// either tested > 0 or added into a sum that starts at +0).
+type opPoint struct {
+	mhz    uarch.MHz
+	class  int // cache.Model.RingClass
+	leader int // profile leader of the point's first core
+	// sd is the AVX-ramp slowdown that rate, gips and ipcShare were last
+	// derived for (NaN until the point's first core).
+	sd, rate, gips, ipcShare float64
+}
+
+// debugNoSharedPoints makes every active core its own operating point
+// (test seam: the operating-point equivalence test runs the same
+// scenario with and without it and requires identical output).
+var debugNoSharedPoints = false
+
 // integrateFull re-derives the operating point, solves the memory
 // hierarchy, recomputes the power breakdown, and refreshes the segment
-// memo for subsequent steady segments.
+// memo for subsequent steady segments. Active cores that agree in
+// clock, ring class, threads and profile share one operating point:
+// the solver and every per-core derivation that depends only on the
+// point run once per point.
 func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
-	// Solve the memory hierarchy for the active cores. When the active
-	// set is pointer-identical to the previous full segment (the common
-	// case: the PCU regranting frequencies under a power cap), the load
-	// entries are refreshed in place — frequency and threads always,
-	// profile only for phase-varying kernels — instead of re-copying
-	// every 80-byte Profile through a rebuild.
-	old := sk.coresBuf
-	loadCores := sk.coresBuf[:0]
-	same := !sk.loadsStale
-	for _, c := range sk.cores {
-		if c.cstateNow == cstate.C0 && c.kernel != nil {
-			if j := len(loadCores); same && (j >= len(old) || old[j] != c) {
-				same = false
-			}
-			loadCores = append(loadCores, c)
-		}
+	if n := len(sk.cores); cap(sk.coresBuf) < n {
+		// The four grow together, and forkInto harvests them together.
+		sk.coresBuf, sk.pointOf = make([]*Core, 0, n), make([]int, 0, n)
+		sk.pointsBuf, sk.pointsMeta = make([]cache.CoreLoad, 0, n), make([]opPoint, 0, n)
 	}
-	var loads []cache.CoreLoad
-	if same && len(loadCores) == len(old) {
-		loads = sk.loadsBuf[:len(old)]
-		for j, c := range loadCores {
-			loads[j].FreqGHz = c.dom.Granted().GHz()
-			loads[j].Threads = c.threads
-			if !c.constProf {
-				loads[j].Prof = *c.profileNow(from)
-			}
+	cores, of := sk.coresBuf[:0], sk.pointOf[:0]
+	loads, pts := sk.pointsBuf[:0], sk.pointsMeta[:0]
+	for _, c := range sk.cores {
+		if c.cstateNow != cstate.C0 || c.kernel == nil {
+			continue
 		}
-	} else {
-		loads = sk.loadsBuf[:0]
-		for _, c := range loadCores {
+		mhz, class := c.dom.Granted(), sk.Cache.RingClass(c.Index)
+		// The profile is read only when no leader match decides: a
+		// follower's leader memo was already read at from by the point's
+		// first core.
+		var prof *workload.Profile
+		q := len(pts)
+		for p := 0; p < len(pts) && !debugNoSharedPoints; p++ {
+			pt := &pts[p]
+			if pt.mhz != mhz || pt.class != class || loads[p].Threads != c.threads {
+				continue
+			}
+			if pt.leader != c.profLeader {
+				if prof == nil {
+					prof = c.profileNow(from)
+				}
+				if loads[p].Prof != *prof {
+					continue
+				}
+			}
+			q = p
+			break
+		}
+		if q == len(pts) {
+			if prof == nil {
+				prof = c.profileNow(from)
+			}
+			pts = append(pts, opPoint{mhz: mhz, class: class, leader: c.profLeader, sd: math.NaN()})
 			loads = append(loads, cache.CoreLoad{
 				CoreID:  c.Index,
-				FreqGHz: c.dom.Granted().GHz(),
+				FreqGHz: mhz.GHz(),
 				Threads: c.threads,
-				Prof:    *c.profileNow(from),
+				Prof:    *prof,
 			})
 		}
+		cores = append(cores, c)
+		of = append(of, q)
 	}
-	sk.loadsBuf, sk.coresBuf = loads, loadCores
-	sk.loadsStale = false
+	sk.coresBuf, sk.pointOf, sk.pointsBuf, sk.pointsMeta = cores, of, loads, pts
+	sk.statLoads += uint64(len(cores))
+	sk.statPoints += uint64(len(pts))
 	uncoreGHz := sk.UncoreMHz().GHz()
-	results := sk.Cache.SolveInto(sk.resultsBuf, loads, uncoreGHz)
+	results := sk.Cache.SolveShared(sk.resultsBuf, loads, of, uncoreGHz)
 	sk.resultsBuf = results
 
-	// Per-core accounting and power states.
+	// Per-core accounting and power states, in core order: every core's
+	// state is reset, and the active ones take their point's results.
 	if cap(sk.statesBuf) < len(sk.cores) {
 		sk.statesBuf = make([]power.CoreState, len(sk.cores))
 	}
 	states := sk.statesBuf[:len(sk.cores)]
+	sec := dt.Seconds()
 	tscGHz := sk.Spec.BaseMHz.GHz()
 	var ev rapl.ModelInputs
-	sk.dramGBs = 0
+	j := 0
 	for i, c := range sk.cores {
-		states[i] = power.CoreState{CState: c.cstateNow, Volts: c.reg.Volts()}
-		c.lastStall = 0
-	}
-	for j, c := range loadCores {
-		r := results[j]
-		prof := &loads[j].Prof
+		st := &states[i]
+		*st = power.CoreState{CState: c.cstateNow, Volts: c.reg.Volts()}
+		if j == len(cores) || cores[j] != c {
+			c.lastStall = 0
+			continue
+		}
+		q := of[j]
+		j++
+		ld, pt, r := &loads[q], &pts[q], &results[q]
 		c.lastSD = c.slowdown()
-		rate := r.Rate * c.lastSD
-		ipcShare := 0.0
-		if prof.IPC2 > 0 {
-			ipcShare = rate / (loads[j].FreqGHz * 1e9) / prof.IPC2
+		if c.lastSD != pt.sd {
+			pt.sd = c.lastSD
+			pt.rate = r.Rate * pt.sd
+			pt.gips = pt.rate / 1e9
+			pt.ipcShare = 0
+			if ld.Prof.IPC2 > 0 {
+				pt.ipcShare = pt.rate / (ld.FreqGHz * 1e9) / ld.Prof.IPC2
+			}
 		}
 		c.lastStall = r.StallFrac
-		c.lastRate = rate
-		c.ctr.Advance(dt, loads[j].FreqGHz, tscGHz, rate, r.StallFrac)
-		st := &states[c.Index]
-		st.FreqGHz = loads[j].FreqGHz
-		st.Activity = prof.Activity
-		st.AVXFrac = prof.AVXFrac
-		st.IPCShare = ipcShare
+		c.lastRate = pt.rate
+		c.ctr.Advance(sec, ld.FreqGHz, tscGHz, pt.rate, r.StallFrac)
+		st.FreqGHz = ld.FreqGHz
+		st.Activity = ld.Prof.Activity
+		st.AVXFrac = ld.Prof.AVXFrac
+		st.IPCShare = pt.ipcShare
 		ev.ActiveVVF += st.Volts * st.Volts * st.FreqGHz
-		ev.GIPS += rate / 1e9
+		ev.GIPS += pt.gips
 		ev.L3GBs += r.L3GBs
 		ev.MemGBs += r.MemGBs
-		sk.dramGBs += r.MemGBs
 	}
 
 	uncoreVolts := sk.uncoreReg.Volts()
 	ev.UncoreVVF = uncoreVolts * uncoreVolts * uncoreGHz
 	pkg := sk.Power.ComputeMemoized(&sk.memo, states, uncoreGHz, uncoreVolts)
 	pkgW := pkg.Total()
-	dramW := sk.Cache.IMC.PowerWatts(sk.dramGBs)
+	dramW := sk.Cache.IMC.PowerWatts(ev.MemGBs)
 
 	// The operating point just changed: rebuild the attribution plan
 	// from the fresh memo, then attribute this segment. Runs before
@@ -512,12 +565,12 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 	// the arithmetic ComputeMemoized folded into pkg.Leakage.
 	if ep := sk.sys.eprof; ep != nil {
 		sk.rebuildEplan(ep, dramW)
-		ep.Apply(&sk.eplan, dt.Seconds(), int64(dt), sk.Power.TempFactor())
+		ep.Apply(&sk.eplan, sec, int64(dt), sk.Power.TempFactor())
 	}
 	sk.Power.UpdateTemp(pkgW, dt)
 	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, ev, dt)
 	sk.uncoreCtr.Advance(dt, uncoreGHz)
-	sk.tickJoules += pkgW * dt.Seconds()
+	sk.tickJoules += pkgW * sec
 
 	// Refresh the segment memo for steady replays.
 	sk.segEV = ev

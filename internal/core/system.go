@@ -379,6 +379,14 @@ func (s *System) flushObs() {
 			obs.PowerSegFulls.Add(int64(d))
 			sk.statFullFlushed = sk.statFull
 		}
+		if d := sk.statLoads - sk.statLoadsFlushed; d > 0 {
+			obs.PowerFullLoads.Add(int64(d))
+			sk.statLoadsFlushed = sk.statLoads
+		}
+		if d := sk.statPoints - sk.statPointsFlushed; d > 0 {
+			obs.PowerFullPoints.Add(int64(d))
+			sk.statPointsFlushed = sk.statPoints
+		}
 	}
 	if tr := s.trace; tr != nil {
 		if v := tr.SpansRecorded(); v > s.traceSpansFlushed {

@@ -87,6 +87,10 @@ var (
 		"integration segments served by the memoized steady-state replay")
 	PowerSegFulls = std.Counter("power_segments_full_total",
 		"integration segments that re-solved the full operating point")
+	PowerFullLoads = std.Counter("power_full_core_loads_total",
+		"active cores integrated by full segments (one load per core per segment)")
+	PowerFullPoints = std.Counter("power_full_points_total",
+		"distinct operating points the full segments solved (clock, ring class, threads, profile)")
 
 	// Virtual-time tracing: span volume and ring overwrites. The drop
 	// counter is the "no silent caps" guard for the bounded span rings —

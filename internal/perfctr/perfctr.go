@@ -27,12 +27,13 @@ type Core struct {
 	stallCycles  float64
 }
 
-// Advance accumulates dt of execution in C0: coreGHz is the actual
-// clock, tscGHz the invariant TSC rate, instPerSec the retirement rate,
-// stallFrac the fraction of cycles stalled. A core outside C0 does not
-// call it: none of these counters moves while it sleeps.
-func (c *Core) Advance(dt sim.Time, coreGHz, tscGHz, instPerSec, stallFrac float64) {
-	sec := dt.Seconds()
+// Advance accumulates sec seconds of execution in C0 (the caller
+// converts a segment's duration once for all its cores): coreGHz is the
+// actual clock, tscGHz the invariant TSC rate, instPerSec the
+// retirement rate, stallFrac the fraction of cycles stalled. A core
+// outside C0 does not call it: none of these counters moves while it
+// sleeps.
+func (c *Core) Advance(sec, coreGHz, tscGHz, instPerSec, stallFrac float64) {
 	// APERF counts actual cycles, MPERF counts at the TSC rate — both
 	// only while in C0 (their ratio is the average frequency).
 	c.aperf += coreGHz * 1e9 * sec

@@ -10,7 +10,7 @@ import (
 func TestCoreCountersAdvance(t *testing.T) {
 	var c Core
 	// 1 second in C0 at 2.5 GHz, TSC 2.5 GHz, 7e9 inst/s, 10% stalls.
-	c.Advance(sim.Second, 2.5, 2.5, 7e9, 0.1)
+	c.Advance(sim.Second.Seconds(), 2.5, 2.5, 7e9, 0.1)
 	s := c.Snapshot(sim.Second, 2.5e9)
 	if s.TSC != 2500000000 {
 		t.Fatalf("TSC = %d, want the node count passed in", s.TSC)
@@ -30,7 +30,7 @@ func TestIntervalDerivations(t *testing.T) {
 	var c Core
 	a := c.Snapshot(0, 0)
 	// Half the time at 2.5 GHz, half idle (no Advance).
-	c.Advance(sim.Second/2, 2.5, 2.5, 5e9, 0.2)
+	c.Advance((sim.Second / 2).Seconds(), 2.5, 2.5, 5e9, 0.2)
 	b := c.Snapshot(sim.Second, 0)
 	iv := Delta(a, b)
 	if f := iv.FreqGHz(); math.Abs(f-1.25) > 1e-9 {
@@ -80,9 +80,9 @@ func TestFrequencyMeasurementDetectsSwitch(t *testing.T) {
 	// The modified-FTaLaT verification: a 20 us busy-wait cycle count
 	// distinguishes 1.2 from 1.3 GHz.
 	var c Core
-	c.Advance(20*sim.Microsecond, 1.2, 2.5, 1.2e9, 0)
+	c.Advance((20 * sim.Microsecond).Seconds(), 1.2, 2.5, 1.2e9, 0)
 	s1 := c.Snapshot(20*sim.Microsecond, 0)
-	c.Advance(20*sim.Microsecond, 1.3, 2.5, 1.3e9, 0)
+	c.Advance((20 * sim.Microsecond).Seconds(), 1.3, 2.5, 1.3e9, 0)
 	s2 := c.Snapshot(40*sim.Microsecond, 0)
 	f1 := Delta(Snapshot{}, s1).FreqGHz()
 	f2 := Delta(s1, s2).FreqGHz()

@@ -12,6 +12,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 
 	"hswsim/internal/cstate"
 	"hswsim/internal/sim"
@@ -173,13 +174,23 @@ func (p *PackageModel) ComputeMemoized(memo *ComputeMemo, cores []CoreState, unc
 	memo.dyn = memo.dyn[:len(cores)]
 	memo.live = memo.live[:0]
 	memo.coresDynamic = 0
+	// Cores at one operating point share Activity, IPCShare and AVXFrac,
+	// so consecutive C0 cores reuse the left-associated
+	// CeffCore·CeffScale·effectiveActivity prefix of the dynamic-power
+	// product: the same operations on the same operands. NaN never
+	// matches, so the first C0 core always computes it.
+	keyAct, keyShare, keyAVX := math.NaN(), math.NaN(), math.NaN()
+	prefix := 0.0
 	for i, c := range cores {
 		base, scale := 0.0, 0.0
 		memo.dyn[i] = 0
 		switch c.CState {
 		case cstate.C0:
-			d := p.PM.CeffCore * p.CeffScale * p.effectiveActivity(c) *
-				c.Volts * c.Volts * c.FreqGHz
+			if c.Activity != keyAct || c.IPCShare != keyShare || c.AVXFrac != keyAVX {
+				keyAct, keyShare, keyAVX = c.Activity, c.IPCShare, c.AVXFrac
+				prefix = p.PM.CeffCore * p.CeffScale * p.effectiveActivity(c)
+			}
+			d := prefix * c.Volts * c.Volts * c.FreqGHz
 			b.CoresDynamic += d
 			memo.dyn[i] = d
 			base, scale = p.leakBase(c.Volts), 1

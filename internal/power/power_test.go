@@ -295,3 +295,43 @@ func TestReplayMatchesComputeBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedDynamicPrefixBitwise: ComputeMemoized reuses the
+// CeffCore·CeffScale·effectiveActivity prefix across consecutive C0
+// cores with equal (Activity, IPCShare, AVXFrac). Every core's dynamic
+// term, and their sum, must equal the per-core formula bit for bit,
+// with runs of equal keys broken by key changes and sleeping cores.
+func TestSharedDynamicPrefixBitwise(t *testing.T) {
+	p := NewPackageModel(hswPM(), 1.02, 30)
+	keys := []struct{ act, share, avx float64 }{
+		{1.0, 0.93, 0.5}, {0.7, 0.41, 0}, {0.7, 0, 0}, {0.55, 1, 0.2},
+	}
+	states := []cstate.State{cstate.C0, cstate.C0, cstate.C0, cstate.C1, cstate.C6, cstate.C3}
+	for mix := 0; mix < 8; mix++ {
+		cores := make([]CoreState, 12)
+		for i := range cores {
+			k := keys[(i/3+mix*i/5)%len(keys)]
+			f := 1.2 + 0.1*float64((i+mix)%9)
+			cores[i] = CoreState{FreqGHz: f, Volts: voltsFor(f) + 0.003*float64(i),
+				Activity: k.act, IPCShare: k.share, AVXFrac: k.avx,
+				CState: states[(i+mix)%len(states)]}
+		}
+		var memo ComputeMemo
+		b := p.ComputeMemoized(&memo, cores, 2.4, voltsFor(2.4))
+		sum := 0.0
+		for i, c := range cores {
+			want := 0.0
+			if c.CState == cstate.C0 {
+				want = p.PM.CeffCore * p.CeffScale * p.effectiveActivity(c) *
+					c.Volts * c.Volts * c.FreqGHz
+			}
+			sum += want
+			if got := memo.Dyn(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mix %d core %d: dynamic %v, per-core formula %v", mix, i, got, want)
+			}
+		}
+		if math.Float64bits(b.CoresDynamic) != math.Float64bits(sum) {
+			t.Fatalf("mix %d: CoresDynamic %v, per-core sum %v", mix, b.CoresDynamic, sum)
+		}
+	}
+}

@@ -47,7 +47,7 @@ if [ "$mode" = "compare" ]; then
 fi
 
 go test -run=NONE -bench=. -benchmem -benchtime="$benchtime" -count="$count" \
-	./internal/sim ./internal/core ./internal/fleet | tee "$tmp"
+	./internal/sim ./internal/cache ./internal/core ./internal/fleet | tee "$tmp"
 
 awk -v benchtime="$benchtime" -v count="$count" '
 function median(arr, k, c,   i, j, t, v) {
