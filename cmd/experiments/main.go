@@ -5,7 +5,7 @@
 //
 //	experiments -run all            # everything (full fidelity, slow)
 //	experiments -run tab4 -scale 0.1
-//	experiments -run fig2,fig3 -csv
+//	experiments -run fig2,fig7,fig8 -csv  # raw points
 //	experiments -run ablations -report run.json
 //
 // Experiment ids: tab1 tab2 tab3 tab4 tab5 fig1 fig2 fig3 fig4 fig5

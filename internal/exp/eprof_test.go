@@ -84,8 +84,8 @@ func TestEnergyProfileRepeatable(t *testing.T) {
 // platforms run unprofiled (options unmarked, no collector armed).
 func TestEnergyProfileDisabledByDefault(t *testing.T) {
 	var o Options
-	if o.eprofExp != "" {
-		t.Fatal("zero Options carries an eprof mark")
+	if o.liveID != "" {
+		t.Fatal("zero Options carries an experiment mark")
 	}
 	if activeEnergyProfile.Load() != nil {
 		t.Fatal("recorder installed without EnableEnergyProfile")

@@ -38,32 +38,21 @@ type Options struct {
 	// entries.
 	Fleet FleetOptions
 
-	// traceExp carries the experiment id into newSystem while a span
-	// trace is being captured (set by runOne, never by callers). It is
-	// part of the cache key via %#v, which is intentional: traced runs
-	// must never replay cached bytes — the trace comes from living
-	// through the run.
-	traceExp string
-
-	// eprofExp is traceExp's analog for the energy profiler: set by
-	// runOne/RunLive while a profile recorder is installed, carried
-	// into newSystem, and — being part of the %#v cache key — keeps
-	// profiled runs from ever replaying cached bytes (the profile comes
-	// from living through the run).
-	eprofExp string
-
-	// profExp carries the experiment id to parallelMap's CPU profiler
-	// labels. RunLive sets it after every cache and coalescing key has
-	// been taken, so it never reaches a key.
-	profExp string
+	// liveID is the experiment RunLive is running. RunLive sets it
+	// after every cache and coalescing key has been taken, so it never
+	// reaches a key; callers never set it. newSystem registers the
+	// experiment's platforms with an installed span trace or energy
+	// profile under this id, and profLabels labels CPU profile samples
+	// with it.
+	liveID string
 }
 
 // profLabels returns the CPU profiler label context of the experiment
 // o runs under: exp=<id> inside RunLive, no labels outside it.
 func (o Options) profLabels() context.Context {
 	ctx := context.Background()
-	if o.profExp != "" {
-		ctx = pprof.WithLabels(ctx, pprof.Labels("exp", o.profExp))
+	if o.liveID != "" {
+		ctx = pprof.WithLabels(ctx, pprof.Labels("exp", o.liveID))
 	}
 	return ctx
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,16 +81,25 @@ var suite = []Descriptor{
 		return err
 	}},
 	{ID: "fig2", Title: "Figure 2: RAPL accuracy vs reference meter", Run: func(o Options, w io.Writer, csv bool) error {
+		var out strings.Builder
+		if csv {
+			out.WriteString("arch,workload,cores,ac_w,rapl_w\n")
+		}
 		for _, gen := range []uarch.Generation{uarch.SandyBridgeEP, uarch.HaswellEP} {
 			r, err := Fig2(gen, o)
 			if err != nil {
 				return err
 			}
-			if _, err := io.WriteString(w, r.Render()); err != nil {
-				return err
+			if !csv {
+				out.WriteString(r.Render())
+				continue
+			}
+			for _, p := range r.Points {
+				fmt.Fprintf(&out, "%s,%s,%d,%.2f,%.2f\n", gen, p.Workload, p.Cores, p.ACW, p.RAPLW)
 			}
 		}
-		return nil
+		_, err := io.WriteString(w, out.String())
+		return err
 	}},
 	{ID: "fig3", Title: "Figure 3: p-state transition latencies", Run: func(o Options, w io.Writer, csv bool) error {
 		r, err := Fig3(o)
@@ -128,7 +138,16 @@ var suite = []Descriptor{
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(w, r.Render())
+		if !csv {
+			_, err = io.WriteString(w, r.Render())
+			return err
+		}
+		var b strings.Builder
+		b.WriteString("arch,level,freq_ghz,relative,abs_gbs\n")
+		for _, p := range r.Points {
+			fmt.Fprintf(&b, "%s,%s,%.3f,%.4f,%.2f\n", p.Arch, p.Level, p.FreqGHz, p.Relative, p.AbsGBs)
+		}
+		_, err = io.WriteString(w, b.String())
 		return err
 	}},
 	{ID: "fig8", Title: "Figure 8: bandwidth vs cores/threads/frequency", Run: func(o Options, w io.Writer, csv bool) error {
@@ -136,7 +155,16 @@ var suite = []Descriptor{
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(w, r.Render())
+		if !csv {
+			_, err = io.WriteString(w, r.Render())
+			return err
+		}
+		var b strings.Builder
+		b.WriteString("level,cores,threads,freq_ghz,gbs\n")
+		for _, p := range r.Points {
+			fmt.Fprintf(&b, "%s,%d,%d,%.3f,%.2f\n", p.Level, p.Cores, p.Threads, p.FreqGHz, p.GBs)
+		}
+		_, err = io.WriteString(w, b.String())
 		return err
 	}},
 	{ID: "extensions", Title: "Beyond the paper: power cap, idle, DVFS, NUMA, PCPS studies", Run: func(o Options, w io.Writer, csv bool) error {
@@ -291,11 +319,11 @@ func RunSuite(ids []string, o Options, csv bool, cache Cache, emit func(SuiteRes
 // tuple. It is the serving entry point: cmd/hswsimd admits a request
 // through its bounded queue, acquires a slot itself, and runs here —
 // so a server run can never bypass or double-acquire the scheduler.
-// Tracing and accounting match the suite path: when a span trace is
-// active the options are marked so platforms register, and the
-// per-experiment run counter increments. The run carries the CPU
-// profiler label exp=<id> (parallelMap adds point=<index>), so a
-// plain -cpuprofile splits by experiment.
+// Tracing and accounting match the suite path: the options carry id
+// into newSystem, so platforms register with an installed span trace
+// or energy profile, and the per-experiment run counter increments.
+// The run carries the CPU profiler label exp=<id> (parallelMap adds
+// point=<index>), so a plain -cpuprofile splits by experiment.
 func RunLive(id string, o Options, csv bool) ([]byte, error) {
 	d, ok := Lookup(id)
 	if !ok {
@@ -304,13 +332,7 @@ func RunLive(id string, o Options, csv bool) ([]byte, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if o.traceExp == "" && activeSpanTrace.Load() != nil {
-		o.traceExp = id
-	}
-	if o.eprofExp == "" && activeEnergyProfile.Load() != nil {
-		o.eprofExp = id
-	}
-	o.profExp = id
+	o.liveID = id
 	slotEnd := wallSpan("slot", id)
 	var buf bytes.Buffer
 	var err error
@@ -332,13 +354,11 @@ func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
 	if _, ok := Lookup(id); !ok {
 		return SuiteResult{ID: id, Err: fmt.Errorf("unknown experiment id %q", id)}
 	}
-	if activeSpanTrace.Load() != nil {
-		// Mark the options so newSystem registers this experiment's
-		// platforms — and so the cache key differs from untraced runs.
-		o.traceExp = id
-	}
-	if activeEnergyProfile.Load() != nil {
-		o.eprofExp = id
+	if activeSpanTrace.Load() != nil || activeEnergyProfile.Load() != nil {
+		// A span trace or energy profile comes from living through the
+		// run: cached bytes carry neither, so a recorded run neither
+		// replays nor stores them.
+		cache = nil
 	}
 	start := time.Now()
 	if cache != nil {

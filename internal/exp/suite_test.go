@@ -179,6 +179,43 @@ func TestRunSuiteCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordedRunSkipsCache: a span trace and an energy profile come
+// from living through the run, so a second recorded RunSuite sharing a
+// cache with the first must run live again and export the same
+// capture, and neither run may touch the cache.
+func TestRecordedRunSkipsCache(t *testing.T) {
+	cache := &memCache{m: map[string][]byte{}}
+	type capture struct {
+		cached           bool
+		sections, stacks int
+	}
+	record := func() capture {
+		st := EnableSpanTrace(1 << 14)
+		defer DisableSpanTrace()
+		ep := EnableEnergyProfile()
+		defer DisableEnergyProfile()
+		var c capture
+		RunSuite([]string{"tab3"}, Quick(), false, cache, func(r SuiteResult) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.ID, r.Err)
+			}
+			c.cached = r.Cached
+		})
+		c.sections, c.stacks = len(st.sections()), ep.Info().Stacks
+		return c
+	}
+	first, second := record(), record()
+	if first.cached || first.sections == 0 || first.stacks == 0 {
+		t.Fatalf("first recorded run: %+v, want live with a trace and a profile", first)
+	}
+	if second != first {
+		t.Fatalf("second recorded run %+v, want %+v", second, first)
+	}
+	if cache.gets != 0 || cache.puts != 0 {
+		t.Fatalf("recorded runs touched the cache: %d gets, %d puts", cache.gets, cache.puts)
+	}
+}
+
 // TestRunSuiteUnknownAndFailedContinue: an unknown id surfaces as an
 // error result without stopping the rest of the request.
 func TestRunSuiteUnknownAndFailedContinue(t *testing.T) {
@@ -225,6 +262,36 @@ func TestWriteRendered(t *testing.T) {
 	}
 	if text.String() != tab.String() || csv.String() != tab.CSV() {
 		t.Fatal("writeRendered output mismatch")
+	}
+}
+
+// TestFigureCSVOneRowPerPoint pins the raw-point CSV of the figures
+// whose results are point sets: one header, then one row per point
+// (fig2 lists Sandy Bridge-EP's 37 points before Haswell-EP's 43).
+func TestFigureCSVOneRowPerPoint(t *testing.T) {
+	for _, tc := range []struct {
+		id, header string
+		rows       int
+	}{
+		{"fig2", "arch,workload,cores,ac_w,rapl_w", 80},
+		{"fig7", "arch,level,freq_ghz,relative,abs_gbs", 82},
+		{"fig8", "level,cores,threads,freq_ghz,gbs", 420},
+	} {
+		d, _ := Lookup(tc.id)
+		var buf bytes.Buffer
+		if err := d.Run(Quick(), &buf, true); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if lines[0] != tc.header || len(lines)-1 != tc.rows {
+			t.Errorf("%s: header %q and %d rows, want %q and %d", tc.id, lines[0], len(lines)-1, tc.header, tc.rows)
+		}
+		for _, l := range lines[1:] {
+			if strings.Count(l, ",") != strings.Count(tc.header, ",") {
+				t.Errorf("%s: row %q does not match the header's columns", tc.id, l)
+				break
+			}
+		}
 	}
 }
 

@@ -128,14 +128,12 @@ func (o Options) newSystem(cfg core.Config) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.traceExp != "" {
+	if o.liveID != "" {
 		if st := activeSpanTrace.Load(); st != nil {
-			st.register(o.traceExp, sys.EnableTrace(st.cap))
+			st.register(o.liveID, sys.EnableTrace(st.cap))
 		}
-	}
-	if o.eprofExp != "" {
 		if ep := activeEnergyProfile.Load(); ep != nil {
-			root, set := ep.register(o.eprofExp)
+			root, set := ep.register(o.liveID)
 			set(sys.EnableEnergyProfile(root))
 		}
 	}

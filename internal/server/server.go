@@ -344,8 +344,8 @@ func (s *Server) execute(ctx context.Context, id string, o exp.Options, csv bool
 // request pollutes (or is polluted by) the capture. The response body
 // is the trace export, not the rendered table — the -trace-vt file, on
 // demand per request. Traced runs never touch the cache or coalesce:
-// their tuple is marked (exp options carry the traced experiment), and
-// the capture is only valid for a run that was actually lived through.
+// they call runLive directly, because the capture is only valid for a
+// run that was actually lived through.
 func (s *Server) tracedRun(w http.ResponseWriter, r *http.Request, req runRequest, o exp.Options, mode string) {
 	info := infoFrom(r.Context())
 	info.key = expcache.TupleKey(req.ID, o, req.CSV)

@@ -59,10 +59,10 @@ type scheduled struct {
 	stopped bool
 }
 
-// EventID identifies a scheduled event so it can be cancelled. IDs are
-// generation-stamped: once the event has dispatched (or been cancelled)
-// the ID goes stale and Cancel on it is a harmless no-op, even if the
-// engine has recycled the underlying entry for a new event.
+// EventID identifies a scheduled event. IDs are generation-stamped:
+// once the event has dispatched (or its series stopped) the ID goes
+// stale, and IsPending reports false for it even after the engine has
+// recycled the underlying entry for a new event.
 type EventID struct {
 	s   *scheduled
 	gen uint64
@@ -292,46 +292,11 @@ func (e *Engine) After(d Time, fn Event) EventID {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-dispatched,
-// already-cancelled, or currently-dispatching (in-flight) event — stale
-// IDs included, even after the engine has recycled the entry — is a
-// no-op and returns false.
-func (e *Engine) Cancel(id EventID) bool {
-	s := id.s
-	if s == nil || s.gen != id.gen {
-		return false
-	}
-	switch s.loc {
-	case locQueued:
-		e.queue.remove(s.index)
-		e.release(s)
-		return true
-	case locClaimed:
-		// Pending in the current dispatch batch: retire it before it
-		// fires (the dispatcher skips entries it no longer owns).
-		e.release(s)
-		return true
-	default:
-		// In flight (its own callback is running) or already done.
-		return false
-	}
-}
-
-// EveryID is Every returning the series' EventID instead of a stop
-// closure. Periodic entries re-arm in place (same entry, same
-// generation), so the ID stays valid for the whole life of the series —
-// which is what lets a component keep the ID and re-create the series
-// declaratively on a forked engine (Rearm). StopSeries stops it.
-func (e *Engine) EveryID(start, period Time, fn Event) EventID {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive period %v", period))
-	}
-	s := e.schedule(start, fn)
-	s.period = period
-	return EventID{s: s, gen: s.gen}
-}
-
-// EveryIDHandler is EveryID for a Handler callback.
+// EveryIDHandler is Every for a Handler callback, returning the
+// series' EventID instead of a stop closure. Periodic entries re-arm in
+// place (same entry, same generation), so the ID stays valid for the
+// whole life of the series — which is what lets a component keep the ID
+// and re-create the series on a forked engine (RearmHandler).
 func (e *Engine) EveryIDHandler(start, period Time, h Handler, arg int) EventID {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
@@ -358,16 +323,6 @@ func (e *Engine) stopPeriodic(s *scheduled) {
 	// retires the entry instead of re-arming.
 }
 
-// StopSeries stops a periodic series started with EveryID. Stopping an
-// already-retired series (stale ID) is a no-op.
-func (e *Engine) StopSeries(id EventID) {
-	s := id.s
-	if s == nil || s.gen != id.gen || s.period <= 0 || s.stopped {
-		return
-	}
-	e.stopPeriodic(s)
-}
-
 // IsPending reports whether the event identified by id is still waiting
 // in the queue. Stale IDs (dispatched, cancelled, recycled) report
 // false; a periodic series reports true until stopped.
@@ -380,7 +335,7 @@ func (e *Engine) IsPending(id EventID) bool {
 // tie-break sequence counter and an empty queue. Pending entries are
 // deliberately not copied — their callbacks close over the parent's
 // component graph; each owner re-creates its own entries on the child
-// with Rearm, binding fresh callbacks while preserving the original
+// with RearmHandler, binding fresh callbacks while preserving the original
 // (time, sequence) coordinates. Once every pending parent event has
 // been re-armed, the child dispatches the exact same schedule the
 // parent would, including ties.
@@ -434,20 +389,13 @@ func (e *Engine) rearm(id EventID) *scheduled {
 	return n
 }
 
-// Rearm re-creates a pending parent event on this (forked) engine with
-// a child-bound callback, preserving the parent entry's due time,
-// tie-break sequence number and period — the three coordinates that
-// determine dispatch order. id must identify an event still pending on
-// the parent; re-arming something already dispatched or cancelled
-// panics, because silently dropping it would make the fork diverge.
-func (e *Engine) Rearm(id EventID, fn Event) EventID {
-	n := e.rearm(id)
-	n.fn = fn
-	return EventID{s: n, gen: n.gen}
-}
-
-// RearmHandler is Rearm for a Handler callback: it re-creates the
-// pending parent event with a closure-free child-bound callback.
+// RearmHandler re-creates a pending parent event on this (forked)
+// engine with a closure-free child-bound callback, preserving the
+// parent entry's due time, tie-break sequence number and period — the
+// three coordinates that determine dispatch order. id must identify an
+// event still pending on the parent; re-arming something already
+// dispatched or stopped panics, because silently dropping it would make
+// the fork diverge.
 func (e *Engine) RearmHandler(id EventID, h Handler, arg int) EventID {
 	n := e.rearm(id)
 	n.h = h
