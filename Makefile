@@ -86,13 +86,17 @@ serve-smoke:
 
 # fuzz-smoke: ten seconds of coverage-guided fuzzing per target — the
 # event engine against its reference heap (lockstep dispatch traces
-# plus the heap invariants), and the p-state domain against the
+# plus the heap invariants), the p-state domain against the
 # transition ring it replaced (LastTransition, InFlight, Granted and
 # CompletionTime after every operation, and each record Complete
-# returns); plain `go test` runs only the committed seed corpora.
+# returns), and hostile hswsimd POST /v1/run bodies through decode and
+# resolve (no panic; every accepted request names a known experiment
+# with a scale in (0, max-scale] and valid options); plain `go test`
+# runs only the committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/server
 
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
@@ -102,7 +106,7 @@ fuzz-smoke:
 # smoke, perf regression diff, the serial-vs-forked-parallel golden
 # comparison, the committed reference output, the energy-profiler gate,
 # the hswsimd server lifecycle smoke, the bench/ module build and smoke
-# test, and the event-engine and p-state fuzz smoke.
+# test, and the event-engine, p-state and run-request fuzz smoke.
 ci:
 	@echo "==> ci step 1/12: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
@@ -127,5 +131,5 @@ ci:
 	@echo "==> ci step 11/12: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 12/12: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, or hswsimd accepted or panicked on a hostile run request, under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

@@ -178,11 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // writeMemProfile dumps the allocs profile into the already-open file.
 func writeMemProfile(f *os.File) error {
 	runtime.GC() // up-to-date live-object statistics
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeClose(f, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
 }
 
 // runFlags carries the parsed request into runBody.
@@ -262,26 +258,21 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Span tracing needs live runs: the trace is recorded by living
-	// through the simulation, so cached bytes carry no trace.
-	var spanTrace *exp.SpanTrace
-	if fl.traceVT != "" {
+	// A span trace and an energy profile are recorded by living through
+	// the simulation, so cached bytes carry neither: one recorder
+	// captures both, and recording forces live runs.
+	var rec *exp.Recorder
+	if fl.traceVT != "" || fl.eprofFile != nil {
 		if cache != nil {
-			fmt.Fprintln(stderr, "note: -trace-vt forces live runs (result cache bypassed)")
+			name := "-trace-vt"
+			if fl.traceVT == "" {
+				name = "-eprof"
+			}
+			fmt.Fprintf(stderr, "note: %s forces live runs (result cache bypassed)\n", name)
 			cache = nil
 		}
-		spanTrace = exp.EnableSpanTrace(1 << 14)
-		defer exp.DisableSpanTrace()
-	}
-	// Energy profiling likewise comes from living through the run.
-	var eprofRec *exp.EnergyProfile
-	if fl.eprofFile != nil {
-		if cache != nil {
-			fmt.Fprintln(stderr, "note: -eprof forces live runs (result cache bypassed)")
-			cache = nil
-		}
-		eprofRec = exp.EnableEnergyProfile()
-		defer exp.DisableEnergyProfile()
+		rec = exp.EnableRecorder(fl.traceVT != "", fl.eprofFile != nil)
+		defer exp.DisableRecorder()
 	}
 	// Wall-clock harness spans cost one lock per experiment/point/slot;
 	// record them whenever some out-of-band report will surface them.
@@ -330,14 +321,23 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "%s: %s in %v\n", r.ID, how, r.Elapsed.Round(time.Millisecond))
 		}
 	})
-	if spanTrace != nil {
-		if err := writeSpanTrace(fl.traceVT, spanTrace); err != nil {
+	if fl.traceVT != "" {
+		export := rec.WriteTimeline
+		if strings.HasSuffix(fl.traceVT, ".json") {
+			export = rec.WriteChrome
+		}
+		if err := writeFile(fl.traceVT, export); err != nil {
 			fmt.Fprintf(stderr, "trace-vt: %v\n", err)
 			failed++
 		}
 	}
-	if eprofRec != nil {
-		if err := writeEprof(fl.eprof, fl.eprofFile, eprofRec); err != nil {
+	if fl.eprofFile != nil {
+		export := rec.WriteFolded
+		if strings.HasSuffix(fl.eprof, ".pb") || strings.HasSuffix(fl.eprof, ".pb.gz") ||
+			strings.HasSuffix(fl.eprof, ".pprof") {
+			export = func(w io.Writer) error { return rec.WritePprof(w, "") }
+		}
+		if err := writeClose(fl.eprofFile, export); err != nil {
 			fmt.Fprintf(stderr, "eprof: %v\n", err)
 			failed++
 		}
@@ -346,11 +346,11 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 		manifest.Failed = failed
 		manifest.WallMS = time.Since(wallStart).Milliseconds()
 		manifest.Metrics = obs.Snapshot()
-		if spanTrace != nil {
-			manifest.Traces = spanTrace.Infos()
+		if fl.traceVT != "" {
+			manifest.Traces = rec.Infos()
 		}
-		if eprofRec != nil {
-			info := eprofRec.Info()
+		if fl.eprofFile != nil {
+			info := rec.Info()
 			manifest.Profile = &info
 		}
 		for _, cat := range harness.Summary() {
@@ -359,7 +359,7 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 			})
 		}
 		if fl.report != "" {
-			if err := writeManifest(fl.report, manifest); err != nil {
+			if err := writeFile(fl.report, manifest.WriteJSON); err != nil {
 				fmt.Fprintf(stderr, "report: %v\n", err)
 				failed++
 			} else {
@@ -367,7 +367,9 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 			}
 		}
 		if fl.prom != "" {
-			if err := writeProm(fl.prom, manifest.Metrics); err != nil {
+			if err := writeFile(fl.prom, func(w io.Writer) error {
+				return obs.WritePrometheus(w, manifest.Metrics)
+			}); err != nil {
 				fmt.Fprintf(stderr, "report-prom: %v\n", err)
 				failed++
 			}
@@ -380,62 +382,19 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeSpanTrace exports the captured virtual-time trace: Chrome
-// trace-event JSON for .json paths, the text timeline otherwise.
-func writeSpanTrace(path string, st *exp.SpanTrace) error {
+// writeFile creates path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	if strings.HasSuffix(path, ".json") {
-		werr = st.WriteChrome(f)
-	} else {
-		werr = st.WriteTimeline(f)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
+	return writeClose(f, write)
 }
 
-// writeEprof exports the captured energy profile into the
-// already-open file: pprof protobuf for .pb/.pb.gz/.pprof paths,
-// folded flamegraph stacks otherwise.
-func writeEprof(path string, f *os.File, rec *exp.EnergyProfile) error {
-	var werr error
-	if strings.HasSuffix(path, ".pb") || strings.HasSuffix(path, ".pb.gz") ||
-		strings.HasSuffix(path, ".pprof") {
-		werr = rec.WritePprof(f, "")
-	} else {
-		werr = rec.WriteFolded(f)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
-}
-
-func writeManifest(path string, m *obs.Manifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeProm(path string, ms []obs.Metric) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WritePrometheus(f, ms); err != nil {
+// writeClose writes the already-open f with write and closes it,
+// returning the first error.
+func writeClose(f *os.File, write func(io.Writer) error) error {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -191,8 +191,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sys.Run(sim.Time(*seconds * float64(sim.Second)))
 
-	fmt.Fprintf(stdout, "%s: %q on %d cores/socket x %d threads, setting %v, EPB %s\n",
-		spec.Model, workload.NameOf(k), perSocket, *threads, set, sys.EPB())
+	setting := set.String()
+	if set > spec.BaseMHz {
+		setting = "Turbo" // any setting above base requests turbo
+	}
+	fmt.Fprintf(stdout, "%s: %q on %d cores/socket x %d threads, setting %s, EPB %s\n",
+		spec.Model, workload.NameOf(k), perSocket, *threads, setting, sys.EPB())
 	for s := 0; s < sys.Sockets(); s++ {
 		cpu := s * spec.Cores
 		iv := perfctr.Delta(snaps[cpu], sys.Core(cpu).Snapshot())

@@ -34,7 +34,8 @@ func TestFlags(t *testing.T) {
 		{[]string{"-h"}, 0, ""},
 		{[]string{"-workload", "compute", "-seconds", "0.05", "-threads", "1", "-cores", "2", "-freq", "1200"}, 0,
 			`"compute" on 2 cores/socket x 1 threads, setting 1.20 GHz`},
-		{[]string{"-workload", "compute", "-seconds", "0.05", "-freq", "9000"}, 0, "setting 2.50 GHz"},
+		{[]string{"-workload", "compute", "-seconds", "0.05", "-freq", "9000"}, 0, "setting Turbo,"},
+		{[]string{"-workload", "compute", "-seconds", "0.05", "-freq", "2500"}, 0, "setting 2.50 GHz,"},
 		{[]string{"-workload", "compute", "-seconds", "0.05"}, 0, "socket 1: core 2.90 GHz, uncore "},
 	} {
 		var stdout, stderr bytes.Buffer

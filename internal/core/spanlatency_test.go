@@ -14,6 +14,17 @@ import (
 // the span subsystem is only trustworthy as an observability surface if
 // the durations it records are the durations the model produced.
 
+// spansOf returns the spans of kind k on cpu, in their given order.
+func spansOf(spans []trace.Span, k trace.SpanKind, cpu int) []trace.Span {
+	var out []trace.Span
+	for _, sp := range spans {
+		if sp.Kind == k && sp.CPU == cpu {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 // wakeScenario sleeps cpu 1 into st, wakes it from cpu 0, and returns
 // the system, the wake result and the sleep/wake-issue instants.
 func wakeScenario(t *testing.T, st cstate.State) (*System, WakeResult, sim.Time, sim.Time) {
@@ -41,11 +52,11 @@ func wakeScenario(t *testing.T, st cstate.State) (*System, WakeResult, sim.Time,
 func TestSpanWakeDurationMatchesWakeResult(t *testing.T) {
 	for _, st := range []cstate.State{cstate.C3, cstate.C6} {
 		s, res, _, wakeAt := wakeScenario(t, st)
-		q := s.Trace().Query().Kind(trace.SpanWake).CPU(1)
-		if q.Count() != 1 {
-			t.Fatalf("%v: wake spans = %v", st, q.Spans())
+		wakes := spansOf(s.Trace().Spans(), trace.SpanWake, 1)
+		if len(wakes) != 1 {
+			t.Fatalf("%v: wake spans = %v", st, wakes)
 		}
-		sp := q.Spans()[0]
+		sp := wakes[0]
 		// The span IS the measurement: waker store to wakee-in-C0.
 		if sp.Start != wakeAt || sp.Duration() != res.Latency {
 			t.Errorf("%v: span %v, want start %v dur %v", st, sp, wakeAt, res.Latency)
@@ -71,20 +82,25 @@ func TestSpanCStateResidencyBracketsSleep(t *testing.T) {
 	// state a core is already in extends the existing episode rather
 	// than opening a new one.
 	s, res, sleepAt, wakeAt := wakeScenario(t, cstate.C3)
-	q := s.Trace().Query().Kind(trace.SpanCState).CPU(1).Label("C3")
-	if q.Count() != 1 {
-		t.Fatalf("C3 residency spans = %v", q.Spans())
+	var c3 []trace.Span
+	for _, sp := range spansOf(s.Trace().Spans(), trace.SpanCState, 1) {
+		if sp.Label == "C3" {
+			c3 = append(c3, sp)
+		}
 	}
-	sp := q.Spans()[0]
+	if len(c3) != 1 {
+		t.Fatalf("C3 residency spans = %v", c3)
+	}
+	sp := c3[0]
 	// Residency runs from the idle-governor decision until the wake
 	// latency has elapsed and the core executes again.
 	if sp.Start != sleepAt || sp.End != wakeAt+res.Latency {
 		t.Errorf("residency %v, want [%v, %v]", sp, sleepAt, wakeAt+res.Latency)
 	}
 	// The successor C0 episode must be open from exactly that instant.
-	open := trace.NewQuery(s.Trace().Open(s.Now())).Kind(trace.SpanCState).CPU(1)
-	if open.Count() != 1 || open.Spans()[0].Label != "C0" || open.Spans()[0].Start != sp.End {
-		t.Errorf("C0 successor = %v, want open C0 from %v", open.Spans(), sp.End)
+	open := spansOf(s.Trace().Open(s.Now()), trace.SpanCState, 1)
+	if len(open) != 1 || open[0].Label != "C0" || open[0].Start != sp.End {
+		t.Errorf("C0 successor = %v, want open C0 from %v", open, sp.End)
 	}
 }
 
@@ -104,27 +120,30 @@ func TestSpanPStateTransitionDelays(t *testing.T) {
 		}
 		s.Run(5 * sim.Millisecond)
 	}
-	q := s.Trace().Query().Kind(trace.SpanPState).CPU(0)
-	if q.Count() < 5 {
-		t.Fatalf("p-state spans = %d, want one per setting", q.Count())
+	spans := spansOf(s.Trace().Spans(), trace.SpanPState, 0)
+	if len(spans) < 5 {
+		t.Fatalf("p-state spans = %d, want one per setting", len(spans))
 	}
 	grid := sim.Time(spec.PStateGridPeriodUS * float64(sim.Microsecond))
-	for _, sp := range q.Spans() {
+	var longest, total sim.Time
+	for _, sp := range spans {
 		// Request-to-complete is bounded by one full grid period (plus
 		// jitter and the regulator switch) — and never instantaneous.
 		if sp.Duration() <= 0 || sp.Duration() > 2*grid {
 			t.Errorf("transition span %v outside (0, %v]", sp, 2*grid)
 		}
+		longest = max(longest, sp.Duration())
+		total += sp.Duration()
 	}
 	// The paper's Section VI-A point: actual transition delays blow
 	// through the 10 us ACPI estimate, because requests wait for the
 	// next PCU grid opportunity (mean ~ half a 500 us period).
-	if q.MaxDuration() <= cstate.ACPITransitionLatencyPState {
+	if longest <= cstate.ACPITransitionLatencyPState {
 		t.Errorf("max transition %v does not exceed the ACPI estimate %v",
-			q.MaxDuration(), cstate.ACPITransitionLatencyPState)
+			longest, cstate.ACPITransitionLatencyPState)
 	}
-	if q.MeanDuration() > grid {
-		t.Errorf("mean transition %v above one grid period %v", q.MeanDuration(), grid)
+	if mean := total / sim.Time(len(spans)); mean > grid {
+		t.Errorf("mean transition %v above one grid period %v", mean, grid)
 	}
 }
 
@@ -137,8 +156,8 @@ func TestSpanPStateSwitchNestsInTransition(t *testing.T) {
 	s.Run(sim.Millisecond)
 	s.SetPState(0, 2000)
 	s.Run(10 * sim.Millisecond)
-	full := s.Trace().Query().Kind(trace.SpanPState).CPU(0).Spans()
-	hw := s.Trace().Query().Kind(trace.SpanPStateSwitch).CPU(0).Spans()
+	full := spansOf(s.Trace().Spans(), trace.SpanPState, 0)
+	hw := spansOf(s.Trace().Spans(), trace.SpanPStateSwitch, 0)
 	if len(full) == 0 || len(full) != len(hw) {
 		t.Fatalf("spans: %d full, %d switch — want equal and nonzero", len(full), len(hw))
 	}

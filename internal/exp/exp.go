@@ -41,9 +41,8 @@ type Options struct {
 	// liveID is the experiment RunLive is running. RunLive sets it
 	// after every cache and coalescing key has been taken, so it never
 	// reaches a key; callers never set it. newSystem registers the
-	// experiment's platforms with an installed span trace or energy
-	// profile under this id, and profLabels labels CPU profile samples
-	// with it.
+	// experiment's platforms with an installed Recorder under this id,
+	// and profLabels labels CPU profile samples with it.
 	liveID string
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"hswsim/internal/core"
 	"hswsim/internal/eprof"
+	"hswsim/internal/obs"
 )
 
 // forkMap runs fn over items on the shared slot pool, handing each item
@@ -54,8 +55,15 @@ func forkMap[T, R any](o Options, parent *core.System, items []T, fn func(*core.
 		sys.Release()
 		return r, ferr
 	})
-	if pep != nil && err == nil {
-		mergeEprofDeltas(pep, deltas)
+	if err == nil {
+		// After the barrier, on the experiment goroutine: the parent is
+		// no longer being forked.
+		for _, d := range deltas {
+			if len(d) > 0 {
+				pep.Merge(d)
+				obs.EprofMerges.Inc()
+			}
+		}
 	}
 	return rs, err
 }

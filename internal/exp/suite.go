@@ -319,9 +319,9 @@ func RunSuite(ids []string, o Options, csv bool, cache Cache, emit func(SuiteRes
 // tuple. It is the serving entry point: cmd/hswsimd admits a request
 // through its bounded queue, acquires a slot itself, and runs here —
 // so a server run can never bypass or double-acquire the scheduler.
-// Tracing and accounting match the suite path: the options carry id
-// into newSystem, so platforms register with an installed span trace
-// or energy profile, and the per-experiment run counter increments.
+// Recording and accounting match the suite path: the options carry id
+// into newSystem, so platforms register with an installed Recorder, and
+// the per-experiment run counter increments.
 // The run carries the CPU profiler label exp=<id> (parallelMap adds
 // point=<index>), so a plain -cpuprofile splits by experiment.
 func RunLive(id string, o Options, csv bool) ([]byte, error) {
@@ -354,7 +354,7 @@ func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
 	if _, ok := Lookup(id); !ok {
 		return SuiteResult{ID: id, Err: fmt.Errorf("unknown experiment id %q", id)}
 	}
-	if activeSpanTrace.Load() != nil || activeEnergyProfile.Load() != nil {
+	if activeRecorder.Load() != nil {
 		// A span trace or energy profile comes from living through the
 		// run: cached bytes carry neither, so a recorded run neither
 		// replays nor stores them.

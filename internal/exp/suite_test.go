@@ -190,10 +190,8 @@ func TestRecordedRunSkipsCache(t *testing.T) {
 		sections, stacks int
 	}
 	record := func() capture {
-		st := EnableSpanTrace(1 << 14)
-		defer DisableSpanTrace()
-		ep := EnableEnergyProfile()
-		defer DisableEnergyProfile()
+		rec := EnableRecorder(true, true)
+		defer DisableRecorder()
 		var c capture
 		RunSuite([]string{"tab3"}, Quick(), false, cache, func(r SuiteResult) {
 			if r.Err != nil {
@@ -201,7 +199,7 @@ func TestRecordedRunSkipsCache(t *testing.T) {
 			}
 			c.cached = r.Cached
 		})
-		c.sections, c.stacks = len(st.sections()), ep.Info().Stacks
+		c.sections, c.stacks = len(rec.sections()), rec.Info().Stacks
 		return c
 	}
 	first, second := record(), record()

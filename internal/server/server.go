@@ -103,10 +103,10 @@ type Server struct {
 	log      *log.Logger
 	draining atomic.Bool
 	inflight sync.WaitGroup
-	// traceMu serializes traced runs (the span-trace recorder is
-	// process-global): normal runs hold it shared, a traced run holds
-	// it exclusively so no concurrent run's platforms leak into — or
-	// key themselves against — another request's trace.
+	// traceMu serializes recorded runs (exp.Recorder is
+	// process-global): normal runs hold it shared, a traced or
+	// profiled run holds it exclusively so no concurrent run's
+	// platforms leak into another request's capture.
 	traceMu sync.RWMutex
 	started time.Time
 
@@ -199,8 +199,26 @@ type runRequest struct {
 	FleetVminSigma float64 `json:"fleet_vmin_sigma,omitempty"`
 }
 
-// options maps the request onto the exp.Options tuple.
-func (rq runRequest) options() exp.Options {
+// decodeRunRequest reads a POST /v1/run body; unknown fields are an
+// error.
+func decodeRunRequest(body io.Reader) (runRequest, error) {
+	var rq runRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&rq)
+	return rq, err
+}
+
+// resolve maps a request onto the exp.Options tuple it names, defaults
+// filled in, and checks it: the id must name an experiment (404), the
+// resolved scale must lie in (0, MaxScale] and the options must pass
+// Options.Validate (400). POST /v1/run and GET /v1/profile both resolve
+// here, so a defaulted scale meets the same ceiling as an explicit one.
+func (s *Server) resolve(rq runRequest) (exp.Options, int, error) {
+	if _, ok := exp.Lookup(rq.ID); !ok {
+		return exp.Options{}, http.StatusNotFound,
+			fmt.Errorf("unknown experiment id %q (GET /v1/experiments lists them)", rq.ID)
+	}
 	o := exp.Defaults()
 	if rq.Scale != 0 {
 		o.Scale = rq.Scale
@@ -213,7 +231,13 @@ func (rq runRequest) options() exp.Options {
 		LeakSigma: rq.FleetLeakSigma, CeffSigma: rq.FleetCeffSigma,
 		VminSigmaV: rq.FleetVminSigma,
 	}
-	return o
+	if !(o.Scale > 0 && o.Scale <= s.cfg.MaxScale) {
+		return o, http.StatusBadRequest, fmt.Errorf("scale %g outside (0, %g]", o.Scale, s.cfg.MaxScale)
+	}
+	if err := o.Validate(); err != nil {
+		return o, http.StatusBadRequest, err
+	}
+	return o, http.StatusOK, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -223,19 +247,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server draining; retry elsewhere", http.StatusServiceUnavailable)
 		return
 	}
-	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if _, ok := exp.Lookup(req.ID); !ok {
-		http.Error(w, fmt.Sprintf("unknown experiment id %q (GET /v1/experiments lists them)", req.ID), http.StatusNotFound)
-		return
-	}
-	if req.Scale < 0 || req.Scale > s.cfg.MaxScale {
-		http.Error(w, fmt.Sprintf("scale %g outside (0, %g]", req.Scale, s.cfg.MaxScale), http.StatusBadRequest)
+	o, code, err := s.resolve(req)
+	if err != nil {
+		http.Error(w, err.Error(), code)
 		return
 	}
 	traceMode := r.URL.Query().Get("trace")
@@ -245,17 +264,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `trace must be "chrome" or "timeline"`, http.StatusBadRequest)
 		return
 	}
-	o := req.options()
-	if err := o.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
 	if traceMode != "" {
-		s.tracedRun(w, r, req, o, traceMode)
+		s.recordedRun(w, r, req, o, true, func(rec *exp.Recorder) error {
+			if traceMode == "chrome" {
+				w.Header().Set("Content-Type", "application/json")
+				return rec.WriteChrome(w)
+			}
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			return rec.WriteTimeline(w)
+		})
 		return
 	}
 
@@ -339,17 +360,22 @@ func (s *Server) execute(ctx context.Context, id string, o exp.Options, csv bool
 	return runResult{body: out, code: http.StatusOK, queueNS: queueNS, runNS: runNS}
 }
 
-// tracedRun serves ?trace=chrome|timeline: a forced-live run under the
-// process-global span recorder, held exclusively so no concurrent
-// request pollutes (or is polluted by) the capture. The response body
-// is the trace export, not the rendered table — the -trace-vt file, on
-// demand per request. Traced runs never touch the cache or coalesce:
-// they call runLive directly, because the capture is only valid for a
-// run that was actually lived through.
-func (s *Server) tracedRun(w http.ResponseWriter, r *http.Request, req runRequest, o exp.Options, mode string) {
+// recordedRun serves a forced-live run under the process-global
+// recorder: the span trace for POST /v1/run?trace= (traced), the energy
+// profile for GET /v1/profile otherwise. The run holds traceMu
+// exclusively, so no concurrent request's platforms leak into (or are
+// leaked into by) the capture, and it never touches the cache or
+// coalesces: a capture is only valid for a run that was actually lived
+// through. export sets the response headers and streams the capture as
+// the body, in place of the rendered table.
+func (s *Server) recordedRun(w http.ResponseWriter, r *http.Request, req runRequest, o exp.Options, traced bool,
+	export func(*exp.Recorder) error) {
 	info := infoFrom(r.Context())
 	info.key = expcache.TupleKey(req.ID, o, req.CSV)
-	info.outcome = "traced"
+	info.outcome = "profiled"
+	if traced {
+		info.outcome = "traced"
+	}
 	qStart := time.Now()
 	if err := s.queue.Acquire(r.Context()); err != nil {
 		if errors.Is(err, slots.ErrSaturated) {
@@ -367,8 +393,8 @@ func (s *Server) tracedRun(w http.ResponseWriter, r *http.Request, req runReques
 
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
-	st := exp.EnableSpanTrace(1 << 14)
-	defer exp.DisableSpanTrace()
+	rec := exp.EnableRecorder(traced, !traced)
+	defer exp.DisableRecorder()
 
 	obs.ServerInflight.Add(1)
 	start := time.Now()
@@ -378,20 +404,12 @@ func (s *Server) tracedRun(w http.ResponseWriter, r *http.Request, req runReques
 	obs.ServerInflight.Add(-1)
 	if err != nil {
 		obs.ServerFailures.Inc()
-		s.log.Printf("hswsimd: traced run %s failed: %v", req.ID, err)
+		s.log.Printf("hswsimd: %s run %s failed: %v", info.outcome, req.ID, err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var werr error
-	if mode == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		werr = st.WriteChrome(w)
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		werr = st.WriteTimeline(w)
-	}
-	if werr != nil {
-		s.log.Printf("hswsimd: trace export for %s failed mid-stream: %v", req.ID, werr)
+	if err := export(rec); err != nil {
+		s.log.Printf("hswsimd: %s run %s: export failed mid-stream: %v", info.outcome, req.ID, err)
 	}
 }
 

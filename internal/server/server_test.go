@@ -459,25 +459,32 @@ func TestExperimentsListAndMetrics(t *testing.T) {
 	}
 }
 
+// runRequestCases are POST /v1/run bodies against a server with
+// MaxScale 0.5, and the status each must get; FuzzRunRequest seeds its
+// corpus with them.
+var runRequestCases = []struct {
+	name, body, query string
+	want              int
+}{
+	{"unknown id", `{"id":"tab99"}`, "", http.StatusNotFound},
+	{"bad json", `{`, "", http.StatusBadRequest},
+	{"unknown field", `{"id":"tab1","bogus":1}`, "", http.StatusBadRequest},
+	{"scale above ceiling", `{"id":"tab1","scale":0.9}`, "", http.StatusBadRequest},
+	{"omitted scale defaults above ceiling", `{"id":"tab1"}`, "", http.StatusBadRequest},
+	{"negative scale", `{"id":"tab1","scale":-1}`, "", http.StatusBadRequest},
+	{"bad trace mode", `{"id":"tab1","scale":0.05}`, "?trace=perf", http.StatusBadRequest},
+	{"fleet nodes above cap", `{"id":"fleet","scale":0.05,"fleet_nodes":50000000}`, "", http.StatusBadRequest},
+	{"negative fleet nodes", `{"id":"fleet","scale":0.05,"fleet_nodes":-1}`, "", http.StatusBadRequest},
+	{"leak sigma above 1", `{"id":"fleet","scale":0.05,"fleet_leak_sigma":2}`, "", http.StatusBadRequest},
+	{"vmin sigma above 1", `{"id":"fleet","scale":0.05,"fleet_vmin_sigma":1e300}`, "", http.StatusBadRequest},
+	{"scale at ceiling", `{"id":"tab1","scale":0.5}`, "", http.StatusOK},
+}
+
 func TestRunRequestValidation(t *testing.T) {
 	s := New(Config{Pool: slots.New(1), Log: quiet, MaxScale: 0.5})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, tc := range []struct {
-		name, body, query string
-		want              int
-	}{
-		{"unknown id", `{"id":"tab99"}`, "", http.StatusNotFound},
-		{"bad json", `{`, "", http.StatusBadRequest},
-		{"unknown field", `{"id":"tab1","bogus":1}`, "", http.StatusBadRequest},
-		{"scale above ceiling", `{"id":"tab1","scale":0.9}`, "", http.StatusBadRequest},
-		{"negative scale", `{"id":"tab1","scale":-1}`, "", http.StatusBadRequest},
-		{"bad trace mode", `{"id":"tab1","scale":0.05}`, "?trace=perf", http.StatusBadRequest},
-		{"fleet nodes above cap", `{"id":"fleet","scale":0.05,"fleet_nodes":50000000}`, "", http.StatusBadRequest},
-		{"negative fleet nodes", `{"id":"fleet","scale":0.05,"fleet_nodes":-1}`, "", http.StatusBadRequest},
-		{"leak sigma above 1", `{"id":"fleet","scale":0.05,"fleet_leak_sigma":2}`, "", http.StatusBadRequest},
-		{"vmin sigma above 1", `{"id":"fleet","scale":0.05,"fleet_vmin_sigma":1e300}`, "", http.StatusBadRequest},
-	} {
+	for _, tc := range runRequestCases {
 		resp, body := postRun(t, ts, tc.body, tc.query)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
@@ -492,6 +499,40 @@ func TestRunRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: status %d, want 405", resp.StatusCode)
 	}
+}
+
+// FuzzRunRequest feeds hostile POST /v1/run bodies through the
+// handler's decode and resolve steps. Neither may panic, and every
+// request they accept must name a known experiment with a scale in
+// (0, MaxScale] and options that pass Options.Validate.
+func FuzzRunRequest(f *testing.F) {
+	for _, tc := range runRequestCases {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(`{"id":"fleet","scale":0.25,"seed":7,"fleet_nodes":16,"fleet_ceff_sigma":-1}`))
+	s := &Server{cfg: Config{MaxScale: 0.5}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rq, err := decodeRunRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		o, code, err := s.resolve(rq)
+		if err != nil {
+			if code != http.StatusNotFound && code != http.StatusBadRequest {
+				t.Fatalf("%q rejected with status %d: %v", body, code, err)
+			}
+			return
+		}
+		if _, ok := exp.Lookup(rq.ID); !ok {
+			t.Fatalf("%q accepted with unknown id %q", body, rq.ID)
+		}
+		if !(o.Scale > 0 && o.Scale <= s.cfg.MaxScale) {
+			t.Fatalf("%q accepted with scale %g outside (0, %g]", body, o.Scale, s.cfg.MaxScale)
+		}
+		if verr := o.Validate(); verr != nil {
+			t.Fatalf("%q accepted but Validate fails: %v", body, verr)
+		}
+	})
 }
 
 // TestTracedRun exercises ?trace=: the response streams the span-trace

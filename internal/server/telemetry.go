@@ -9,7 +9,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -17,7 +16,6 @@ import (
 
 	"hswsim/internal/exp"
 	"hswsim/internal/obs"
-	"hswsim/internal/slots"
 )
 
 // reqInfo is the per-request access-log record, created by the
@@ -192,11 +190,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProfile serves GET /v1/profile?id=<exp>&type=energy|vtime
-// [&scale=&seed=]: a forced-live run under the process-global energy
-// profiler, returned as gzipped pprof protobuf. Like ?trace=, profiled
-// runs hold the trace mutex exclusively (the recorder is global), never
-// touch the cache, and never coalesce — the profile is only valid for a
-// run that was actually lived through.
+// [&scale=&seed=]: a recorded run under the energy profiler, returned
+// as gzipped pprof protobuf. The query resolves like a POST /v1/run
+// body naming the same id, scale and seed, except that a query can
+// tell a present 0 from an absent field: scale=0 is rejected, and
+// seed=0 is passed through, as the CLI's -seed 0 is.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	obs.ServerRequests.With("profile").Inc()
 	if s.draining.Load() {
@@ -205,10 +203,28 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	id := q.Get("id")
-	if _, ok := exp.Lookup(id); !ok {
-		http.Error(w, fmt.Sprintf("unknown experiment id %q (GET /v1/experiments lists them)", id), http.StatusNotFound)
+	req := runRequest{ID: q.Get("id")}
+	var err error
+	if v := q.Get("scale"); v != "" {
+		if req.Scale, err = strconv.ParseFloat(v, 64); err != nil || req.Scale <= 0 {
+			http.Error(w, fmt.Sprintf("scale %q outside (0, %g]", v, s.cfg.MaxScale), http.StatusBadRequest)
+			return
+		}
+	}
+	seed := q.Get("seed")
+	if seed != "" {
+		if req.Seed, err = strconv.ParseUint(seed, 10, 64); err != nil {
+			http.Error(w, "seed must be an unsigned integer", http.StatusBadRequest)
+			return
+		}
+	}
+	o, code, err := s.resolve(req)
+	if err != nil {
+		http.Error(w, err.Error(), code)
 		return
+	}
+	if seed != "" {
+		o.Seed = req.Seed
 	}
 	var defaultType string
 	switch q.Get("type") {
@@ -220,64 +236,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `type must be "energy" or "vtime"`, http.StatusBadRequest)
 		return
 	}
-	o := exp.Defaults()
-	if v := q.Get("scale"); v != "" {
-		sc, err := strconv.ParseFloat(v, 64)
-		if err != nil || sc <= 0 || sc > s.cfg.MaxScale {
-			http.Error(w, fmt.Sprintf("scale %q outside (0, %g]", v, s.cfg.MaxScale), http.StatusBadRequest)
-			return
-		}
-		o.Scale = sc
-	}
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "seed must be an unsigned integer", http.StatusBadRequest)
-			return
-		}
-		o.Seed = seed
-	}
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	info := infoFrom(r.Context())
-	info.outcome = "profiled"
-	qStart := time.Now()
-	if err := s.queue.Acquire(r.Context()); err != nil {
-		if errors.Is(err, slots.ErrSaturated) {
-			obs.ServerShed.Inc()
-			info.outcome = "shed"
-			http.Error(w, "admission queue full; retry with backoff", http.StatusTooManyRequests)
-			return
-		}
-		info.outcome = "cancelled"
-		http.Error(w, "cancelled while queued for a compute slot", http.StatusServiceUnavailable)
-		return
-	}
-	defer s.pool.Release()
-	info.queueNS = time.Since(qStart).Nanoseconds()
-
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	rec := exp.EnableEnergyProfile()
-	defer exp.DisableEnergyProfile()
-
-	obs.ServerInflight.Add(1)
-	start := time.Now()
-	_, err := s.cfg.runLive(id, o, false)
-	info.runNS = time.Since(start).Nanoseconds()
-	obs.ServerRunWall.Observe(info.runNS)
-	obs.ServerInflight.Add(-1)
-	if err != nil {
-		obs.ServerFailures.Inc()
-		s.log.Printf("hswsimd: profiled run %s failed: %v", id, err)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", id+".eprof.pb.gz"))
-	if werr := rec.WritePprof(w, defaultType); werr != nil {
-		s.log.Printf("hswsimd: profile export for %s failed mid-stream: %v", id, werr)
-	}
+	s.recordedRun(w, r, req, o, false, func(rec *exp.Recorder) error {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Disposition",
+			fmt.Sprintf("attachment; filename=%q", req.ID+".eprof.pb.gz"))
+		return rec.WritePprof(w, defaultType)
+	})
 }

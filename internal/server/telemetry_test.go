@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -327,28 +328,56 @@ func TestProfileEndpointRealRun(t *testing.T) {
 }
 
 func TestProfileEndpointValidation(t *testing.T) {
+	seeds := make(chan uint64, 1)
 	s, ts := newTelemetryServer(t, Config{
+		MaxScale: 0.5,
 		runLive: func(id string, o exp.Options, csv bool) ([]byte, error) {
+			seeds <- o.Seed
 			return []byte("ok\n"), nil
 		},
 	})
+	// Each rejected query is otherwise valid, so it fails for the one
+	// reason its want text names.
 	cases := []struct {
 		query string
 		code  int
+		want  string // body substring of a rejection
+		seed  uint64 // Options.Seed of an accepted run
 	}{
-		{"?id=nosuch", http.StatusNotFound},
-		{"?id=tab3&type=flame", http.StatusBadRequest},
-		{"?id=tab3&scale=99", http.StatusBadRequest},
-		{"?id=tab3&seed=notanumber", http.StatusBadRequest},
+		{query: "?id=nosuch", code: http.StatusNotFound, want: "unknown experiment id"},
+		{query: "?id=tab3&scale=0.25&type=flame", code: http.StatusBadRequest, want: "type must be"},
+		{query: "?id=tab3&scale=99", code: http.StatusBadRequest, want: "outside (0, 0.5]"},
+		{query: "?id=tab3", code: http.StatusBadRequest, want: "scale 1 outside"}, // the defaulted 1.0 is above the ceiling
+		{query: "?id=tab3&scale=0", code: http.StatusBadRequest, want: `scale "0" outside`},
+		{query: "?id=tab3&scale=NaN", code: http.StatusBadRequest, want: "scale NaN outside"},
+		{query: "?id=tab3&scale=0.25&seed=notanumber", code: http.StatusBadRequest, want: "seed must be"},
+		{query: "?id=tab3&scale=0.5", code: http.StatusOK, seed: exp.Defaults().Seed},
+		{query: "?id=tab3&scale=0.25&seed=0", code: http.StatusOK, seed: 0},
+		{query: "?id=tab3&scale=0.25&seed=7", code: http.StatusOK, seed: 7},
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + "/v1/profile" + tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.query, resp.StatusCode, tc.code)
+		switch {
+		case resp.StatusCode != tc.code:
+			t.Errorf("%s: status %d (%.200q), want %d", tc.query, resp.StatusCode, body, tc.code)
+		case tc.code != http.StatusOK && !strings.Contains(string(body), tc.want):
+			t.Errorf("%s: body %q, want it to contain %q", tc.query, body, tc.want)
+		}
+		if resp.StatusCode != http.StatusOK {
+			continue
+		}
+		select {
+		case got := <-seeds:
+			if tc.code == http.StatusOK && got != tc.seed {
+				t.Errorf("%s: ran seed %#x, want %#x", tc.query, got, tc.seed)
+			}
+		default:
+			t.Errorf("%s: status 200 without a run", tc.query)
 		}
 	}
 	s.StartDrain()
@@ -359,5 +388,90 @@ func TestProfileEndpointValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining profile request: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestRecordedRunOutcomes: traced and profiled requests share one
+// recorded-run path, and its access-log line names the outcome and the
+// tuple key whether the run is served, shed by a full admission queue,
+// or cancelled by its client while queued.
+func TestRecordedRunOutcomes(t *testing.T) {
+	var logBuf syncBuffer
+	entered, gate := make(chan struct{}), make(chan struct{})
+	_, ts := newTelemetryServer(t, Config{
+		Pool:       slots.New(1),
+		QueueDepth: 1,
+		AccessLog:  &logBuf,
+		runLive: func(id string, o exp.Options, csv bool) ([]byte, error) {
+			if id == "tab1" {
+				close(entered)
+				<-gate
+			}
+			return []byte("ok\n"), nil
+		},
+	})
+	const tab3 = `{"id":"tab3","scale":0.25}`
+	if resp, body := postRun(t, ts, tab3, "?trace=timeline"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced run: status %d: %s", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/profile?id=tab3&scale=0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profiled run: status %d", resp.StatusCode)
+	}
+
+	// tab1 holds the only slot; a profile request fills the depth-1
+	// queue, so a traced request is shed; then the queued profile
+	// request's client gives up.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postRun(t, ts, `{"id":"tab1","scale":0.25}`, "")
+	}()
+	<-entered
+	queueBefore := obs.SchedQueueDepth.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan struct{})
+	go func() {
+		defer close(queued)
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/profile?id=tab3&scale=0.25", nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "profile request queued", func() bool { return obs.SchedQueueDepth.Value() == queueBefore+1 })
+	if resp, body := postRun(t, ts, tab3, "?trace=chrome"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("traced run on a full queue: status %d: %s", resp.StatusCode, body)
+	}
+	cancel()
+	<-queued
+	// Only the cancelled wait can leave the queue while tab1 holds the
+	// slot.
+	waitFor(t, "profile request dequeued", func() bool { return obs.SchedQueueDepth.Value() == queueBefore })
+	close(gate)
+	<-done
+
+	for _, want := range []struct{ req, outcome string }{
+		{"path=/v1/run status=200", "traced"},
+		{"path=/v1/profile status=200", "profiled"},
+		{"path=/v1/run status=429", "shed"},
+		{"path=/v1/profile status=503", "cancelled"},
+	} {
+		var line string
+		waitFor(t, want.req+" outcome="+want.outcome+" access-log line", func() bool {
+			for _, l := range strings.Split(logBuf.String(), "\n") {
+				if strings.Contains(l, want.req) && strings.Contains(l, " outcome="+want.outcome+" ") {
+					line = l
+					return true
+				}
+			}
+			return false
+		})
+		if !strings.Contains(line, ` key="tab3|`) {
+			t.Errorf("%s access-log line lacks the tuple key: %s", want.outcome, line)
+		}
 	}
 }

@@ -305,9 +305,6 @@ func (c *Collector) SpanDrops() uint64 {
 	return c.spanDrops
 }
 
-// Query returns a query over the completed spans.
-func (c *Collector) Query() Query { return NewQuery(c.Spans()) }
-
 // RenderSpans formats the most recent n completed spans as text.
 func (c *Collector) RenderSpans(n int) string {
 	sp := c.Spans()
