@@ -37,7 +37,7 @@ bench-compare:
 # golden: the determinism gate in isolation — the full suite rendered
 # with forked-parallel sweep points must be byte-identical to the
 # strictly serial reference, forked platforms must evolve
-# bitwise-identically to their parents, and a 256-node sharded fleet
+# bitwise-identically to their parents, and a 256-node parallel fleet
 # study must render byte-identically to its serial reference, all under
 # the race detector.
 golden:

@@ -55,7 +55,6 @@ import (
 	"hswsim/internal/exp"
 	"hswsim/internal/expcache"
 	"hswsim/internal/obs"
-	"hswsim/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -274,13 +273,6 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 		rec = exp.EnableRecorder(fl.traceVT != "", fl.eprofFile != nil)
 		defer exp.DisableRecorder()
 	}
-	// Wall-clock harness spans cost one lock per experiment/point/slot;
-	// record them whenever some out-of-band report will surface them.
-	var harness *trace.WallCollector
-	if fl.report != "" || fl.prom != "" || fl.traceVT != "" {
-		harness = exp.EnableHarnessSpans(1 << 16)
-		defer exp.DisableHarnessSpans()
-	}
 
 	manifest := &obs.Manifest{
 		Tool: "experiments",
@@ -353,10 +345,12 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 			info := rec.Info()
 			manifest.Profile = &info
 		}
-		for _, cat := range harness.Summary() {
-			manifest.Harness = append(manifest.Harness, obs.HarnessCat{
-				Cat: cat.Cat, Count: cat.Count, TotalMS: cat.Total.Milliseconds(),
-			})
+		for _, cat := range []string{"experiment", "point", "slot"} {
+			if h, _ := manifest.Metric("harness_" + cat + "_wall_ns"); h.Count > 0 {
+				manifest.Harness = append(manifest.Harness, obs.HarnessCat{
+					Cat: cat, Count: int(h.Count), TotalMS: h.Sum / 1e6,
+				})
+			}
 		}
 		if fl.report != "" {
 			if err := writeFile(fl.report, manifest.WriteJSON); err != nil {

@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -82,6 +83,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	// One range test rejects NaN, +Inf and any value at or below 0; a
+	// zero Config.MaxScale would silently mean 1.0.
+	if !(*maxScale > 0 && *maxScale <= math.MaxFloat64) {
+		fmt.Fprintf(stderr, "-max-scale %g: want a finite value > 0\n", *maxScale)
+		fs.Usage()
 		return 2
 	}
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestHelpExitsZero is the regression test for the flag.ErrHelp path:
@@ -27,6 +28,29 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-definitely-not-a-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("run(bad flag) = %d, want 2", code)
+	}
+}
+
+// TestMaxScaleMustBeFiniteAndPositive: a -max-scale that is NaN,
+// infinite or not above 0 exits 2 with the usage text before the
+// server listens, instead of serving every run with 400 or silently at
+// a 1.0 ceiling.
+func TestMaxScaleMustBeFiniteAndPositive(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "0", "-3"} {
+		var stdout, stderr bytes.Buffer
+		code := make(chan int, 1)
+		go func() { code <- run([]string{"-addr", "127.0.0.1:0", "-max-scale=" + v}, &stdout, &stderr) }()
+		select {
+		case c := <-code:
+			if c != 2 {
+				t.Errorf("-max-scale %s: exit %d, want 2", v, c)
+			}
+			if !strings.Contains(stderr.String(), "-max-scale") || !strings.Contains(stderr.String(), "-addr") {
+				t.Errorf("-max-scale %s: stderr lacks the error and usage text: %q", v, stderr.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-max-scale %s: still serving after 10 s, want exit 2 before listening", v)
+		}
 	}
 }
 

@@ -95,16 +95,12 @@ func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
 		CeffSigma:  o.Fleet.CeffSigma,
 		VminSigmaV: o.Fleet.VminSigmaV,
 	}
-	workers := 0
-	if parallelWorkers > 0 {
-		workers = parallelWorkers
-	}
 
 	var points []FleetPoint
 	for _, n := range fleetLadder(maxN) {
 		fl, err := fleet.New(parent, fleet.Config{
 			Nodes: n, Seed: seed, Params: params,
-			CapW: fleetCapW, Workers: workers,
+			CapW: fleetCapW, Workers: parallelWorkers,
 		})
 		if err != nil {
 			return nil, nil, err

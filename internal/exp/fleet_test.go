@@ -17,7 +17,7 @@ func renderFleetStudy(t *testing.T, o Options) []byte {
 
 // TestFleetStudySerialVsParallel is the fleet determinism gate run by
 // make golden (under the race detector): a 256-node fleet study
-// rendered with full sharded parallelism must be byte-identical to the
+// rendered with full parallelism must be byte-identical to the
 // strictly serial reference.
 func TestFleetStudySerialVsParallel(t *testing.T) {
 	o := Quick()

@@ -5,8 +5,7 @@ import (
 	"errors"
 	"runtime/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"hswsim/internal/obs"
 )
@@ -23,73 +22,30 @@ var parallelWorkers = 0
 // (in-flight ones finish); all errors that did occur are returned
 // joined, so callers see every failure, not just the first.
 //
-// The calling goroutine always participates: it drains items itself on
-// whatever compute slot it already holds (inside RunSuite that is the
-// experiment's suite-level slot). Helper goroutines join only after
-// acquiring a slot of their own from the shared pool, which is what
-// lets point-level work interleave with other whole experiments without
-// oversubscribing the machine — and what makes the nesting
-// deadlock-free: the caller never waits on a slot.
+// The fan-out is sched.Map with a batch of one: sweep points are few
+// and uneven, so each claim takes a single point. The caller drains
+// points on whatever slot it already holds (inside RunSuite, the
+// experiment's suite-level slot), and helpers join on slots of their
+// own, which lets point-level work interleave with whole experiments
+// without oversubscribing the machine.
 //
 // Each item runs under the CPU profiler label point=<index>, added to
 // the exp=<id> label of the experiment o belongs to (see RunLive), so
 // `go tool pprof -tagfocus` splits a profile by experiment and by sweep
 // point. Helper goroutines inherit the caller's exp label.
 func parallelMap[T, R any](o Options, items []T, fn func(T) (R, error)) ([]R, error) {
-	workers := sched.Cap()
-	if parallelWorkers > 0 {
-		workers = parallelWorkers
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
 	results := make([]R, len(items))
 	errs := make([]error, len(items))
-	var next atomic.Int64
-	var failed atomic.Bool
 	labels := o.profLabels()
-	work := func() {
-		for {
-			if failed.Load() {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(items) {
-				return
-			}
-			obs.ExpPoints.Inc()
-			pointEnd := wallSpan("point", "")
-			pprof.Do(labels, pprof.Labels("point", strconv.Itoa(i)), func(context.Context) {
-				if results[i], errs[i] = fn(items[i]); errs[i] != nil {
-					failed.Store(true)
-				}
-			})
-			if pointEnd != nil {
-				pointEnd()
-			}
-		}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for h := 0; h < workers-1; h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sched.AcquireOr(done) {
-				// The map drained before a slot freed up; nothing left.
-				return
-			}
-			helperEnd := wallSpan("slot", "helper")
-			work()
-			if helperEnd != nil {
-				helperEnd()
-			}
-			sched.Release()
-		}()
-	}
-	work()
-	close(done)
-	wg.Wait()
+	sched.Map(len(items), parallelWorkers, 1, func(i int) bool {
+		obs.ExpPoints.Inc()
+		start := time.Now()
+		pprof.Do(labels, pprof.Labels("point", strconv.Itoa(i)), func(context.Context) {
+			results[i], errs[i] = fn(items[i])
+		})
+		obs.HarnessPointWall.Observe(time.Since(start).Nanoseconds())
+		return errs[i] == nil
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

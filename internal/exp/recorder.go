@@ -204,34 +204,3 @@ func (o Options) newSystem(cfg core.Config) (*core.System, error) {
 	}
 	return sys, nil
 }
-
-// harnessSpans is the installed wall-clock harness recorder (nil =
-// disabled). Harness spans measure the measurement infrastructure —
-// experiment wall time, sweep-point wall time, scheduler-slot
-// occupancy — and surface only in the out-of-band run report.
-var harnessSpans atomic.Pointer[trace.WallCollector]
-
-// EnableHarnessSpans installs a process-wide wall-clock harness span
-// recorder and returns it.
-func EnableHarnessSpans(capacity int) *trace.WallCollector {
-	c := trace.NewWallCollector(capacity)
-	harnessSpans.Store(c)
-	return c
-}
-
-// DisableHarnessSpans uninstalls the recorder.
-func DisableHarnessSpans() {
-	harnessSpans.Store(nil)
-}
-
-// wallSpan opens a harness span and returns its completion closure,
-// or nil when recording is disabled (callers guard the end call, so a
-// disabled recorder costs one atomic load).
-func wallSpan(cat, name string) func() {
-	hc := harnessSpans.Load()
-	if hc == nil {
-		return nil
-	}
-	obs.HarnessSpans.Inc()
-	return hc.Begin(cat, name)
-}

@@ -120,32 +120,6 @@ func TestFig3TraceReproducesTransitionLatencies(t *testing.T) {
 	}
 }
 
-func TestHarnessSpansRecordSuiteActivity(t *testing.T) {
-	hc := EnableHarnessSpans(1 << 10)
-	defer DisableHarnessSpans()
-	RunSuite([]string{"fig1"}, Quick(), false, nil, func(r SuiteResult) {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.ID, r.Err)
-		}
-	})
-	cats := map[string]int{}
-	for _, c := range hc.Summary() {
-		cats[c.Cat] = c.Count
-	}
-	// Every experiment produces one "experiment" span and one "slot"
-	// occupancy span.
-	if cats["experiment"] != 1 || cats["slot"] < 1 {
-		t.Fatalf("harness categories = %v", cats)
-	}
-	if wallSpan("x", "y") == nil {
-		t.Fatal("wallSpan disabled while a recorder is installed")
-	}
-	DisableHarnessSpans()
-	if wallSpan("x", "y") != nil {
-		t.Fatal("wallSpan active after DisableHarnessSpans")
-	}
-}
-
 // renderProfile runs the given experiments with the energy-profile
 // recorder installed and returns (stdout bytes, folded profile bytes).
 func renderProfile(t *testing.T, ids []string, o Options) ([]byte, []byte) {

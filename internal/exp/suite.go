@@ -333,15 +333,13 @@ func RunLive(id string, o Options, csv bool) ([]byte, error) {
 		return nil, err
 	}
 	o.liveID = id
-	slotEnd := wallSpan("slot", id)
+	start := time.Now()
 	var buf bytes.Buffer
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("exp", id), func(context.Context) {
 		err = d.Run(o, &buf, csv)
 	})
-	if slotEnd != nil {
-		slotEnd()
-	}
+	obs.HarnessSlotWall.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
 		return nil, err
 	}
@@ -366,13 +364,11 @@ func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
 			return SuiteResult{ID: id, Output: out, Cached: true, Elapsed: time.Since(start)}
 		}
 	}
-	expEnd := wallSpan("experiment", id)
+	live := time.Now()
 	sched.Acquire()
 	out, err := RunLive(id, o, csv)
 	sched.Release()
-	if expEnd != nil {
-		expEnd()
-	}
+	obs.HarnessExperimentWall.Observe(time.Since(live).Nanoseconds())
 	if err != nil {
 		return SuiteResult{ID: id, Err: err, Elapsed: time.Since(start)}
 	}

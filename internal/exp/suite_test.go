@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hswsim/internal/obs"
 )
 
 // renderSuite runs every experiment through RunSuite and returns the
@@ -313,5 +315,26 @@ func TestDescriptorWriteErrorPropagates(t *testing.T) {
 	d, _ := Lookup("tab1")
 	if err := d.Run(Quick(), &errWriter{}, false); err == nil {
 		t.Fatal("write error swallowed")
+	}
+}
+
+// TestHarnessSpansRecordSuiteActivity: a live suite run records one
+// harness_experiment_wall_ns sample per experiment, one
+// harness_point_wall_ns sample per sweep point and at least one
+// harness_slot_wall_ns sample (the experiment's own slot), with no
+// switch to turn on first.
+func TestHarnessSpansRecordSuiteActivity(t *testing.T) {
+	exps, points, slots := obs.HarnessExperimentWall.Count(), obs.HarnessPointWall.Count(), obs.HarnessSlotWall.Count()
+	swept := obs.ExpPoints.Value()
+	RunSuite([]string{"tab3"}, Quick(), false, nil, func(r SuiteResult) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+	})
+	exps, points, slots = obs.HarnessExperimentWall.Count()-exps, obs.HarnessPointWall.Count()-points, obs.HarnessSlotWall.Count()-slots
+	swept = obs.ExpPoints.Value() - swept
+	if exps != 1 || swept == 0 || points != swept || slots < 1 {
+		t.Fatalf("harness samples: %d experiments, %d points (%d swept), %d slots; want 1, %d, >= 1",
+			exps, points, swept, slots, swept)
 	}
 }

@@ -25,9 +25,9 @@ type Config struct {
 	// every socket of every node — the shared TDP policy the fleet
 	// runs under.
 	CapW float64
-	// Workers bounds the sharded fan-out parallelism: 0 uses the
-	// compute-slot pool's capacity, 1 forces strictly serial stepping
-	// (the determinism reference).
+	// Workers bounds the fan-out parallelism: 0 uses the compute-slot
+	// pool's capacity, 1 forces strictly serial stepping (the
+	// determinism reference).
 	Workers int
 }
 
@@ -37,6 +37,11 @@ type NodeResult struct {
 	GIPS float64 // node instruction throughput
 	PkgW float64 // summed package power at the window end
 }
+
+// nodeBatch is how many consecutive nodes one fan-out claim takes. A
+// node step is short, so claiming one at a time would put the shared
+// cursor on the critical path of every round.
+const nodeBatch = 8
 
 // Fleet is a population of independent forked nodes stepped in
 // lockstep rounds. The nodes are full core.System forks — same virtual
@@ -55,8 +60,8 @@ type Fleet struct {
 // New forks cfg.Nodes children from the warmed parent in one batch,
 // applies each chip's seeded variation overlay and programs the power
 // cap. The parent is left untouched (it can seed any number of
-// fleets); variation application is sharded across the slot pool since
-// every node is independent.
+// fleets); variation application fans out across the slot pool since
+// every node is independent, and the first node that fails stops it.
 func New(parent *core.System, cfg Config) (*Fleet, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("fleet: need a positive node count, got %d", cfg.Nodes)
@@ -73,21 +78,22 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 		pool:  slots.Default(),
 	}
 	errs := make([]error, len(nodes))
-	f.pool.Sharded(len(nodes), cfg.Workers, func(i int) {
+	f.pool.Map(len(nodes), cfg.Workers, nodeBatch, func(i int) bool {
 		n := nodes[i]
 		for s := 0; s < n.Sockets(); s++ {
 			v := Draw(cfg.Seed, i, s, cfg.Params)
 			if err := n.ApplyChipVariation(s, v); err != nil {
 				errs[i] = err
-				return
+				return false
 			}
 			if cfg.CapW > 0 {
 				if err := n.SetPowerLimitW(s, cfg.CapW); err != nil {
 					errs[i] = err
-					return
+					return false
 				}
 			}
 		}
+		return true
 	})
 	if err := errors.Join(errs...); err != nil {
 		f.Release()
@@ -121,12 +127,15 @@ func (f *Fleet) StepNode(i int, d sim.Time) {
 	f.pow[i].Add(w)
 }
 
-// Step advances every node by d in one sharded round. Nodes are
+// Step advances every node by d in one parallel round. Nodes are
 // independent platforms, so parallelism changes wall-clock time only —
 // a Workers=1 fleet evolves byte-identically.
 func (f *Fleet) Step(d sim.Time) {
 	start := time.Now()
-	f.pool.Sharded(len(f.nodes), f.cfg.Workers, func(i int) { f.StepNode(i, d) })
+	f.pool.Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
+		f.StepNode(i, d)
+		return true
+	})
 	obs.FleetSteps.Add(int64(len(f.nodes)))
 	obs.FleetWall.Observe(time.Since(start).Nanoseconds())
 }
@@ -138,7 +147,7 @@ func (f *Fleet) Step(d sim.Time) {
 func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 	start := time.Now()
 	out := make([]NodeResult, len(f.nodes))
-	f.pool.Sharded(len(f.nodes), f.cfg.Workers, func(i int) {
+	f.pool.Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
 		n := f.nodes[i]
 		if settle > 0 {
 			n.Run(settle)
@@ -164,6 +173,7 @@ func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 		}
 		out[i] = r
 		f.pow[i].Add(r.PkgW)
+		return true
 	})
 	obs.FleetSteps.Add(int64(len(f.nodes)))
 	obs.FleetWall.Observe(time.Since(start).Nanoseconds())

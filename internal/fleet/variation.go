@@ -7,9 +7,9 @@
 // measures the per-part spread on its own two test processors).
 //
 // The package is built for throughput: one ForkN batch fans the parent
-// out with slab-allocated children, node stepping is sharded across the process-wide
-// compute-slot pool with work stealing (internal/slots), the
-// steady-state per-node step allocates nothing, and per-node statistics
+// out with slab-allocated children, node stepping fans out across the
+// process-wide compute-slot pool in batches of nodes (internal/slots),
+// the steady-state per-node step allocates nothing, and per-node statistics
 // stream through O(1) sketches (internal/stats) instead of sample
 // slices.
 package fleet

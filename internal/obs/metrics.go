@@ -45,8 +45,6 @@ var (
 		"distribution of time spent waiting for a compute slot",
 		[]int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000,
 			100_000_000, 1_000_000_000, 10_000_000_000})
-	SchedSteals = std.Counter("sched_shard_steals_total",
-		"sharded fan-out work items claimed from another worker's shard")
 	SchedSlotCancels = std.Counter("sched_slot_acquire_cancels_total",
 		"cancellable slot waits abandoned (context done before a slot freed)")
 	SchedQueueDepth = std.Gauge("sched_queue_depth",
@@ -69,6 +67,16 @@ var (
 		"experiments executed live (cache misses included, hits excluded)", "id")
 	ExpPoints = std.Counter("exp_sweep_points_total",
 		"point-level work items executed by parallelMap")
+
+	// Harness wall clock: what the measurement infrastructure itself
+	// spent. The run manifest's harness section is their counts and
+	// sums; wall time never reaches experiment output.
+	HarnessExperimentWall = std.Histogram("harness_experiment_wall_ns",
+		"wall-clock time of each live suite experiment, slot wait included", harnessBounds)
+	HarnessPointWall = std.Histogram("harness_point_wall_ns",
+		"wall-clock time of each parallelMap sweep point", harnessBounds)
+	HarnessSlotWall = std.Histogram("harness_slot_wall_ns",
+		"wall-clock time a compute slot was held by a live run or a fan-out helper", harnessBounds)
 
 	// Result cache.
 	CacheHits = std.Counter("expcache_hits_total",
@@ -100,8 +108,6 @@ var (
 		"completed virtual-time spans recorded across all collectors")
 	TraceSpanDrops = std.Counter("trace_span_drops_total",
 		"completed spans overwritten in full span rings (trace truncated)")
-	HarnessSpans = std.Counter("harness_spans_total",
-		"wall-clock harness spans recorded (experiments, sweep points, scheduler slots)")
 
 	// Energy profiler (internal/eprof): attribution volume and fork-delta
 	// merges. Segment counts flush at run boundaries like the power
@@ -144,3 +150,8 @@ var (
 	StatsEmptyInputs = std.Counter("stats_empty_input_total",
 		"statistics requested over empty inputs (defined zero returned)")
 )
+
+// harnessBounds spans a sub-millisecond sweep point to a minute-long
+// experiment.
+var harnessBounds = []int64{100_000, 1_000_000, 10_000_000, 100_000_000,
+	1_000_000_000, 10_000_000_000, 60_000_000_000}

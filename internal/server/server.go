@@ -199,14 +199,19 @@ type runRequest struct {
 	FleetVminSigma float64 `json:"fleet_vmin_sigma,omitempty"`
 }
 
-// decodeRunRequest reads a POST /v1/run body; unknown fields are an
-// error.
+// decodeRunRequest reads a POST /v1/run body: one JSON object with no
+// unknown fields, followed by nothing but whitespace.
 func decodeRunRequest(body io.Reader) (runRequest, error) {
 	var rq runRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&rq)
-	return rq, err
+	if err := dec.Decode(&rq); err != nil {
+		return rq, err
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return rq, errors.New("trailing data after the request object")
+	}
+	return rq, nil
 }
 
 // resolve maps a request onto the exp.Options tuple it names, defaults
@@ -327,85 +332,87 @@ func (s *Server) execute(ctx context.Context, id string, o exp.Options, csv bool
 		obs.ServerDrainRejects.Inc()
 		return runResult{code: http.StatusServiceUnavailable, errMsg: "server draining"}
 	}
-	qStart := time.Now()
-	if err := s.queue.Acquire(ctx); err != nil {
-		if errors.Is(err, slots.ErrSaturated) {
-			obs.ServerShed.Inc()
-			return runResult{code: http.StatusTooManyRequests, errMsg: "admission queue full; retry with backoff"}
-		}
-		return runResult{code: http.StatusServiceUnavailable, errMsg: "cancelled while queued for a compute slot"}
-	}
-	defer s.pool.Release()
-	queueNS := time.Since(qStart).Nanoseconds()
-
-	obs.ServerInflight.Add(1)
-	defer obs.ServerInflight.Add(-1)
-	start := time.Now()
-	s.traceMu.RLock()
-	out, err := s.cfg.runLive(id, o, csv)
-	s.traceMu.RUnlock()
-	runNS := time.Since(start).Nanoseconds()
-	obs.ServerRunWall.Observe(runNS)
-	if err != nil {
-		obs.ServerFailures.Inc()
-		s.log.Printf("hswsimd: run %s failed: %v", id, err)
-		return runResult{code: http.StatusInternalServerError, errMsg: err.Error(), queueNS: queueNS, runNS: runNS}
-	}
-	if s.cfg.Cache != nil {
-		if perr := s.cfg.Cache.Put(id, o, csv, out); perr != nil {
+	res, _ := s.liveRun(ctx, id, o, csv, false, false)
+	if res.code == http.StatusOK && s.cfg.Cache != nil {
+		if perr := s.cfg.Cache.Put(id, o, csv, res.body); perr != nil {
 			obs.CachePutFailures.Inc()
 			s.log.Printf("hswsimd: cache put %s failed: %v", id, perr)
 		}
 	}
-	return runResult{body: out, code: http.StatusOK, queueNS: queueNS, runNS: runNS}
+	return res
+}
+
+// liveRun admits one live run through the bounded admission queue and
+// times it. A full queue sheds the run (429), and a request cancelled
+// while it waits gets 503. Once admitted, the run holds traceMu: shared
+// for a plain run, exclusive when spans or energy arm the recorder, so
+// no concurrent run's platforms leak into (or are leaked into by) the
+// capture. The run counts in server_inflight_runs and
+// server_run_wall_ns; a failed run is counted, logged and answered 500.
+// A recorded run returns its recorder, already uninstalled.
+func (s *Server) liveRun(ctx context.Context, id string, o exp.Options, csv, spans, energy bool) (runResult, *exp.Recorder) {
+	qStart := time.Now()
+	if err := s.queue.Acquire(ctx); err != nil {
+		if errors.Is(err, slots.ErrSaturated) {
+			obs.ServerShed.Inc()
+			return runResult{code: http.StatusTooManyRequests, errMsg: "admission queue full; retry with backoff"}, nil
+		}
+		return runResult{code: http.StatusServiceUnavailable, errMsg: "cancelled while queued for a compute slot"}, nil
+	}
+	defer s.pool.Release()
+	res := runResult{queueNS: time.Since(qStart).Nanoseconds()}
+
+	var rec *exp.Recorder
+	if spans || energy {
+		s.traceMu.Lock()
+		defer s.traceMu.Unlock()
+		rec = exp.EnableRecorder(spans, energy)
+		defer exp.DisableRecorder()
+	} else {
+		s.traceMu.RLock()
+		defer s.traceMu.RUnlock()
+	}
+	obs.ServerInflight.Add(1)
+	start := time.Now()
+	out, err := s.cfg.runLive(id, o, csv)
+	res.runNS = time.Since(start).Nanoseconds()
+	obs.ServerRunWall.Observe(res.runNS)
+	obs.ServerInflight.Add(-1)
+	if err != nil {
+		obs.ServerFailures.Inc()
+		s.log.Printf("hswsimd: run %s failed: %v", id, err)
+		res.code, res.errMsg = http.StatusInternalServerError, err.Error()
+		return res, nil
+	}
+	res.code, res.body = http.StatusOK, out
+	return res, rec
 }
 
 // recordedRun serves a forced-live run under the process-global
 // recorder: the span trace for POST /v1/run?trace= (traced), the energy
-// profile for GET /v1/profile otherwise. The run holds traceMu
-// exclusively, so no concurrent request's platforms leak into (or are
-// leaked into by) the capture, and it never touches the cache or
+// profile for GET /v1/profile otherwise. It never touches the cache or
 // coalesces: a capture is only valid for a run that was actually lived
 // through. export sets the response headers and streams the capture as
-// the body, in place of the rendered table.
+// the body, in place of the rendered table. The export runs after the
+// slot and traceMu are released, so a slow reader holds up no other run.
 func (s *Server) recordedRun(w http.ResponseWriter, r *http.Request, req runRequest, o exp.Options, traced bool,
 	export func(*exp.Recorder) error) {
 	info := infoFrom(r.Context())
 	info.key = expcache.TupleKey(req.ID, o, req.CSV)
-	info.outcome = "profiled"
-	if traced {
-		info.outcome = "traced"
-	}
-	qStart := time.Now()
-	if err := s.queue.Acquire(r.Context()); err != nil {
-		if errors.Is(err, slots.ErrSaturated) {
-			obs.ServerShed.Inc()
-			info.outcome = "shed"
-			http.Error(w, "admission queue full; retry with backoff", http.StatusTooManyRequests)
-			return
-		}
+	res, rec := s.liveRun(r.Context(), req.ID, o, req.CSV, traced, !traced)
+	info.queueNS, info.runNS = res.queueNS, res.runNS
+	switch {
+	case res.code == http.StatusTooManyRequests:
+		info.outcome = "shed"
+	case res.code == http.StatusServiceUnavailable:
 		info.outcome = "cancelled"
-		http.Error(w, "cancelled while queued for a compute slot", http.StatusServiceUnavailable)
-		return
+	case traced:
+		info.outcome = "traced"
+	default:
+		info.outcome = "profiled"
 	}
-	defer s.pool.Release()
-	info.queueNS = time.Since(qStart).Nanoseconds()
-
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	rec := exp.EnableRecorder(traced, !traced)
-	defer exp.DisableRecorder()
-
-	obs.ServerInflight.Add(1)
-	start := time.Now()
-	_, err := s.cfg.runLive(req.ID, o, req.CSV)
-	info.runNS = time.Since(start).Nanoseconds()
-	obs.ServerRunWall.Observe(info.runNS)
-	obs.ServerInflight.Add(-1)
-	if err != nil {
-		obs.ServerFailures.Inc()
-		s.log.Printf("hswsimd: %s run %s failed: %v", info.outcome, req.ID, err)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if res.code != http.StatusOK {
+		http.Error(w, res.errMsg, res.code)
 		return
 	}
 	if err := export(rec); err != nil {

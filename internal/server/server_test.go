@@ -477,7 +477,10 @@ var runRequestCases = []struct {
 	{"negative fleet nodes", `{"id":"fleet","scale":0.05,"fleet_nodes":-1}`, "", http.StatusBadRequest},
 	{"leak sigma above 1", `{"id":"fleet","scale":0.05,"fleet_leak_sigma":2}`, "", http.StatusBadRequest},
 	{"vmin sigma above 1", `{"id":"fleet","scale":0.05,"fleet_vmin_sigma":1e300}`, "", http.StatusBadRequest},
+	{"trailing garbage", `{"id":"tab1","scale":0.5}garbage`, "", http.StatusBadRequest},
+	{"second object", `{"id":"tab1","scale":0.5} {"id":"fleet","scale":99}`, "", http.StatusBadRequest},
 	{"scale at ceiling", `{"id":"tab1","scale":0.5}`, "", http.StatusOK},
+	{"trailing newline", "{\"id\":\"tab1\",\"scale\":0.5}\n", "", http.StatusOK},
 }
 
 func TestRunRequestValidation(t *testing.T) {
@@ -502,9 +505,10 @@ func TestRunRequestValidation(t *testing.T) {
 }
 
 // FuzzRunRequest feeds hostile POST /v1/run bodies through the
-// handler's decode and resolve steps. Neither may panic, and every
-// request they accept must name a known experiment with a scale in
-// (0, MaxScale] and options that pass Options.Validate.
+// handler's decode and resolve steps. Neither may panic, every body
+// decode accepts must be exactly one JSON value, and every request they
+// accept must name a known experiment with a scale in (0, MaxScale] and
+// options that pass Options.Validate.
 func FuzzRunRequest(f *testing.F) {
 	for _, tc := range runRequestCases {
 		f.Add([]byte(tc.body))
@@ -515,6 +519,9 @@ func FuzzRunRequest(f *testing.F) {
 		rq, err := decodeRunRequest(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("%q accepted but is not one JSON value", body)
 		}
 		o, code, err := s.resolve(rq)
 		if err != nil {

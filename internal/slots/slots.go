@@ -1,13 +1,13 @@
 // Package slots is the process-wide bounded compute scheduler: a
 // semaphore over "compute slots", one per GOMAXPROCS. Every concurrency
 // level in the process shares one pool — the experiment suite holds one
-// slot per in-flight experiment, point-sweep helpers each hold one while
-// they participate, and the fleet driver's sharded node stepping joins
-// on the same terms — so the machine stays saturated without
-// oversubscription regardless of how the levels interleave.
+// slot per in-flight experiment, and Map's helpers each hold one while
+// they help fan out sweep points or fleet node steps — so the machine
+// stays saturated without oversubscription regardless of how the levels
+// interleave.
 //
 // Deadlock freedom: callers that fan work out never block their own
-// goroutine on a slot. The caller always works through items on
+// goroutine on a slot. Map's caller always works through items on
 // whatever slot it already holds (the suite-level one, when called from
 // inside an experiment), and only extra helpers wait for free slots
 // (AcquireOr, which gives up as soon as the work drains), so no cycle
@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,6 +115,78 @@ func (p *Pool) AcquireCtx(ctx context.Context) error {
 func (p *Pool) Release() {
 	<-p.c
 	obs.SchedSlotsBusy.Add(-1)
+}
+
+// Map runs fn(i) for i in [0, n) on up to workers goroutines (workers
+// <= 0 selects the pool capacity). One atomic cursor hands out batch
+// consecutive indices per claim: a batch of 1 balances long, uneven
+// items best, and a batch of 8 spreads the cursor's cost over a
+// thousand short node steps. Once fn returns false no further claim
+// starts and the rest of that claim is skipped; claims other workers
+// hold finish. Map returns when every started claim has.
+//
+// The calling goroutine always works, on whatever slot it already holds
+// (the package's deadlock rule). Each helper joins only after acquiring
+// a slot of its own, its occupancy recorded in harness_slot_wall_ns; a
+// helper still waiting when the work drains leaves without running.
+//
+// fn must be safe to call concurrently for distinct indices. Results
+// written to index-addressed storage make the fan-out order-independent
+// and therefore deterministic.
+func (p *Pool) Map(n, workers, batch int, fn func(i int) bool) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = p.Cap()
+	}
+	batch = max(batch, 1)
+	workers = min(workers, (n+batch-1)/batch)
+	if workers == 1 {
+		// A lone worker needs no cursor, channel or goroutine, so it
+		// allocates nothing.
+		for i := 0; i < n; i++ {
+			if !fn(i) {
+				return
+			}
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			lo := int(next.Add(int64(batch))) - batch
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(lo+batch, n); i++ {
+				if !fn(i) {
+					// Move the cursor past the end: every later claim
+					// comes back empty.
+					next.Store(int64(n))
+					return
+				}
+			}
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for h := 1; h < workers; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !p.AcquireOr(done) {
+				return
+			}
+			start := time.Now()
+			work()
+			obs.HarnessSlotWall.Observe(time.Since(start).Nanoseconds())
+			p.Release()
+		}()
+	}
+	work()
+	close(done)
+	wg.Wait()
 }
 
 // ErrSaturated reports that an admission queue was already holding its

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,5 +140,113 @@ func TestQueueConcurrentChurn(t *testing.T) {
 	served.Range(func(_, _ any) bool { n++; return true })
 	if n == 0 {
 		t.Fatal("no caller was ever served")
+	}
+}
+
+// TestMapRunsEveryIndexOnce: whatever the size, worker count and batch,
+// every index runs exactly once — including sizes that leave a partial
+// last batch and sizes below one batch.
+func TestMapRunsEveryIndexOnce(t *testing.T) {
+	p := New(4)
+	for _, n := range []int{0, 1, 7, 8, 9, 1000} {
+		for _, workers := range []int{1, 2, 4} {
+			for _, batch := range []int{1, 8} {
+				runs := make([]atomic.Int32, n)
+				p.Map(n, workers, batch, func(i int) bool {
+					runs[i].Add(1)
+					return true
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Errorf("n=%d workers=%d batch=%d: index %d ran %d times", n, workers, batch, i, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMapStopsClaimingAfterFalse: once fn returns false, no new claim
+// starts. On one worker that is exact: nothing after the stopping
+// index runs. On four, the other workers are held inside their first
+// claim until the stop, so each may finish that claim and, at worst,
+// one claim it took before the cursor moved past the end, never more.
+func TestMapStopsClaimingAfterFalse(t *testing.T) {
+	for _, batch := range []int{1, 8} {
+		var ran []int
+		New(1).Map(100, 1, batch, func(i int) bool {
+			ran = append(ran, i)
+			return i != 20
+		})
+		if len(ran) != 21 || ran[20] != 20 {
+			t.Errorf("batch=%d: serial run after stop at 20 ran %v", batch, ran)
+		}
+	}
+	const n, workers = 1000, 4
+	for _, batch := range []int{1, 8} {
+		runs := make([]atomic.Int32, n)
+		var calls atomic.Int32
+		stopped := make(chan struct{})
+		New(workers).Map(n, workers, batch, func(i int) bool {
+			calls.Add(1)
+			runs[i].Add(1)
+			if i == 0 {
+				close(stopped)
+				return false
+			}
+			<-stopped
+			return true
+		})
+		for i := range runs {
+			if runs[i].Load() > 1 {
+				t.Errorf("batch=%d: index %d ran %d times", batch, i, runs[i].Load())
+			}
+		}
+		if got, limit := int(calls.Load()), (2*workers-1)*batch; got > limit {
+			t.Errorf("batch=%d: %d calls after stopping at index 0, want at most %d", batch, got, limit)
+		}
+	}
+}
+
+// TestMapCallerAloneWhenSlotsHeld: with every slot taken, a 4-worker
+// Map finishes on its caller alone, one item at a time, and returns
+// with no helper left waiting for a slot or holding one.
+func TestMapCallerAloneWhenSlotsHeld(t *testing.T) {
+	p := New(2)
+	p.Acquire()
+	p.Acquire()
+	defer p.Release()
+	defer p.Release()
+	const n = 100
+	runs := make([]atomic.Int32, n)
+	var inFlight atomic.Int32
+	var overlap atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Map(n, 4, 1, func(i int) bool {
+			if inFlight.Add(1) > 1 {
+				overlap.Store(true)
+			}
+			runs[i].Add(1)
+			inFlight.Add(-1)
+			return true
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Map did not return: a helper is still waiting for a slot")
+	}
+	if overlap.Load() {
+		t.Error("items ran concurrently, want the caller alone")
+	}
+	for i := range runs {
+		if runs[i].Load() != 1 {
+			t.Errorf("index %d ran %d times", i, runs[i].Load())
+		}
+	}
+	if held := len(p.c); held != 2 {
+		t.Errorf("%d slots held after Map, want the test's 2", held)
 	}
 }

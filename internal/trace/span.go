@@ -2,7 +2,7 @@
 // p-state transitions, c-state and package c-state residencies, uncore
 // frequency, AVX license and power-limit windows, governor epochs and
 // cross-core wakes — as spans, the simulator's stand-in for hardware
-// tracing facilities, plus the wall-clock harness spans of the suite.
+// tracing facilities.
 package trace
 
 import (
