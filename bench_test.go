@@ -21,6 +21,32 @@ import (
 // benchOpts keeps benchmark effort bounded; raise Scale for fidelity.
 func benchOpts() exp.Options { return exp.Options{Scale: 0.05, Seed: 0x5eed} }
 
+// relAtMin is a Fig 7 series' relative bandwidth at the lowest p-state.
+func relAtMin(r *exp.Fig7Result, gen uarch.Generation, level exp.Level) float64 {
+	_, rel := r.Series(gen, level)
+	return rel[0]
+}
+
+// variantMetric fetches an ablation variant's metric by label.
+func variantMetric(r *exp.AblationResult, label, metric string) float64 {
+	for _, v := range r.Variants {
+		if v.Label == label {
+			return v.Metrics[metric]
+		}
+	}
+	return 0
+}
+
+// numaGBs fetches a NUMA study point's bandwidth by configuration.
+func numaGBs(pts []exp.NUMAPoint, cores int, remote float64) float64 {
+	for _, p := range pts {
+		if p.Cores == cores && p.RemoteFrac == remote {
+			return p.GBs
+		}
+	}
+	return 0
+}
+
 func BenchmarkTable1Microarchitecture(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := exp.Table1()
@@ -185,10 +211,10 @@ func BenchmarkFig7FrequencyScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.RelAtMin(uarch.HaswellEP, exp.LevelDRAM), "hsw_dram_rel")
-	b.ReportMetric(r.RelAtMin(uarch.HaswellEP, exp.LevelL3), "hsw_l3_rel")
-	b.ReportMetric(r.RelAtMin(uarch.SandyBridgeEP, exp.LevelDRAM), "snb_dram_rel")
-	b.ReportMetric(r.RelAtMin(uarch.WestmereEP, exp.LevelDRAM), "wsm_dram_rel")
+	b.ReportMetric(relAtMin(r, uarch.HaswellEP, exp.LevelDRAM), "hsw_dram_rel")
+	b.ReportMetric(relAtMin(r, uarch.HaswellEP, exp.LevelL3), "hsw_l3_rel")
+	b.ReportMetric(relAtMin(r, uarch.SandyBridgeEP, exp.LevelDRAM), "snb_dram_rel")
+	b.ReportMetric(relAtMin(r, uarch.WestmereEP, exp.LevelDRAM), "wsm_dram_rel")
 }
 
 func BenchmarkFig8ConcurrencySurface(b *testing.B) {
@@ -214,8 +240,8 @@ func BenchmarkAblationPstateGrid(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Metric("grid 500us (Haswell-EP)", "mean_us"), "grid_mean_us")
-	b.ReportMetric(r.Metric("immediate (pre-Haswell)", "mean_us"), "immediate_mean_us")
+	b.ReportMetric(variantMetric(r, "grid 500us (Haswell-EP)", "mean_us"), "grid_mean_us")
+	b.ReportMetric(variantMetric(r, "immediate (pre-Haswell)", "mean_us"), "immediate_mean_us")
 }
 
 func BenchmarkAblationUFS(b *testing.B) {
@@ -227,8 +253,8 @@ func BenchmarkAblationUFS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Metric("UFS (Haswell-EP)", "relative"), "ufs_rel")
-	b.ReportMetric(r.Metric("coupled (Sandy Bridge-like)", "relative"), "coupled_rel")
+	b.ReportMetric(variantMetric(r, "UFS (Haswell-EP)", "relative"), "ufs_rel")
+	b.ReportMetric(variantMetric(r, "coupled (Sandy Bridge-like)", "relative"), "coupled_rel")
 }
 
 func BenchmarkAblationRAPLMode(b *testing.B) {
@@ -240,8 +266,8 @@ func BenchmarkAblationRAPLMode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Metric("measured (Haswell)", "bias_spread_w"), "measured_bias_w")
-	b.ReportMetric(r.Metric("modeled (pre-Haswell approach)", "bias_spread_w"), "modeled_bias_w")
+	b.ReportMetric(variantMetric(r, "measured (Haswell)", "bias_spread_w"), "measured_bias_w")
+	b.ReportMetric(variantMetric(r, "modeled (pre-Haswell approach)", "bias_spread_w"), "modeled_bias_w")
 }
 
 func BenchmarkAblationEET(b *testing.B) {
@@ -253,8 +279,8 @@ func BenchmarkAblationEET(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Metric("EET on, slow phases (50 ms)", "joules_per_ginst"), "eet_on_j_per_ginst")
-	b.ReportMetric(r.Metric("EET off, slow phases (50 ms)", "joules_per_ginst"), "eet_off_j_per_ginst")
+	b.ReportMetric(variantMetric(r, "EET on, slow phases (50 ms)", "joules_per_ginst"), "eet_on_j_per_ginst")
+	b.ReportMetric(variantMetric(r, "EET off, slow phases (50 ms)", "joules_per_ginst"), "eet_off_j_per_ginst")
 }
 
 func BenchmarkAblationBudget(b *testing.B) {
@@ -266,8 +292,8 @@ func BenchmarkAblationBudget(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Metric("trading on (Haswell-EP)", "gips"), "trading_on_gips")
-	b.ReportMetric(r.Metric("trading off", "gips"), "trading_off_gips")
+	b.ReportMetric(variantMetric(r, "trading on (Haswell-EP)", "gips"), "trading_on_gips")
+	b.ReportMetric(variantMetric(r, "trading off", "gips"), "trading_off_gips")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: virtual
@@ -337,8 +363,8 @@ func BenchmarkExtensionNUMA(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(exp.NUMAAt(pts, 12, 0).GBs, "local_gbs")
-	b.ReportMetric(exp.NUMAAt(pts, 12, 1).GBs, "remote_gbs")
+	b.ReportMetric(numaGBs(pts, 12, 0), "local_gbs")
+	b.ReportMetric(numaGBs(pts, 12, 1), "remote_gbs")
 }
 
 func BenchmarkExtensionPCPS(b *testing.B) {

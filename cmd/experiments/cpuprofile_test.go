@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"hswsim/internal/eprof"
+	"hswsim/internal/pproftest"
 )
 
 // TestCPUProfileLabelsExperiments: a -cpuprofile of a multi-experiment
@@ -25,7 +25,7 @@ func TestCPUProfileLabelsExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	prof, err := eprof.Parse(f)
+	prof, err := pproftest.Parse(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"hswsim/internal/eprof"
 	"hswsim/internal/obs"
+	"hswsim/internal/pproftest"
 )
 
 // TestEprofGate is the CI gate for the energy profiler (`make eprofgate`):
@@ -67,7 +68,7 @@ func TestEprofGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := eprof.Parse(f)
+	parsed, err := pproftest.Parse(f)
 	f.Close()
 	if err != nil {
 		t.Fatalf("pprof export does not decode: %v", err)

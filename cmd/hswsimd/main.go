@@ -85,12 +85,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	// One range test rejects NaN, +Inf and any value at or below 0; a
-	// zero Config.MaxScale would silently mean 1.0.
-	if !(*maxScale > 0 && *maxScale <= math.MaxFloat64) {
-		fmt.Fprintf(stderr, "-max-scale %g: want a finite value > 0\n", *maxScale)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
 		fs.Usage()
 		return 2
+	}
+	// Range-check the numeric flags before anything listens: server.New
+	// silently maps a zero or negative -max-scale, -queue-depth or
+	// -sample-interval to its default, and a drain deadline at or below
+	// 0 has passed before the drain starts. The negated -max-scale test
+	// also rejects NaN and +Inf.
+	switch {
+	case !(*maxScale > 0 && *maxScale <= math.MaxFloat64):
+		return usage("-max-scale %g: want a finite value > 0", *maxScale)
+	case *queueDepth < 0:
+		return usage("-queue-depth %d: want a value >= 0 (0 = 4x slots)", *queueDepth)
+	case *sampleInterval <= 0:
+		return usage("-sample-interval %s: want a duration > 0", *sampleInterval)
+	case *drainTimeout <= 0:
+		return usage("-drain-timeout %s: want a duration > 0", *drainTimeout)
 	}
 
 	if *smoke != "" {

@@ -31,25 +31,33 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-// TestMaxScaleMustBeFiniteAndPositive: a -max-scale that is NaN,
-// infinite or not above 0 exits 2 with the usage text before the
-// server listens, instead of serving every run with 400 or silently at
-// a 1.0 ceiling.
+// TestMaxScaleMustBeFiniteAndPositive: a numeric flag outside its
+// range exits 2 with the usage text before the server listens. That is
+// a -max-scale that is NaN, infinite or not above 0, a negative
+// -queue-depth, and a -sample-interval or -drain-timeout not above 0.
+// Unchecked, the first three serve with a silent default, and the last
+// fails every shutdown with runs reported in flight.
 func TestMaxScaleMustBeFiniteAndPositive(t *testing.T) {
-	for _, v := range []string{"NaN", "+Inf", "0", "-3"} {
+	for _, tc := range []struct{ flag, value string }{
+		{"max-scale", "NaN"}, {"max-scale", "+Inf"}, {"max-scale", "0"}, {"max-scale", "-3"},
+		{"queue-depth", "-5"},
+		{"sample-interval", "0s"}, {"sample-interval", "-1s"},
+		{"drain-timeout", "0s"}, {"drain-timeout", "-1s"},
+	} {
+		arg := "-" + tc.flag + "=" + tc.value
 		var stdout, stderr bytes.Buffer
 		code := make(chan int, 1)
-		go func() { code <- run([]string{"-addr", "127.0.0.1:0", "-max-scale=" + v}, &stdout, &stderr) }()
+		go func() { code <- run([]string{"-addr", "127.0.0.1:0", arg}, &stdout, &stderr) }()
 		select {
 		case c := <-code:
 			if c != 2 {
-				t.Errorf("-max-scale %s: exit %d, want 2", v, c)
+				t.Errorf("%s: exit %d, want 2", arg, c)
 			}
-			if !strings.Contains(stderr.String(), "-max-scale") || !strings.Contains(stderr.String(), "-addr") {
-				t.Errorf("-max-scale %s: stderr lacks the error and usage text: %q", v, stderr.String())
+			if !strings.Contains(stderr.String(), "-"+tc.flag+" "+tc.value+": want") || !strings.Contains(stderr.String(), "-addr") {
+				t.Errorf("%s: stderr lacks the error and usage text: %q", arg, stderr.String())
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("-max-scale %s: still serving after 10 s, want exit 2 before listening", v)
+			t.Fatalf("%s: still serving after 10 s, want exit 2 before listening", arg)
 		}
 	}
 }

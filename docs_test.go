@@ -51,11 +51,12 @@ func TestDocsNameExistingCommands(t *testing.T) {
 
 // TestDocsNameRegisteredMetrics: every backquoted counter (`*_total`)
 // or wall-time histogram (`*_wall_ns`) the current documents name is
-// registered in obs.Default(), so deleting a metric cannot leave a doc
-// pointing readers at a series that no longer exists. The registered
-// names are read from package obs's source, where every default-registry
-// metric is declared (std is the registry obs.Default returns); a
-// snapshot would miss a labelled family that has no member yet.
+// registered in obs's process-wide registry, so deleting a metric
+// cannot leave a doc pointing readers at a series that no longer
+// exists. The registered names are read from package obs's source,
+// where every process-wide metric is declared on std (the registry
+// obs.Snapshot reads); a snapshot would miss a labelled family that has
+// no member yet.
 func TestDocsNameRegisteredMetrics(t *testing.T) {
 	srcs, err := filepath.Glob("internal/obs/*.go")
 	if err != nil {
@@ -76,13 +77,13 @@ func TestDocsNameRegisteredMetrics(t *testing.T) {
 		}
 	}
 	if !registered["sched_slot_acquires_total"] {
-		t.Fatalf("found no default-registry declarations in %v", srcs)
+		t.Fatalf("found no process-wide registry declarations in %v", srcs)
 	}
 	ref := regexp.MustCompile("`([a-z0-9_]+(?:_total|_wall_ns))`")
 	for doc, text := range currentDocs(t) {
 		for _, m := range ref.FindAllStringSubmatch(text, -1) {
 			if !registered[m[1]] {
-				t.Errorf("%s names `%s`, which obs.Default() does not register", doc, m[1])
+				t.Errorf("%s names `%s`, which obs's process-wide registry does not register", doc, m[1])
 			}
 		}
 	}

@@ -337,24 +337,6 @@ func (m *Model) rescale(r *CoreResult, ld *CoreLoad, factor float64) {
 	}
 }
 
-// TotalMemGBs sums DRAM bandwidth over results.
-func TotalMemGBs(res []CoreResult) float64 {
-	t := 0.0
-	for _, r := range res {
-		t += r.MemGBs
-	}
-	return t
-}
-
-// TotalL3GBs sums L3 bandwidth over results.
-func TotalL3GBs(res []CoreResult) float64 {
-	t := 0.0
-	for _, r := range res {
-		t += r.L3GBs
-	}
-	return t
-}
-
 // String describes the model configuration.
 func (m *Model) String() string {
 	return fmt.Sprintf("cache model for %s (%d cores, %d KiB L2, %.1f MiB L3)",

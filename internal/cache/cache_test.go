@@ -9,6 +9,24 @@ import (
 	"hswsim/internal/workload"
 )
 
+// TotalMemGBs sums DRAM bandwidth over results.
+func TotalMemGBs(res []CoreResult) float64 {
+	t := 0.0
+	for _, r := range res {
+		t += r.MemGBs
+	}
+	return t
+}
+
+// TotalL3GBs sums L3 bandwidth over results.
+func TotalL3GBs(res []CoreResult) float64 {
+	t := 0.0
+	for _, r := range res {
+		t += r.L3GBs
+	}
+	return t
+}
+
 func hswModel(t *testing.T) *Model {
 	t.Helper()
 	spec := uarch.E52680v3()

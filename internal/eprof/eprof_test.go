@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hswsim/internal/pproftest"
 )
 
 // buildPlan assembles a small plan against c with one of each entry
@@ -199,7 +201,7 @@ func TestPprofRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	encoded := append([]byte(nil), buf.Bytes()...)
-	parsed, err := Parse(&buf)
+	parsed, err := pproftest.Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

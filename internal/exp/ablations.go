@@ -56,16 +56,6 @@ func sortStrings(s []string) {
 	}
 }
 
-// Metric fetches a variant's metric by label.
-func (r *AblationResult) Metric(label, metric string) float64 {
-	for _, v := range r.Variants {
-		if v.Label == label {
-			return v.Metrics[metric]
-		}
-	}
-	return 0
-}
-
 // AblationPstateGrid compares p-state transition latencies with the
 // Haswell-EP 500 us opportunity grid against pre-Haswell immediate
 // transitions (the Section VI-A finding).

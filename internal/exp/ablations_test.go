@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// Metric fetches a variant's metric by label.
+func (r *AblationResult) Metric(label, metric string) float64 {
+	for _, v := range r.Variants {
+		if v.Label == label {
+			return v.Metrics[metric]
+		}
+	}
+	return 0
+}
+
 func TestAblationPstateGrid(t *testing.T) {
 	res, err := AblationPstateGrid(Quick())
 	if err != nil {

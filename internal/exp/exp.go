@@ -88,9 +88,6 @@ func (o Options) Validate() error {
 // Defaults returns full-fidelity options.
 func Defaults() Options { return Options{Scale: 1.0, Seed: 0x5eed} }
 
-// Quick returns reduced-effort options for tests and smoke runs.
-func Quick() Options { return Options{Scale: 0.05, Seed: 0x5eed} }
-
 func (o Options) scale() float64 {
 	if o.Scale <= 0 {
 		return 1

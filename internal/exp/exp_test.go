@@ -251,6 +251,38 @@ func TestFig2SandyBridgeBias(t *testing.T) {
 	}
 }
 
+// massIn returns the fraction of h's samples in [lo, hi), counted by
+// bin, so lo and hi must fall on bin edges, as Fig 3's class bounds do.
+func massIn(h *stats.Histogram, lo, hi float64) float64 {
+	w := (h.Hi - h.Lo) / float64(len(h.Bins))
+	n, in := h.Underflow+h.Overflow, 0
+	for i, c := range h.Bins {
+		n += c
+		if edge := h.Lo + w*float64(i); edge >= lo && edge < hi {
+			in += c
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(in) / float64(n)
+}
+
+func TestHistogramMassIn(t *testing.T) {
+	h := stats.NewHistogram(0, 100, 10)
+	for i := 0; i < 10; i++ {
+		h.Add(float64(i * 10))
+	}
+	if m := massIn(h, 0, 50); m != 0.5 {
+		t.Fatalf("massIn = %v, want 0.5", m)
+	}
+	h.Add(-1)
+	h.Add(100)
+	if m := massIn(h, 0, 50); m != 5.0/12 {
+		t.Fatalf("massIn with under- and overflow = %v, want 5/12", m)
+	}
+}
+
 func TestFig3LatencyClasses(t *testing.T) {
 	o := Options{Scale: 0.2, Seed: 0x5eed} // 200 samples/class
 	res, err := Fig3(o)
@@ -266,13 +298,13 @@ func TestFig3LatencyClasses(t *testing.T) {
 	if rand.Max() < 450 || rand.Max() > 600 {
 		t.Errorf("random-class max = %.0f us, want ~524", rand.Max())
 	}
-	if m := rand.MassIn(100, 400); m < 0.35 {
+	if m := massIn(rand, 100, 400); m < 0.35 {
 		t.Errorf("random class not spread out: only %.0f%% in mid-range", m*100)
 	}
 	// "Requesting ... instantly after a frequency change ... leads to
 	// around 500 us in the majority of the results."
 	inst := res.Histograms[InstantAfterChange]
-	if m := inst.MassIn(420, 600); m < 0.8 {
+	if m := massIn(inst, 420, 600); m < 0.8 {
 		t.Errorf("instant class: only %.0f%% near 500 us", m*100)
 	}
 	// "a 400 us delay ... transition time is typically about 100 us."
@@ -282,8 +314,8 @@ func TestFig3LatencyClasses(t *testing.T) {
 	}
 	// "delay ... in the order of 500 us ... two different classes."
 	d500 := res.Histograms[Delay500us]
-	immediate := d500.MassIn(0, 100)
-	full := d500.MassIn(400, 600)
+	immediate := massIn(d500, 0, 100)
+	full := massIn(d500, 400, 600)
 	if immediate < 0.1 || full < 0.1 {
 		t.Errorf("500us-delay class not bimodal: %.0f%% immediate, %.0f%% full period",
 			immediate*100, full*100)
@@ -371,6 +403,15 @@ func TestFig6C6Shapes(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 6") {
 		t.Error("render mislabeled")
 	}
+}
+
+// RelAtMin returns the relative bandwidth at the lowest p-state.
+func (r *Fig7Result) RelAtMin(gen uarch.Generation, level Level) float64 {
+	_, rel := r.Series(gen, level)
+	if len(rel) == 0 {
+		return 0
+	}
+	return rel[0]
 }
 
 func TestFig7CrossGeneration(t *testing.T) {
@@ -469,6 +510,48 @@ func TestTable4RAPLObservation(t *testing.T) {
 	}
 }
 
+// correlation returns the Pearson correlation coefficient of (xs, ys),
+// or NaN for degenerate inputs.
+func correlation(xs, ys []float64) float64 {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		return math.NaN()
+	}
+	mx, my := stats.Mean(xs), stats.Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return math.NaN()
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+func TestCorrelation(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	up := []float64{2, 4, 6, 8, 10}
+	if c := correlation(xs, up); math.Abs(c-1) > 1e-12 {
+		t.Errorf("perfect positive correlation = %v", c)
+	}
+	down := []float64{10, 8, 6, 4, 2}
+	if c := correlation(xs, down); math.Abs(c+1) > 1e-12 {
+		t.Errorf("perfect negative correlation = %v", c)
+	}
+	if !math.IsNaN(correlation(xs, []float64{1, 1, 1, 1, 1})) {
+		t.Error("flat series should give NaN")
+	}
+	if !math.IsNaN(correlation(xs, xs[:2])) {
+		t.Error("mismatched lengths should give NaN")
+	}
+	noisy := []float64{2.1, 3.8, 6.3, 7.9, 9.6}
+	if c := correlation(xs, noisy); c < 0.99 {
+		t.Errorf("near-linear correlation = %v", c)
+	}
+}
+
 func TestFig7CorrelationClaims(t *testing.T) {
 	// "the L3 bandwidth of Haswell-EP strongly correlates with the core
 	// frequency" — quantified with Pearson correlation; DRAM bandwidth
@@ -478,7 +561,7 @@ func TestFig7CorrelationClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx, l3 := res.Series(uarch.HaswellEP, LevelL3)
-	if c := stats.Correlation(fx, l3); c < 0.97 {
+	if c := correlation(fx, l3); c < 0.97 {
 		t.Errorf("HSW L3-vs-frequency correlation = %.3f, want strong", c)
 	}
 	_, dram := res.Series(uarch.HaswellEP, LevelDRAM)

@@ -7,6 +7,16 @@ import (
 	"hswsim/internal/cstate"
 )
 
+// NUMAAt fetches a point by configuration.
+func NUMAAt(points []NUMAPoint, cores int, remote float64) NUMAPoint {
+	for _, p := range points {
+		if p.Cores == cores && p.RemoteFrac == remote {
+			return p
+		}
+	}
+	return NUMAPoint{}
+}
+
 func TestPowerCapStudy(t *testing.T) {
 	pts, tab, err := PowerCapStudy(Options{Scale: 0.1, Seed: 0x5eed})
 	if err != nil {

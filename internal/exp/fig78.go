@@ -189,15 +189,6 @@ func (r *Fig7Result) Series(gen uarch.Generation, level Level) (freqs, rel []flo
 	return
 }
 
-// RelAtMin returns the relative bandwidth at the lowest p-state.
-func (r *Fig7Result) RelAtMin(gen uarch.Generation, level Level) float64 {
-	_, rel := r.Series(gen, level)
-	if len(rel) == 0 {
-		return 0
-	}
-	return rel[0]
-}
-
 // Render draws both panels.
 func (r *Fig7Result) Render() string {
 	out := "Figure 7: relative read bandwidth at maximum concurrency vs core frequency\n\n"

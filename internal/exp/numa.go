@@ -85,13 +85,3 @@ func NUMAStudy(o Options) ([]NUMAPoint, *report.Table, error) {
 	}
 	return points, t, nil
 }
-
-// NUMAAt fetches a point by configuration.
-func NUMAAt(points []NUMAPoint, cores int, remote float64) NUMAPoint {
-	for _, p := range points {
-		if p.Cores == cores && p.RemoteFrac == remote {
-			return p
-		}
-	}
-	return NUMAPoint{}
-}

@@ -324,14 +324,28 @@ func TestDescriptorWriteErrorPropagates(t *testing.T) {
 // harness_slot_wall_ns sample (the experiment's own slot), with no
 // switch to turn on first.
 func TestHarnessSpansRecordSuiteActivity(t *testing.T) {
-	exps, points, slots := obs.HarnessExperimentWall.Count(), obs.HarnessPointWall.Count(), obs.HarnessSlotWall.Count()
+	counts := func() (exps, points, slots int64) {
+		for _, m := range obs.Snapshot() {
+			switch m.Name {
+			case "harness_experiment_wall_ns":
+				exps = m.Count
+			case "harness_point_wall_ns":
+				points = m.Count
+			case "harness_slot_wall_ns":
+				slots = m.Count
+			}
+		}
+		return
+	}
+	exps, points, slots := counts()
 	swept := obs.ExpPoints.Value()
 	RunSuite([]string{"tab3"}, Quick(), false, nil, func(r SuiteResult) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
 	})
-	exps, points, slots = obs.HarnessExperimentWall.Count()-exps, obs.HarnessPointWall.Count()-points, obs.HarnessSlotWall.Count()-slots
+	e, p, s := counts()
+	exps, points, slots = e-exps, p-points, s-slots
 	swept = obs.ExpPoints.Value() - swept
 	if exps != 1 || swept == 0 || points != swept || slots < 1 {
 		t.Fatalf("harness samples: %d experiments, %d points (%d swept), %d slots; want 1, %d, >= 1",

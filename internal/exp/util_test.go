@@ -10,6 +10,9 @@ import (
 	"hswsim/internal/uarch"
 )
 
+// Quick returns reduced-effort options for tests.
+func Quick() Options { return Options{Scale: 0.05, Seed: 0x5eed} }
+
 func TestOptionsScaling(t *testing.T) {
 	o := Options{Scale: 0.5}
 	if d := o.dur(10 * sim.Second); d != 5*sim.Second {

@@ -76,9 +76,6 @@ func (r *Regulator) SetFrequency(f uarch.MHz) sim.Time {
 	return r.rng.Jitter(r.switchTime, r.switchJitter)
 }
 
-// Offset returns the part-to-part offset baked into this domain.
-func (r *Regulator) Offset() float64 { return r.offset }
-
 // Rebias shifts the domain's part-to-part offset by dv and re-derives
 // the present output voltage for the operating frequency f, without
 // consuming a jitter draw. Manufacturing-variation overlays

@@ -36,8 +36,8 @@ func TestVoltageOffsetShiftsCurve(t *testing.T) {
 	if hi.VoltageFor(2500)-lo.VoltageFor(2500) < 0.009 {
 		t.Fatalf("offset not applied: %v vs %v", hi.VoltageFor(2500), lo.VoltageFor(2500))
 	}
-	if hi.Offset() != 0.01 {
-		t.Fatalf("Offset() = %v", hi.Offset())
+	if hi.offset != 0.01 {
+		t.Fatalf("offset = %v", hi.offset)
 	}
 }
 

@@ -36,9 +36,9 @@ func BenchmarkFleetFork(b *testing.B) {
 }
 
 // BenchmarkFleetStep measures the steady-state per-node step: one
-// node-step of a millisecond of virtual time plus the streaming power
-// accounting. This is the fleet driver's hot path and must not
-// allocate; node-steps per second is ns/op⁻¹.
+// node-step of a millisecond of virtual time. This is the fleet
+// driver's hot path and must not allocate; node-steps per second is
+// ns/op⁻¹.
 func BenchmarkFleetStep(b *testing.B) {
 	parent := warmParent(b)
 	fl, err := New(parent, Config{Nodes: benchNodes, Seed: 0x5eed, CapW: 85, Workers: 1})

@@ -10,7 +10,6 @@ import (
 	"hswsim/internal/perfctr"
 	"hswsim/internal/sim"
 	"hswsim/internal/slots"
-	"hswsim/internal/stats"
 )
 
 // Config describes one fleet.
@@ -51,10 +50,7 @@ const nodeBatch = 8
 type Fleet struct {
 	cfg   Config
 	nodes []*core.System
-	// pow streams each node's package-power samples through an O(1)
-	// accumulator — no per-sample slices at any fleet size.
-	pow  []stats.Online
-	pool *slots.Pool
+	pool  *slots.Pool
 }
 
 // New forks cfg.Nodes children from the warmed parent in one batch,
@@ -74,7 +70,6 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:   cfg,
 		nodes: nodes,
-		pow:   make([]stats.Online, len(nodes)),
 		pool:  slots.Default(),
 	}
 	errs := make([]error, len(nodes))
@@ -104,28 +99,9 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Len returns the fleet size.
-func (f *Fleet) Len() int { return len(f.nodes) }
-
-// Node returns one node's platform (tool/test access).
-func (f *Fleet) Node(i int) *core.System { return f.nodes[i] }
-
-// PowerStats returns the streaming package-power statistics of node i
-// accumulated by StepNode/Step/Measure rounds so far.
-func (f *Fleet) PowerStats(i int) stats.Online { return f.pow[i] }
-
-// StepNode advances one node by d of virtual time and folds its
-// package power into the node's streaming accumulator. This is the
+// StepNode advances one node by d of virtual time. This is the
 // steady-state hot path: it allocates nothing.
-func (f *Fleet) StepNode(i int, d sim.Time) {
-	n := f.nodes[i]
-	n.Run(d)
-	w := 0.0
-	for s := 0; s < n.Sockets(); s++ {
-		w += n.Socket(s).LastPkgPowerW()
-	}
-	f.pow[i].Add(w)
-}
+func (f *Fleet) StepNode(i int, d sim.Time) { f.nodes[i].Run(d) }
 
 // Step advances every node by d in one parallel round. Nodes are
 // independent platforms, so parallelism changes wall-clock time only —
@@ -172,7 +148,6 @@ func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 			r.PkgW += n.Socket(s).LastPkgPowerW()
 		}
 		out[i] = r
-		f.pow[i].Add(r.PkgW)
 		return true
 	})
 	obs.FleetSteps.Add(int64(len(f.nodes)))

@@ -9,9 +9,8 @@
 // The package is built for throughput: one ForkN batch fans the parent
 // out with slab-allocated children, node stepping fans out across the
 // process-wide compute-slot pool in batches of nodes (internal/slots),
-// the steady-state per-node step allocates nothing, and per-node statistics
-// stream through O(1) sketches (internal/stats) instead of sample
-// slices.
+// and the steady-state per-node step allocates nothing. Measure returns
+// one NodeResult per node; callers reduce them.
 package fleet
 
 import (

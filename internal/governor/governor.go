@@ -46,53 +46,47 @@ func (Powersave) Decide(_ int, _ perfctr.Interval, _ uarch.MHz, spec *uarch.Spec
 // OnDemand jumps to turbo above a utilization threshold and relaxes to
 // the minimum otherwise (the classic Linux ondemand shape). Utilization
 // is approximated by C0 residency (MPERF delta over wall time).
-type OnDemand struct {
-	UpThreshold float64 // e.g. 0.95
-}
+type OnDemand struct{}
+
+// onDemandUp is the utilization at and above which OnDemand picks turbo.
+const onDemandUp = 0.95
 
 func (OnDemand) Name() string { return "ondemand" }
 
-func (g OnDemand) Decide(_ int, iv perfctr.Interval, _ uarch.MHz, spec *uarch.Spec) uarch.MHz {
-	up := g.UpThreshold
-	if up <= 0 {
-		up = 0.95
-	}
+func (OnDemand) Decide(_ int, iv perfctr.Interval, _ uarch.MHz, spec *uarch.Spec) uarch.MHz {
 	util := c0Residency(iv, spec)
-	if util >= up {
+	if util >= onDemandUp {
 		return spec.TurboSettingMHz()
 	}
 	// Scale proportionally below the threshold.
 	span := float64(spec.BaseMHz - spec.MinMHz)
-	f := spec.MinMHz + uarch.MHz(util/up*span)
+	f := spec.MinMHz + uarch.MHz(util/onDemandUp*span)
 	return quantize(f, spec)
 }
 
 // Conservative moves one p-state step at a time based on utilization
 // bands — slower to react, cheaper per transition.
-type Conservative struct {
-	UpThreshold   float64 // default 0.80
-	DownThreshold float64 // default 0.40
-}
+type Conservative struct{}
+
+// The utilization bands of Conservative: step up at and above
+// conservativeUp, down at and below conservativeDown.
+const (
+	conservativeUp   = 0.80
+	conservativeDown = 0.40
+)
 
 func (Conservative) Name() string { return "conservative" }
 
-func (g Conservative) Decide(_ int, iv perfctr.Interval, cur uarch.MHz, spec *uarch.Spec) uarch.MHz {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up <= 0 {
-		up = 0.80
-	}
-	if down <= 0 {
-		down = 0.40
-	}
+func (Conservative) Decide(_ int, iv perfctr.Interval, cur uarch.MHz, spec *uarch.Spec) uarch.MHz {
 	util := c0Residency(iv, spec)
 	switch {
-	case util >= up:
+	case util >= conservativeUp:
 		next := cur + spec.PStateStep
 		if next > spec.BaseMHz {
 			return spec.TurboSettingMHz()
 		}
 		return next
-	case util <= down:
+	case util <= conservativeDown:
 		next := cur - spec.PStateStep
 		if next < spec.MinMHz {
 			return spec.MinMHz
@@ -107,18 +101,16 @@ func (g Conservative) Decide(_ int, iv perfctr.Interval, cur uarch.MHz, spec *ua
 // exploiting the paper's key Haswell-EP result that DRAM bandwidth at
 // full concurrency no longer depends on the core frequency (Fig 7b), so
 // memory-bound phases can run at low p-states for free.
-type MemoryAware struct {
-	StallThreshold float64 // stall fraction above which to drop (default 0.4)
-}
+type MemoryAware struct{}
+
+// memoryAwareStall is the stall fraction at and above which MemoryAware
+// drops to the minimum clock.
+const memoryAwareStall = 0.4
 
 func (MemoryAware) Name() string { return "memory-aware" }
 
-func (g MemoryAware) Decide(_ int, iv perfctr.Interval, cur uarch.MHz, spec *uarch.Spec) uarch.MHz {
-	th := g.StallThreshold
-	if th <= 0 {
-		th = 0.4
-	}
-	if iv.StallFrac() >= th {
+func (MemoryAware) Decide(_ int, iv perfctr.Interval, cur uarch.MHz, spec *uarch.Spec) uarch.MHz {
+	if iv.StallFrac() >= memoryAwareStall {
 		return spec.MinMHz
 	}
 	return spec.TurboSettingMHz()

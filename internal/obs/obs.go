@@ -27,8 +27,8 @@ import (
 )
 
 // Registry holds a named set of metrics. The zero value is not usable;
-// use NewRegistry, or the package-level Default registry that all
-// instrumented subsystems report to.
+// use NewRegistry, or the process-wide registry that all instrumented
+// subsystems report to (read it with Snapshot).
 type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
@@ -36,10 +36,9 @@ type Registry struct {
 }
 
 // metric is the common surface the registry keeps: every metric kind
-// can snapshot itself deterministically and reset to zero.
+// can snapshot itself deterministically.
 type metric interface {
 	snapshot() []Metric
-	reset()
 }
 
 // NewRegistry returns an empty registry.
@@ -47,13 +46,11 @@ func NewRegistry() *Registry {
 	return &Registry{names: map[string]bool{}}
 }
 
+// std is the process-wide registry the instrumented subsystems (sim
+// engine, suite scheduler, expcache, power integrator) report to.
 var std = NewRegistry()
 
-// Default returns the process-wide registry the instrumented subsystems
-// (sim engine, suite scheduler, expcache, power integrator) report to.
-func Default() *Registry { return std }
-
-// Snapshot reads the default registry — shorthand for Default().Snapshot().
+// Snapshot reads the process-wide registry.
 func Snapshot() []Metric { return std.Snapshot() }
 
 // register adds m under name, panicking on a duplicate — metric names
@@ -86,17 +83,6 @@ func (r *Registry) Snapshot() []Metric {
 		return out[i].labelKey() < out[j].labelKey()
 	})
 	return out
-}
-
-// Reset zeroes every registered metric (test hook; production code
-// never resets, counters are cumulative for the process lifetime).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	ms := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	for _, m := range ms {
-		m.reset()
-	}
 }
 
 // Metric is one snapshotted value.
@@ -166,7 +152,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 func (c *Counter) snapshot() []Metric {
 	return []Metric{{Name: c.name, Kind: "counter", Help: c.help, Value: c.v.Load()}}
 }
-func (c *Counter) reset() { c.v.Store(0) }
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct {
@@ -187,13 +172,9 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add adjusts the gauge by d (may be negative).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
-// Value returns the current reading.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 func (g *Gauge) snapshot() []Metric {
 	return []Metric{{Name: g.name, Kind: "gauge", Help: g.help, Value: g.v.Load()}}
 }
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // Histogram accumulates int64 observations into fixed cumulative
 // buckets. Bounds are upper limits in ascending order; observations
@@ -233,12 +214,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 func (h *Histogram) snapshot() []Metric {
 	m := Metric{Name: h.name, Kind: "histogram", Help: h.help,
 		Sum: h.sum.Load(), Count: h.count.Load()}
@@ -252,14 +227,6 @@ func (h *Histogram) snapshot() []Metric {
 		m.Buckets = append(m.Buckets, Bucket{LE: le, Count: cum})
 	}
 	return []Metric{m}
-}
-
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.count.Store(0)
 }
 
 // CounterVec is a family of counters distinguished by one label value
@@ -303,10 +270,4 @@ func (v *CounterVec) snapshot() []Metric {
 		})
 	}
 	return out
-}
-
-func (v *CounterVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.m = map[string]*Counter{}
 }

@@ -17,12 +17,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
-	}
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("Reset did not zero metrics")
+	if g.v.Load() != 7 {
+		t.Fatalf("gauge = %d, want 7", g.v.Load())
 	}
 }
 
@@ -32,12 +28,12 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{5, 10, 11, 1000, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 6026 {
-		t.Fatalf("count=%d sum=%d, want 5/6026", h.Count(), h.Sum())
-	}
 	ms := r.Snapshot()
 	if len(ms) != 1 || ms[0].Kind != "histogram" {
 		t.Fatalf("snapshot = %+v", ms)
+	}
+	if ms[0].Count != 5 || ms[0].Sum != 6026 {
+		t.Fatalf("count=%d sum=%d, want 5/6026", ms[0].Count, ms[0].Sum)
 	}
 	// Cumulative: <=10: 2, <=100: 3, <=1000: 4, +Inf: 5.
 	want := []Bucket{{"10", 2}, {"100", 3}, {"1000", 4}, {"+Inf", 5}}
@@ -107,8 +103,8 @@ func TestConcurrentIncrements(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 {
-		t.Fatalf("lost updates: counter=%d hist=%d", c.Value(), h.Count())
+	if c.Value() != 8000 || h.count.Load() != 8000 {
+		t.Fatalf("lost updates: counter=%d hist=%d", c.Value(), h.count.Load())
 	}
 }
 
@@ -141,7 +137,7 @@ func TestDefaultRegistryHasCanonicalMetrics(t *testing.T) {
 		"rapl_window_errors_total", "stats_empty_input_total",
 	} {
 		found := false
-		for _, m := range Default().Snapshot() {
+		for _, m := range Snapshot() {
 			if m.Name == name {
 				found = true
 				break

@@ -21,14 +21,13 @@ type Sample struct {
 // Index assignment happens under the same lock as the append, so even
 // with concurrent writers every sample gets a unique, strictly
 // increasing index and the ring order equals the index order — readers
-// never observe a gap except by eviction, which Dropped counts.
+// never observe a gap except by eviction.
 type Series struct {
 	mu    sync.Mutex
 	buf   []Sample      // ring storage, len == cap once full
 	head  int           // next write position
 	count int           // number of valid samples (≤ cap(buf))
 	next  int64         // next index to assign (starts at 1)
-	drops int64         // samples evicted by wraparound
 	wake  chan struct{} // closed and replaced on every Add (broadcast)
 }
 
@@ -51,9 +50,7 @@ func (s *Series) Add(ms []Metric) int64 {
 	s.mu.Lock()
 	idx := s.next
 	s.next++
-	if s.count == len(s.buf) {
-		s.drops++
-	} else {
+	if s.count < len(s.buf) {
 		s.count++
 	}
 	s.buf[s.head] = Sample{Index: idx, Metrics: ms}
@@ -82,35 +79,6 @@ func (s *Series) Since(after int64) []Sample {
 		}
 	}
 	return out
-}
-
-// Latest returns the most recent sample; ok is false if the ring is
-// empty.
-func (s *Series) Latest() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return Sample{}, false
-	}
-	i := s.head - 1
-	if i < 0 {
-		i += len(s.buf)
-	}
-	return s.buf[i], true
-}
-
-// Len returns the number of samples currently retained.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Dropped returns the number of samples evicted by wraparound.
-func (s *Series) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops
 }
 
 // Wait returns a channel that is closed when a sample newer than the

@@ -31,9 +31,6 @@ func TestSeriesIndicesMonotoneUnderConcurrentWriters(t *testing.T) {
 			t.Fatalf("sample %d has index %d, want %d", i, sm.Index, i+1)
 		}
 	}
-	if s.Dropped() != 0 {
-		t.Fatalf("dropped %d with ring at capacity %d", s.Dropped(), writers*perWriter)
-	}
 }
 
 func TestSeriesWraparound(t *testing.T) {
@@ -41,13 +38,10 @@ func TestSeriesWraparound(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		s.Add([]Metric{{Name: "m", Value: int64(i)}})
 	}
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
-	}
-	if got := s.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
 	all := s.Since(0)
+	if len(all) != 4 {
+		t.Fatalf("retained %d samples, want 4", len(all))
+	}
 	for i, sm := range all {
 		want := int64(7 + i)
 		if sm.Index != want {
@@ -63,10 +57,6 @@ func TestSeriesWraparound(t *testing.T) {
 	}
 	if got := s.Since(10); len(got) != 0 {
 		t.Fatalf("Since(10) returned %d samples, want 0", len(got))
-	}
-	last, ok := s.Latest()
-	if !ok || last.Index != 10 {
-		t.Fatalf("Latest = %v/%v, want index 10", last, ok)
 	}
 }
 
@@ -108,10 +98,11 @@ func TestSeriesSnapshotsAreNameSorted(t *testing.T) {
 	r.Gauge("mmm", "").Set(3)
 	s := NewSeries(2)
 	s.Add(r.Snapshot())
-	sm, ok := s.Latest()
-	if !ok {
-		t.Fatal("empty series")
+	all := s.Since(0)
+	if len(all) != 1 {
+		t.Fatalf("series holds %d samples, want 1", len(all))
 	}
+	sm := all[0]
 	for i := 1; i < len(sm.Metrics); i++ {
 		if sm.Metrics[i-1].Name > sm.Metrics[i].Name {
 			t.Fatalf("snapshot not name-sorted: %q before %q",

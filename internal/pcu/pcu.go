@@ -167,8 +167,6 @@ type PCU struct {
 	eetStall    []float64
 	lastEETPoll sim.Time
 
-	ticks uint64
-
 	// Scratch buffers for Tick (the Decision is valid until the next
 	// Tick call).
 	decCore []uarch.MHz
@@ -319,7 +317,6 @@ func (p *PCU) eetPeriod() sim.Time {
 // Tick runs one grid evaluation and returns the new operating targets.
 // The returned slices are reused by the next Tick call.
 func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
-	p.ticks++
 	if p.steadyTick(now, tel) {
 		return Decision{
 			CoreTargetMHz: p.decCore,

@@ -256,10 +256,6 @@ func (p *PackageModel) leakBase(volts float64) float64 {
 	return p.PM.LeakPerCore * ls * vr * vr
 }
 
-func (p *PackageModel) leak(volts, tempFactor float64) float64 {
-	return p.leakBase(volts) * tempFactor
-}
-
 // UpdateTemp advances the first-order thermal state for dt at the given
 // package power (time constant ~2 s; the paper's measurements are long
 // enough that steady state dominates).

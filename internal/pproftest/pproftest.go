@@ -1,9 +1,9 @@
-package eprof
-
-// Minimal pprof protobuf decoder — just enough for the CI gate to
-// validate an emitted profile without external tools: decompress,
-// decode, and reconstruct the folded stacks so tests can check sample
-// counts, value sums, and round-trip equality against WriteFolded.
+// Package pproftest is a minimal pprof protobuf decoder for tests —
+// just enough to validate an emitted profile without external tools:
+// decompress, decode, and reconstruct the folded stacks so tests can
+// check sample counts, value sums, labels and round-trip equality
+// against eprof's folded output. Only _test.go files import it.
+package pproftest
 
 import (
 	"bytes"
@@ -13,18 +13,18 @@ import (
 	"io"
 )
 
-// ParsedProfile is the decoded subset of a pprof profile.
-type ParsedProfile struct {
+// Profile is the decoded subset of a pprof profile.
+type Profile struct {
 	SampleTypes []string // type names, in column order
-	Samples     []ParsedSample
+	Samples     []Sample
 	DurationNS  int64
 	DefaultType string
 }
 
-// ParsedSample is one decoded sample with its frames rendered
+// Sample is one decoded sample with its frames rendered
 // root-first (reversing the wire's leaf-first location order) and its
 // string-valued labels (nil when it has none).
-type ParsedSample struct {
+type Sample struct {
 	Frames []string
 	Values []int64
 	Labels map[string]string
@@ -42,7 +42,7 @@ func (r *protoReader) varint() (uint64, error) {
 	var shift uint
 	for {
 		if r.pos >= len(r.b) {
-			return 0, errors.New("eprof: truncated varint")
+			return 0, errors.New("pproftest: truncated varint")
 		}
 		c := r.b[r.pos]
 		r.pos++
@@ -52,7 +52,7 @@ func (r *protoReader) varint() (uint64, error) {
 		}
 		shift += 7
 		if shift >= 64 {
-			return 0, errors.New("eprof: varint overflow")
+			return 0, errors.New("pproftest: varint overflow")
 		}
 	}
 }
@@ -76,25 +76,25 @@ func (r *protoReader) field() (int, uint64, []byte, error) {
 			return 0, 0, nil, err
 		}
 		if uint64(len(r.b)-r.pos) < n {
-			return 0, 0, nil, errors.New("eprof: truncated length-delimited field")
+			return 0, 0, nil, errors.New("pproftest: truncated length-delimited field")
 		}
 		b := r.b[r.pos : r.pos+int(n)]
 		r.pos += int(n)
 		return num, 0, b, nil
 	case 1:
 		if len(r.b)-r.pos < 8 {
-			return 0, 0, nil, errors.New("eprof: truncated fixed64")
+			return 0, 0, nil, errors.New("pproftest: truncated fixed64")
 		}
 		r.pos += 8
 		return num, 0, nil, nil
 	case 5:
 		if len(r.b)-r.pos < 4 {
-			return 0, 0, nil, errors.New("eprof: truncated fixed32")
+			return 0, 0, nil, errors.New("pproftest: truncated fixed32")
 		}
 		r.pos += 4
 		return num, 0, nil, nil
 	default:
-		return 0, 0, nil, fmt.Errorf("eprof: unsupported wire type %d", wire)
+		return 0, 0, nil, fmt.Errorf("pproftest: unsupported wire type %d", wire)
 	}
 }
 
@@ -112,7 +112,7 @@ func packedVarints(b []byte) ([]uint64, error) {
 }
 
 // Parse decodes a (gzipped or raw) pprof protobuf stream.
-func Parse(r io.Reader) (*ParsedProfile, error) {
+func Parse(r io.Reader) (*Profile, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -120,11 +120,11 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 	if len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b {
 		gz, err := gzip.NewReader(bytes.NewReader(raw))
 		if err != nil {
-			return nil, fmt.Errorf("eprof: gzip: %w", err)
+			return nil, fmt.Errorf("pproftest: gzip: %w", err)
 		}
 		raw, err = io.ReadAll(gz)
 		if err != nil {
-			return nil, fmt.Errorf("eprof: gzip body: %w", err)
+			return nil, fmt.Errorf("pproftest: gzip body: %w", err)
 		}
 		if err := gz.Close(); err != nil {
 			return nil, err
@@ -269,12 +269,12 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 
 	str := func(i uint64) (string, error) {
 		if i >= uint64(len(strs)) {
-			return "", fmt.Errorf("eprof: string index %d out of range", i)
+			return "", fmt.Errorf("pproftest: string index %d out of range", i)
 		}
 		return strs[i], nil
 	}
 
-	out := &ParsedProfile{DurationNS: durationNS}
+	out := &Profile{DurationNS: durationNS}
 	for _, t := range sampleTypes {
 		s, err := str(t.typ)
 		if err != nil {
@@ -286,12 +286,12 @@ func Parse(r io.Reader) (*ParsedProfile, error) {
 		return nil, err
 	}
 	for _, s := range samples {
-		ps := ParsedSample{Values: s.vals}
+		ps := Sample{Values: s.vals}
 		// Wire order is leaf-first; render root-first.
 		for i := len(s.locs) - 1; i >= 0; i-- {
 			fid, ok := locFunc[s.locs[i]]
 			if !ok {
-				return nil, fmt.Errorf("eprof: sample references unknown location %d", s.locs[i])
+				return nil, fmt.Errorf("pproftest: sample references unknown location %d", s.locs[i])
 			}
 			name, err := str(funcName[fid])
 			if err != nil {

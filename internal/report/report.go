@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -120,7 +119,7 @@ type Plot struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	W, H   int
+	H      int // rows; 0 = 20
 }
 
 // Add appends a series.
@@ -131,12 +130,12 @@ func (p *Plot) Add(name string, xs, ys []float64) {
 // markers for up to 8 series.
 var markers = []byte{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
+// plotWidth is the width of a rendered plot, in columns.
+const plotWidth = 64
+
 // String renders the plot.
 func (p *Plot) String() string {
-	w, h := p.W, p.H
-	if w <= 0 {
-		w = 64
-	}
+	w, h := plotWidth, p.H
 	if h <= 0 {
 		h = 20
 	}
@@ -243,19 +242,4 @@ func (h *Heatmap) String() string {
 	}
 	fmt.Fprintf(&b, "%*s  %s   scale: %.1f (' ') .. %.1f ('@')\n", width, "", h.XLabel, lo, hi)
 	return b.String()
-}
-
-// SortSeriesByX sorts a series' points in place by x.
-func SortSeriesByX(s *Series) {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	xs := make([]float64, len(s.X))
-	ys := make([]float64, len(s.Y))
-	for i, j := range idx {
-		xs[i], ys[i] = s.X[j], s.Y[j]
-	}
-	s.X, s.Y = xs, ys
 }

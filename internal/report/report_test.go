@@ -74,14 +74,6 @@ func TestPlotEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestSortSeriesByX(t *testing.T) {
-	s := Series{X: []float64{3, 1, 2}, Y: []float64{30, 10, 20}}
-	SortSeriesByX(&s)
-	if s.X[0] != 1 || s.Y[0] != 10 || s.X[2] != 3 || s.Y[2] != 30 {
-		t.Errorf("sort wrong: %+v", s)
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	h := &Heatmap{
 		Title:   "bw",

@@ -12,14 +12,6 @@ package ring
 
 import "fmt"
 
-// Stop is one position on a ring: a core/L3-slice pair or an uncore agent.
-type Stop struct {
-	ID        int
-	Core      int  // core index, -1 for non-core stops
-	HasL3     bool // core stops carry an L3 slice
-	Partition int
-}
-
 // Partition is one bidirectional ring with its attached IMC.
 type Partition struct {
 	Index    int

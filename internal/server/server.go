@@ -80,8 +80,6 @@ type Config struct {
 	// SampleInterval is the metrics time-series sampling period behind
 	// GET /v1/stream (0 = 1s).
 	SampleInterval time.Duration
-	// StreamCapacity bounds the time-series ring (0 = 256 samples).
-	StreamCapacity int
 
 	// runLive executes one experiment on a held slot (test seam;
 	// nil = exp.RunLive).
@@ -126,6 +124,10 @@ type Server struct {
 	accessMu sync.Mutex
 }
 
+// streamCapacity bounds the metrics time-series ring behind
+// GET /v1/stream, in samples.
+const streamCapacity = 256
+
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	pool := cfg.Pool
@@ -150,17 +152,13 @@ func New(cfg Config) *Server {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	streamCap := cfg.StreamCapacity
-	if streamCap <= 0 {
-		streamCap = 256
-	}
 	s := &Server{
 		cfg:     cfg,
 		pool:    pool,
 		queue:   slots.NewQueue(pool, depth),
 		log:     lg,
 		started: time.Now(),
-		series:  obs.NewSeries(streamCap),
+		series:  obs.NewSeries(streamCapacity),
 		drainCh: make(chan struct{}),
 		ridBase: fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),
 	}
@@ -466,9 +464,6 @@ func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
 }
-
-// Draining reports whether StartDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain completes a graceful shutdown: admission stops (if it had
 // not already), in-flight run requests finish — bounded by ctx — and

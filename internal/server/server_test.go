@@ -52,6 +52,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// queueDepth reads the sched_queue_depth gauge: how many requests wait
+// for a slot.
+func queueDepth() int64 {
+	for _, m := range obs.Snapshot() {
+		if m.Name == "sched_queue_depth" {
+			return m.Value
+		}
+	}
+	return 0
+}
+
 // TestCoalescingOneLiveRun is the coalescing contract: N concurrent
 // identical requests perform exactly one live simulation; the other
 // N-1 share its bytes and are counted in server_coalesced_total.
@@ -141,7 +152,7 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	defer ts.Close()
 
 	shedBefore := obs.ServerShed.Value()
-	queueBefore := obs.SchedQueueDepth.Value()
+	queueBefore := queueDepth()
 	type result struct {
 		code int
 		body string
@@ -157,7 +168,7 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	waitFor(t, "tab1 holding the slot", func() bool { _, ok := entered.Load("tab1"); return ok })
 	// tab2 is admitted to the queue (depth 1: now full).
 	go do("tab2")
-	waitFor(t, "tab2 queued", func() bool { return obs.SchedQueueDepth.Value() == queueBefore+1 })
+	waitFor(t, "tab2 queued", func() bool { return queueDepth() == queueBefore+1 })
 	// tab3 must be shed, without waiting.
 	resp, body := postRun(t, ts, `{"id":"tab3","scale":0.25}`, "")
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -366,16 +377,31 @@ func TestConcurrentLoadByteIdentical(t *testing.T) {
 
 	const clients = 64
 	leaders := int64(len(tuples))
+	// Gate every flight leader until every other client has either
+	// become a leader itself or coalesced onto one — from then on
+	// coalescing is guaranteed, not probabilistic. One gate serves all
+	// leaders: once the first run completes its followers leave, so a
+	// leader polling the count after that would never see it full.
+	gate := make(chan struct{})
+	var open sync.Once
 	var s *Server
 	s = New(Config{
 		Log: quiet,
-		// Gate each flight leader until every other client has either
-		// become a leader itself or coalesced onto one — from then on
-		// coalescing is guaranteed, not probabilistic.
 		beforeRun: func(key string) {
 			deadline := time.Now().Add(10 * time.Second)
-			for s.flights.waiters.Load() < clients-leaders && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			for {
+				if s.flights.waiters.Load() >= clients-leaders {
+					open.Do(func() { close(gate) })
+				}
+				select {
+				case <-gate:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("leader of %s: %d clients coalesced after 10 s, want %d", key, s.flights.waiters.Load(), clients-leaders)
+					return
+				}
 			}
 		},
 	})

@@ -16,6 +16,7 @@ import (
 	"hswsim/internal/eprof"
 	"hswsim/internal/exp"
 	"hswsim/internal/obs"
+	"hswsim/internal/pproftest"
 	"hswsim/internal/slots"
 )
 
@@ -305,7 +306,7 @@ func TestProfileEndpointRealRun(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	p, err := eprof.Parse(bytes.NewReader(body))
+	p, err := pproftest.Parse(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("response is not decodable pprof: %v", err)
 	}
@@ -432,7 +433,7 @@ func TestRecordedRunOutcomes(t *testing.T) {
 		postRun(t, ts, `{"id":"tab1","scale":0.25}`, "")
 	}()
 	<-entered
-	queueBefore := obs.SchedQueueDepth.Value()
+	queueBefore := queueDepth()
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan struct{})
 	go func() {
@@ -442,7 +443,7 @@ func TestRecordedRunOutcomes(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, "profile request queued", func() bool { return obs.SchedQueueDepth.Value() == queueBefore+1 })
+	waitFor(t, "profile request queued", func() bool { return queueDepth() == queueBefore+1 })
 	if resp, body := postRun(t, ts, tab3, "?trace=chrome"); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("traced run on a full queue: status %d: %s", resp.StatusCode, body)
 	}
@@ -450,7 +451,7 @@ func TestRecordedRunOutcomes(t *testing.T) {
 	<-queued
 	// Only the cancelled wait can leave the queue while tab1 holds the
 	// slot.
-	waitFor(t, "profile request dequeued", func() bool { return obs.SchedQueueDepth.Value() == queueBefore })
+	waitFor(t, "profile request dequeued", func() bool { return queueDepth() == queueBefore })
 	close(gate)
 	<-done
 

@@ -220,9 +220,6 @@ func NewQueue(p *Pool, depth int) *Queue {
 	return &Queue{p: p, max: int64(depth)}
 }
 
-// Pool returns the underlying pool (Release goes straight to it).
-func (q *Queue) Pool() *Pool { return q.p }
-
 // Depth returns the configured maximum number of waiters.
 func (q *Queue) Depth() int { return int(q.max) }
 

@@ -106,8 +106,8 @@ func TestQueueFastPathSkipsDepth(t *testing.T) {
 	if q.depth.Load() != 0 {
 		t.Fatalf("fast path counted into queue depth: %d", q.depth.Load())
 	}
-	q.Pool().Release()
-	q.Pool().Release()
+	q.p.Release()
+	q.p.Release()
 }
 
 func TestQueueConcurrentChurn(t *testing.T) {

@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"strings"
-
-	"hswsim/internal/obs"
 )
 
 // Histogram accumulates samples into fixed-width bins over [Lo, Hi).
@@ -16,8 +14,6 @@ type Histogram struct {
 	Bins      []int
 	Underflow int
 	Overflow  int
-	n         int
-	sum       float64
 	samples   []float64
 }
 
@@ -32,8 +28,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.n++
-	h.sum += x
 	h.samples = append(h.samples, x)
 	switch {
 	case x < h.Lo:
@@ -49,85 +43,12 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Count returns the total number of samples recorded (including
-// under/overflow).
-func (h *Histogram) Count() int { return h.n }
-
-// Mean returns the mean of all recorded samples, or 0 when nothing has
-// been recorded (counted as an empty-input event, see stats.Mean).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		obs.StatsEmptyInputs.Inc()
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Median returns the median of all recorded samples.
 func (h *Histogram) Median() float64 { return Median(h.samples) }
-
-// Quantile returns the q-quantile of all recorded samples.
-func (h *Histogram) Quantile(q float64) float64 { return Quantile(h.samples, q) }
 
 // Min and Max return the extreme recorded samples.
 func (h *Histogram) Min() float64 { lo, _ := MinMax(h.samples); return lo }
 func (h *Histogram) Max() float64 { _, hi := MinMax(h.samples); return hi }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// ModeBin returns the index of the fullest bin.
-func (h *Histogram) ModeBin() int {
-	best := 0
-	for i, c := range h.Bins {
-		if c > h.Bins[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Peaks returns the indices of local maxima whose count is at least
-// minFrac of the total sample count — a crude multimodality detector used
-// to verify the bimodal latency classes in Figure 3.
-func (h *Histogram) Peaks(minFrac float64) []int {
-	var peaks []int
-	min := int(minFrac * float64(h.n))
-	for i, c := range h.Bins {
-		if c < min || c == 0 {
-			continue
-		}
-		leftOK := i == 0 || h.Bins[i-1] <= c
-		rightOK := i == len(h.Bins)-1 || h.Bins[i+1] <= c
-		// Skip plateau duplicates: only count the first bin of a plateau.
-		if i > 0 && h.Bins[i-1] == c {
-			continue
-		}
-		if leftOK && rightOK {
-			peaks = append(peaks, i)
-		}
-	}
-	return peaks
-}
-
-// MassIn returns the fraction of samples falling inside [lo, hi), or 0
-// for an empty histogram (counted as an empty-input event).
-func (h *Histogram) MassIn(lo, hi float64) float64 {
-	if h.n == 0 {
-		obs.StatsEmptyInputs.Inc()
-		return 0
-	}
-	c := 0
-	for _, s := range h.samples {
-		if s >= lo && s < hi {
-			c++
-		}
-	}
-	return float64(c) / float64(h.n)
-}
 
 // Render draws the histogram as rows of '#' marks, width columns at the
 // fullest bin, for the text reports the cmd tools emit.

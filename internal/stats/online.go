@@ -6,13 +6,12 @@ import (
 )
 
 // Online accumulates streaming descriptive statistics in O(1) space:
-// count, mean, variance (Welford's algorithm), minimum and maximum.
-// The fleet driver keeps one per node and one per aggregate so a
-// 4096-node experiment never materializes per-sample slices. The zero
-// value is ready to use.
+// the mean (Welford's update), minimum and maximum. The fleet study
+// reduces its per-node results through it. The zero value is ready to
+// use.
 type Online struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -20,13 +19,11 @@ type Online struct {
 func (o *Online) Add(x float64) {
 	o.n++
 	if o.n == 1 {
-		o.mean, o.m2 = x, 0
+		o.mean = x
 		o.min, o.max = x, x
 		return
 	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 	if x < o.min {
 		o.min = x
 	}
@@ -35,46 +32,8 @@ func (o *Online) Add(x float64) {
 	}
 }
 
-// Merge folds another accumulator into this one (Chan et al.'s
-// parallel variance combination), so per-shard accumulators can be
-// reduced without replaying samples.
-func (o *Online) Merge(b Online) {
-	if b.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = b
-		return
-	}
-	n := o.n + b.n
-	d := b.mean - o.mean
-	o.m2 += b.m2 + d*d*float64(o.n)*float64(b.n)/float64(n)
-	o.mean += d * float64(b.n) / float64(n)
-	o.n = n
-	if b.min < o.min {
-		o.min = b.min
-	}
-	if b.max > o.max {
-		o.max = b.max
-	}
-}
-
-// Count returns the number of samples folded in.
-func (o *Online) Count() int64 { return o.n }
-
 // Mean returns the running mean (0 when empty, matching Mean).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
 
 // Min returns the smallest sample seen (0 when empty).
 func (o *Online) Min() float64 { return o.min }
@@ -173,9 +132,6 @@ func (e *P2Quantile) parabolic(i int, s float64) float64 {
 func (e *P2Quantile) linear(i int, s float64) float64 {
 	return e.q[i] + s*(e.q[int(float64(i)+s)]-e.q[i])/(e.pos[int(float64(i)+s)]-e.pos[i])
 }
-
-// Count returns the number of samples folded in.
-func (e *P2Quantile) Count() int64 { return e.n }
 
 // Value returns the current quantile estimate; NaN when empty
 // (matching Quantile on an empty slice).

@@ -30,25 +30,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for an empty
-// slice (counted as an empty-input event, see Mean).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		obs.StatsEmptyInputs.Inc()
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs without modifying it, or NaN when empty.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -217,34 +198,4 @@ func MaxAbsResidual(c []float64, xs, ys []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// Correlation returns the Pearson correlation coefficient of (xs, ys),
-// or NaN for degenerate inputs.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// LinearFit is shorthand for a degree-1 PolyFit returning intercept and
-// slope.
-func LinearFit(xs, ys []float64) (intercept, slope float64, err error) {
-	c, err := PolyFit(xs, ys, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return c[0], c[1], nil
 }

@@ -329,20 +329,3 @@ func X5670WSM() *Spec {
 	}
 	return s
 }
-
-// HaswellEPDieFor returns the die core count (8, 12 or 18) used for a
-// Haswell-EP SKU with the given number of enabled cores (Section II-A):
-// 4/6/8-core units are cut from the 8-core die, 10/12 from the 12-core
-// die, 14/16/18 from the 18-core die.
-func HaswellEPDieFor(cores int) (dieCores int, ok bool) {
-	switch {
-	case cores >= 4 && cores <= 8:
-		return 8, true
-	case cores == 10 || cores == 12:
-		return 12, true
-	case cores == 14 || cores == 16 || cores == 18:
-		return 18, true
-	default:
-		return 0, false
-	}
-}
