@@ -23,9 +23,8 @@
 // and a snapshot of the internal metrics registry: events dispatched,
 // timer-pool reuse, scheduler slot waits, cache hits/misses, and the
 // silent-failure counters) and prints a short human summary on stderr.
-// -report-prom writes the same metrics in Prometheus text exposition
-// format. Both are strictly out-of-band: the rendered experiment bytes
-// on stdout are identical with or without them.
+// It is strictly out-of-band: the rendered experiment bytes on stdout
+// are identical with or without it.
 //
 // -eprof writes the run's virtual-time energy profile — every simulated
 // Joule and nanosecond attributed to experiment → phase → socket → core
@@ -75,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noCache := fs.Bool("no-cache", false, "bypass the result cache: run everything live and do not store results")
 	verbose := fs.Bool("v", false, "report per-experiment timing and cache status on stderr")
 	reportPath := fs.String("report", "", "write a JSON run manifest (status + metrics) to this file and summarize it on stderr")
-	promPath := fs.String("report-prom", "", "write the metrics snapshot in Prometheus text format to this file")
 	traceVT := fs.String("trace-vt", "", "write the run's virtual-time span trace to this file (.json = Chrome trace-event format for Perfetto, anything else = text timeline); forces live runs")
 	eprofPath := fs.String("eprof", "", "write the run's virtual-time energy profile to this file (.pb, .pb.gz or .pprof = pprof protobuf for `go tool pprof`/Speedscope, anything else = folded flamegraph stacks); forces live runs")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -158,7 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCache:    *noCache,
 		verbose:    *verbose,
 		report:     *reportPath,
-		prom:       *promPath,
 		traceVT:    *traceVT,
 		eprof:      *eprofPath,
 		eprofFile:  eprofFile,
@@ -192,7 +189,6 @@ type runFlags struct {
 	noCache    bool
 	verbose    bool
 	report     string
-	prom       string
 	traceVT    string
 	eprof      string
 	eprofFile  *os.File
@@ -334,7 +330,7 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 			failed++
 		}
 	}
-	if fl.report != "" || fl.prom != "" {
+	if fl.report != "" {
 		manifest.Failed = failed
 		manifest.WallMS = time.Since(wallStart).Milliseconds()
 		manifest.Metrics = obs.Snapshot()
@@ -352,21 +348,11 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 				})
 			}
 		}
-		if fl.report != "" {
-			if err := writeFile(fl.report, manifest.WriteJSON); err != nil {
-				fmt.Fprintf(stderr, "report: %v\n", err)
-				failed++
-			} else {
-				manifest.WriteSummary(stderr)
-			}
-		}
-		if fl.prom != "" {
-			if err := writeFile(fl.prom, func(w io.Writer) error {
-				return obs.WritePrometheus(w, manifest.Metrics)
-			}); err != nil {
-				fmt.Fprintf(stderr, "report-prom: %v\n", err)
-				failed++
-			}
+		if err := writeFile(fl.report, manifest.WriteJSON); err != nil {
+			fmt.Fprintf(stderr, "report: %v\n", err)
+			failed++
+		} else {
+			manifest.WriteSummary(stderr)
 		}
 	}
 	if failed > 0 {

@@ -47,10 +47,9 @@ func TestReportLeavesOutputByteIdentical(t *testing.T) {
 		t.Fatalf("warm run exit %d, stderr:\n%s", code2, err2.String())
 	}
 
-	// Run 3: live (no cache) + report + prometheus export.
+	// Run 3: live (no cache) + report.
 	liveReport := filepath.Join(reportDir, "live.json")
-	promOut := filepath.Join(reportDir, "live.prom")
-	out3, err3, code3 := do("-no-cache", "-report", liveReport, "-report-prom", promOut)
+	out3, err3, code3 := do("-no-cache", "-report", liveReport)
 	if code3 != 0 {
 		t.Fatalf("live run exit %d, stderr:\n%s", code3, err3.String())
 	}
@@ -118,20 +117,6 @@ func TestReportLeavesOutputByteIdentical(t *testing.T) {
 		}
 		if met.Value != 0 {
 			t.Errorf("%s = %d, want 0 on a clean run", name, met.Value)
-		}
-	}
-
-	prom, err := os.ReadFile(promOut)
-	if err != nil {
-		t.Fatalf("read prometheus export: %v", err)
-	}
-	for _, want := range []string{
-		"# TYPE sim_events_dispatched_total counter",
-		"sim_events_dispatched_total ",
-		"sched_slot_wait_ns_bucket{le=\"+Inf\"}",
-	} {
-		if !bytes.Contains(prom, []byte(want)) {
-			t.Errorf("prometheus export missing %q", want)
 		}
 	}
 }

@@ -18,8 +18,6 @@
 //	GET  /v1/profile      ?id=tab3&type=energy|vtime → a forced-live
 //	                      run's virtual-time energy profile as gzipped
 //	                      pprof protobuf (go tool pprof / Speedscope).
-//	GET  /v1/stream       → sampled metrics time-series as Server-Sent
-//	                      Events (Last-Event-ID resumes the stream).
 //	GET  /v1/experiments  → the experiment catalog (id + title).
 //	GET  /metrics         → Prometheus text from the obs registry.
 //	GET  /healthz         → 200 serving / 503 draining.
@@ -31,7 +29,9 @@
 // Every /v1 response carries an X-Request-ID (client-provided or
 // generated), and -access-log writes one structured line per request.
 // -debug-addr opens a second listener with net/http/pprof — kept off
-// the serving address so production traffic never exposes it.
+// the serving address so production traffic never exposes it. Both
+// listeners bound how long a client may take to send its request
+// headers and how large they may be.
 // SIGINT/SIGTERM drains gracefully: admission stops, in-flight runs
 // finish (bounded by -drain-timeout), and the obs manifest flushes to
 // -report. docs/SERVER.md is the full API and semantics reference.
@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reportPath := fs.String("report", "", "flush the obs manifest JSON here on shutdown")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 	accessLog := fs.String("access-log", "", "append per-request access-log lines to this file (\"-\" = stderr)")
-	sampleInterval := fs.Duration("sample-interval", time.Second, "metrics time-series sampling period behind /v1/stream")
 	smoke := fs.String("smoke", "", "run the smoke client against a serving hswsimd at this base URL, then exit")
 	checkManifest := fs.String("check-manifest", "", "validate a drain manifest (clean run, zero failure counters), then exit")
 	if err := fs.Parse(args); err != nil {
@@ -91,17 +90,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Range-check the numeric flags before anything listens: server.New
-	// silently maps a zero or negative -max-scale, -queue-depth or
-	// -sample-interval to its default, and a drain deadline at or below
-	// 0 has passed before the drain starts. The negated -max-scale test
-	// also rejects NaN and +Inf.
+	// silently maps a zero or negative -max-scale or -queue-depth to its
+	// default, and a drain deadline at or below 0 has passed before the
+	// drain starts. The negated -max-scale test also rejects NaN and
+	// +Inf.
 	switch {
 	case !(*maxScale > 0 && *maxScale <= math.MaxFloat64):
 		return usage("-max-scale %g: want a finite value > 0", *maxScale)
 	case *queueDepth < 0:
 		return usage("-queue-depth %d: want a value >= 0 (0 = 4x slots)", *queueDepth)
-	case *sampleInterval <= 0:
-		return usage("-sample-interval %s: want a duration > 0", *sampleInterval)
 	case *drainTimeout <= 0:
 		return usage("-drain-timeout %s: want a duration > 0", *drainTimeout)
 	}
@@ -114,10 +111,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := server.Config{
-		QueueDepth:     *queueDepth,
-		MaxScale:       *maxScale,
-		ManifestPath:   *reportPath,
-		SampleInterval: *sampleInterval,
+		QueueDepth:   *queueDepth,
+		MaxScale:     *maxScale,
+		ManifestPath: *reportPath,
 	}
 	switch *accessLog {
 	case "":
@@ -168,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ln.Close()
 			return 1
 		}
-		debugSrv = &http.Server{Handler: debugMux()}
+		debugSrv = newHTTPServer(debugMux())
 		fmt.Fprintf(stderr, "hswsimd: debug (net/http/pprof) on %s\n", dln.Addr())
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -177,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -214,6 +210,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hswsimd: drained cleanly")
 	}
 	return code
+}
+
+// Header limits for both listeners. A client that never finishes its
+// request headers would otherwise hold its connection open for as long
+// as it likes, and Go's default admits 1 MiB of headers per request; a
+// request over the byte limit is answered 431.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps h in an http.Server with the header limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 }
 
 // debugMux mounts the net/http/pprof handlers on a fresh mux (the

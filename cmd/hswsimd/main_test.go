@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,14 +36,13 @@ func TestBadFlagExitsTwo(t *testing.T) {
 // TestMaxScaleMustBeFiniteAndPositive: a numeric flag outside its
 // range exits 2 with the usage text before the server listens. That is
 // a -max-scale that is NaN, infinite or not above 0, a negative
-// -queue-depth, and a -sample-interval or -drain-timeout not above 0.
-// Unchecked, the first three serve with a silent default, and the last
-// fails every shutdown with runs reported in flight.
+// -queue-depth, and a -drain-timeout not above 0. Unchecked, the first
+// two serve with a silent default, and the last fails every shutdown
+// with runs reported in flight.
 func TestMaxScaleMustBeFiniteAndPositive(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"max-scale", "NaN"}, {"max-scale", "+Inf"}, {"max-scale", "0"}, {"max-scale", "-3"},
 		{"queue-depth", "-5"},
-		{"sample-interval", "0s"}, {"sample-interval", "-1s"},
 		{"drain-timeout", "0s"}, {"drain-timeout", "-1s"},
 	} {
 		arg := "-" + tc.flag + "=" + tc.value
@@ -58,6 +59,46 @@ func TestMaxScaleMustBeFiniteAndPositive(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: still serving after 10 s, want exit 2 before listening", arg)
+		}
+	}
+}
+
+// TestHeaderLimits serves newHTTPServer on a loopback listener: a
+// request with a 100 KiB header is answered 431 (Go's 1 MiB default
+// would admit it), a small request is served, and the server sets a
+// header read timeout, so a client that never finishes its headers
+// cannot hold a connection open.
+func TestHeaderLimits(t *testing.T) {
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+	for _, tc := range []struct {
+		header int
+		want   int
+	}{{16, http.StatusOK}, {100 << 10, http.StatusRequestHeaderFieldsTooLarge}} {
+		req, err := http.NewRequest("GET", "http://"+ln.Addr().String()+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Padding", strings.Repeat("a", tc.header))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%d-byte header: %v", tc.header, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte header: status %d, want %d", tc.header, resp.StatusCode, tc.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,63 @@ func TestDocsNameRegisteredMetrics(t *testing.T) {
 		for _, m := range ref.FindAllStringSubmatch(text, -1) {
 			if !registered[m[1]] {
 				t.Errorf("%s names `%s`, which obs's process-wide registry does not register", doc, m[1])
+			}
+		}
+	}
+}
+
+// TestDocsNameServedRoutes: every `/v1/<name>` path the current
+// documents put in code, an inline span or a fenced block, with or
+// without a query, is a route internal/server registers, and a method
+// written just before the path is one the route answers. The routes
+// are read from the server's HandleFunc patterns, so deleting a route
+// cannot leave a doc line sending readers to a 404.
+func TestDocsNameServedRoutes(t *testing.T) {
+	srcs, err := filepath.Glob("internal/server/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := regexp.MustCompile(`HandleFunc\("(?:([A-Z]+) )?(/[^" ]*)"`)
+	methods := map[string][]string{} // path -> methods; "" answers any
+	for _, src := range srcs {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pattern.FindAllStringSubmatch(string(b), -1) {
+			methods[m[2]] = append(methods[m[2]], m[1])
+		}
+	}
+	if len(methods["/v1/run"]) == 0 {
+		t.Fatalf("found no /v1/run route in %v", srcs)
+	}
+	inline := regexp.MustCompile("`[^`]+`")
+	route := regexp.MustCompile(`(?:\b([A-Z]+)\s+)?(/v1/[a-z0-9_-]+)`)
+	for doc, text := range currentDocs(t) {
+		fenced := false
+		for i, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			code := []string{line}
+			if !fenced {
+				code = inline.FindAllString(line, -1)
+			}
+			for _, c := range code {
+				for _, m := range route.FindAllStringSubmatch(c, -1) {
+					method, path := m[1], m[2]
+					served, ok := methods[path]
+					switch {
+					case !ok:
+						t.Errorf("%s:%d names %s, which internal/server does not serve", doc, i+1, path)
+					case method != "" && !slices.Contains(served, method) && !slices.Contains(served, ""):
+						t.Errorf("%s:%d names %s %s, but internal/server serves %s only to %v", doc, i+1, method, path, path, served)
+					}
+				}
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func AblationPstateGrid(o Options) (*AblationResult, error) {
 	samples := o.count(200)
 	out, err := parallelMap(o, variants, func(variant gridVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		spec := *cfg.Spec
 		spec.PStateGridPeriodUS = variant.gridUS
 		if variant.gridUS == 0 {
@@ -92,7 +92,7 @@ func AblationPstateGrid(o Options) (*AblationResult, error) {
 		}
 		sys.SetPState(0, 1200)
 		sys.Run(10 * sim.Millisecond)
-		rng := sim.NewRNG(o.Seed + 77)
+		rng := sim.NewRNG(o.seed() + 77)
 		lats := make([]float64, 0, samples)
 		target := uarch.MHz(1300)
 		for i := 0; i < samples; i++ {
@@ -157,7 +157,7 @@ func AblationUFS(o Options) (*AblationResult, error) {
 	}
 	out, err := parallelMap(o, variants, func(v ufsVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		v.mutate(&cfg)
 		parent, err := core.NewSystem(cfg)
 		if err != nil {
@@ -199,7 +199,13 @@ func AblationRAPLMode(o Options) (*AblationResult, error) {
 		{"measured (Haswell)", uarch.RAPLMeasured},
 		{"modeled (pre-Haswell approach)", uarch.RAPLModeled},
 	} {
-		r, err := fig2WithMode(variant.mode, o)
+		// A reduced Figure 2 sweep on the Haswell node with the RAPL
+		// mode forced.
+		cfg := core.DefaultConfig()
+		spec := *cfg.Spec
+		spec.RAPLMode = variant.mode
+		cfg.Spec = &spec
+		r, err := fig2Sweep(cfg, []int{1, 4, 12, 24}, 2, o)
 		if err != nil {
 			return nil, err
 		}
@@ -211,101 +217,6 @@ func AblationRAPLMode(o Options) (*AblationResult, error) {
 				"bias_spread_w":  r.BiasSpread(),
 			},
 		})
-	}
-	return res, nil
-}
-
-// fig2WithMode runs a reduced Figure 2 sweep on the Haswell node with a
-// forced RAPL mode.
-func fig2WithMode(mode uarch.RAPLMode, o Options) (*Fig2Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed
-	spec := *cfg.Spec
-	spec.RAPLMode = mode
-	cfg.Spec = &spec
-
-	res := &Fig2Result{Arch: uarch.HaswellEP, PerWorkloadBias: map[string]float64{}}
-	avgDur := o.dur(4 * sim.Second)
-	// Same shape as Fig2 proper: one idle parent, a fork per
-	// (kernel, concurrency) point, points run concurrently.
-	parent, err := o.newSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		k workload.Kernel
-		n int
-	}
-	var jobs []job
-	for _, k := range workload.Fig2Set() {
-		counts := []int{1, 4, 12, 24}
-		if k == nil {
-			counts = []int{0}
-		}
-		for _, n := range counts {
-			jobs = append(jobs, job{k: k, n: n})
-		}
-	}
-	points, err := forkMap(o, parent, jobs, func(sys *core.System, j job) (Fig2Point, error) {
-		for cpu := 0; cpu < j.n; cpu++ {
-			if err := sys.AssignKernel(cpu, j.k, 2); err != nil {
-				return Fig2Point{}, err
-			}
-		}
-		sys.RequestTurbo()
-		sys.Run(o.dur(sim.Second))
-		start := sys.Now()
-		before := make([]core.RAPLReading, sys.Sockets())
-		for s := range before {
-			r, err := sys.ReadRAPL(s)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			before[s] = r
-		}
-		sys.Run(avgDur)
-		rapl := 0.0
-		for s := range before {
-			after, err := sys.ReadRAPL(s)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			p, d, err := sys.RAPLPowerW(before[s], after)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			rapl += p + d
-		}
-		return Fig2Point{
-			Workload: workload.NameOf(j.k), Cores: j.n,
-			ACW: sys.Meter().Average(start, sys.Now()), RAPLW: rapl,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Points = points
-	xs := make([]float64, len(res.Points))
-	ys := make([]float64, len(res.Points))
-	for i, p := range res.Points {
-		xs[i], ys[i] = p.RAPLW, p.ACW
-	}
-	fit, err := stats.PolyFit(xs, ys, 2)
-	if err != nil {
-		return nil, err
-	}
-	res.Fit = fit
-	res.R2 = stats.RSquared(fit, xs, ys)
-	res.MaxResidual = stats.MaxAbsResidual(fit, xs, ys)
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, p := range res.Points {
-		r := p.ACW - stats.PolyEval(fit, p.RAPLW)
-		sums[p.Workload] += r
-		counts[p.Workload]++
-	}
-	for w, s := range sums {
-		res.PerWorkloadBias[w] = s / float64(counts[w])
 	}
 	return res, nil
 }
@@ -334,7 +245,7 @@ func AblationEET(o Options) (*AblationResult, error) {
 	}
 	out, err := parallelMap(o, variants, func(variant eetVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		cfg.EETEnabled = variant.eet
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -391,7 +302,7 @@ func AblationBudget(o Options) (*AblationResult, error) {
 	}
 	out, err := parallelMap(o, variants, func(variant budgetVariant) (AblationVariant, error) {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		cfg.BudgetTrading = variant.trading
 		sys, err := core.NewSystem(cfg)
 		if err != nil {

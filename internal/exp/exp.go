@@ -30,7 +30,9 @@ import (
 // changing either side.
 type Options struct {
 	Scale float64
-	Seed  uint64
+	// Seed seeds every platform and experiment RNG; 0 stands for the
+	// suite seed, 0x5eed.
+	Seed uint64
 
 	// Fleet configures the fleet variation study. Zero values defer to
 	// scale-derived sizing and the suite seed; the struct is part of
@@ -85,8 +87,21 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// suiteSeed is the seed of a flagless run.
+const suiteSeed = 0x5eed
+
 // Defaults returns full-fidelity options.
-func Defaults() Options { return Options{Scale: 1.0, Seed: 0x5eed} }
+func Defaults() Options { return Options{Scale: 1.0, Seed: suiteSeed} }
+
+// seed is the seed every platform config and experiment RNG draws
+// from: Seed, with 0 standing for the suite seed, so a Seed of 0 and
+// one of 0x5eed render the same bytes.
+func (o Options) seed() uint64 {
+	if o.Seed == 0 {
+		return suiteSeed
+	}
+	return o.Seed
+}
 
 func (o Options) scale() float64 {
 	if o.Scale <= 0 {
@@ -116,9 +131,7 @@ func (o Options) count(n int) int {
 // newHSW builds the paper's default dual-socket Haswell-EP node.
 func (o Options) newHSW() (*core.System, error) {
 	cfg := core.DefaultConfig()
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
+	cfg.Seed = o.seed()
 	return o.newSystem(cfg)
 }
 

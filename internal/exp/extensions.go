@@ -199,7 +199,7 @@ func DVFSDynamicStudy(o Options) ([]DVFSDynamicVariant, *report.Table, error) {
 	}
 	out, err := parallelMap(o, variants, func(v dvfsVariant) (DVFSDynamicVariant, error) {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		if v.immediate {
 			spec := *cfg.Spec
 			spec.PStateGridPeriodUS = 0

@@ -38,22 +38,24 @@ type Fig2Result struct {
 // configurations, 4-second power averages, RAPL vs the LMG450 AC
 // reference.
 func Fig2(gen uarch.Generation, o Options) (*Fig2Result, error) {
-	var cfg core.Config
+	concurrencies := []int{1, 2, 4, 8, 12, 16, 24}
 	switch gen {
 	case uarch.HaswellEP:
-		cfg = core.DefaultConfig()
+		return fig2Sweep(core.DefaultConfig(), concurrencies, 2, o)
 	case uarch.SandyBridgeEP:
-		cfg = core.SandyBridgeConfig()
-	default:
-		return nil, fmt.Errorf("exp: Fig2 compares Haswell-EP and Sandy Bridge-EP, not %v", gen)
+		return fig2Sweep(core.SandyBridgeConfig(), concurrencies, 1, o)
 	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
+	return nil, fmt.Errorf("exp: Fig2 compares Haswell-EP and Sandy Bridge-EP, not %v", gen)
+}
 
-	res := &Fig2Result{Arch: gen, PerWorkloadBias: map[string]float64{}}
+// fig2Sweep runs the Figure 2 sweep on cfg: every kernel at each
+// concurrency the node holds (idle once), each point on its own fork of
+// one shared idle parent platform, then fits AC = f(RAPL) with a
+// polynomial of the given degree.
+func fig2Sweep(cfg core.Config, concurrencies []int, degree int, o Options) (*Fig2Result, error) {
+	cfg.Seed = o.seed()
+	res := &Fig2Result{Arch: cfg.Spec.Generation, PerWorkloadBias: map[string]float64{}}
 	avgDur := o.dur(4 * sim.Second) // paper: 4 s constant-load averages
-	concurrencies := []int{1, 2, 4, 8, 12, 16, 24}
 
 	type job struct {
 		k workload.Kernel
@@ -71,8 +73,6 @@ func Fig2(gen uarch.Generation, o Options) (*Fig2Result, error) {
 			}
 		}
 	}
-	// Every (kernel, concurrency) point runs on its own fork of one
-	// shared idle parent platform.
 	parent, err := o.newSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -84,30 +84,11 @@ func Fig2(gen uarch.Generation, o Options) (*Fig2Result, error) {
 			}
 		}
 		sys.RequestTurbo()
-		settle := o.dur(sim.Second)
-		sys.Run(settle)
-
-		before := make([]core.RAPLReading, sys.Sockets())
-		for s := range before {
-			r, err := sys.ReadRAPL(s)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			before[s] = r
-		}
+		sys.Run(o.dur(sim.Second)) // settle
 		start := sys.Now()
-		sys.Run(avgDur)
-		rapl := 0.0
-		for s := range before {
-			after, err := sys.ReadRAPL(s)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			p, d, err := sys.RAPLPowerW(before[s], after)
-			if err != nil {
-				return Fig2Point{}, err
-			}
-			rapl += p + d
+		rapl, err := sys.RAPLTotalPowerW(avgDur)
+		if err != nil {
+			return Fig2Point{}, err
 		}
 		ac := sys.Meter().Average(start, sys.Now())
 		return Fig2Point{Workload: workload.NameOf(j.k), Cores: j.n, ACW: ac, RAPLW: rapl}, nil
@@ -122,10 +103,6 @@ func Fig2(gen uarch.Generation, o Options) (*Fig2Result, error) {
 	ys := make([]float64, len(res.Points))
 	for i, p := range res.Points {
 		xs[i], ys[i] = p.RAPLW, p.ACW
-	}
-	degree := 1
-	if gen == uarch.HaswellEP {
-		degree = 2
 	}
 	fit, err := stats.PolyFit(xs, ys, degree)
 	if err != nil {

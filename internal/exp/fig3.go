@@ -70,7 +70,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 		}
 		sys.SetPState(0, 1200)
 		sys.Run(10 * sim.Millisecond)
-		rng := sim.NewRNG(o.Seed ^ uint64(class+1))
+		rng := sim.NewRNG(o.seed() ^ uint64(class+1))
 		target := uarch.MHz(1300)
 		// Detection overhead of the measurement loop (the 20 us
 		// busy-wait frequency verification plus loop cost).
@@ -161,7 +161,7 @@ func Fig4(o Options) (*Fig4Result, error) {
 			return nil, err
 		}
 	}
-	rng := sim.NewRNG(o.Seed ^ 0xF16)
+	rng := sim.NewRNG(o.seed() ^ 0xF16)
 	for i := 0; i < trials; i++ {
 		for _, pair := range [][]int{local, remote} {
 			// Park the pair at 1.2 GHz, then request 1.3 GHz on both

@@ -37,9 +37,7 @@ func CStateLatencies(state cstate.State, o Options) (*CStateResult, error) {
 		} else {
 			cfg = core.SandyBridgeConfig()
 		}
-		if o.Seed != 0 {
-			cfg.Seed = o.Seed
-		}
+		cfg.Seed = o.seed()
 		for _, sc := range []cstate.Scenario{cstate.Local, cstate.RemoteActive, cstate.RemoteIdle} {
 			sys, err := o.newSystem(cfg)
 			if err != nil {

@@ -105,9 +105,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 	parents := map[uarch.Generation]*core.System{}
 	for _, gen := range []uarch.Generation{uarch.HaswellEP, uarch.SandyBridgeEP, uarch.WestmereEP} {
 		cfg := configFor(gen)
-		if o.Seed != 0 {
-			cfg.Seed = o.Seed
-		}
+		cfg.Seed = o.seed()
 		parent, err := o.newSystem(cfg)
 		if err != nil {
 			return nil, err
@@ -229,9 +227,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 	res := &Fig8Result{}
 	dur := o.dur(sim.Second)
 	cfg := core.DefaultConfig()
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
+	cfg.Seed = o.seed()
 	spec := cfg.Spec
 	freqs := append([]uarch.MHz{}, spec.PStates()...)
 	freqs = append(freqs, spec.TurboSettingMHz())

@@ -64,8 +64,9 @@ func fleetLadder(maxN int) []int {
 // FIRESTARTER-at-turbo parent and measures, per fleet size, the
 // frequency spread a shared package power cap induces — in particular
 // the tail slowdown a bulk-synchronous application would observe when
-// the slowest chip gates every rank. Per-node samples stream through
-// O(1) sketches, so the 4096-node point holds no per-sample slices.
+// the slowest chip gates every rank. fleet.Measure returns one
+// NodeResult per node (4096 at the largest point), which the study
+// reduces through O(1) sketches.
 func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
 	parent, err := o.newHSW()
 	if err != nil {
@@ -88,7 +89,7 @@ func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
 	}
 	seed := o.Fleet.Seed
 	if seed == 0 {
-		seed = o.Seed
+		seed = o.seed()
 	}
 	params := fleet.Params{
 		LeakSigma:  o.Fleet.LeakSigma,

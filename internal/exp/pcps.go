@@ -37,7 +37,7 @@ func PCPSStudy(o Options) ([]PCPSVariant, *report.Table, error) {
 		{"single frequency domain", false},
 	} {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
+		cfg.Seed = o.seed()
 		cfg.PCPSEnabled = v.pcps
 		sys, err := o.newSystem(cfg)
 		if err != nil {

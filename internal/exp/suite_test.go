@@ -295,6 +295,27 @@ func TestFigureCSVOneRowPerPoint(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsSuiteSeed: Options.Seed 0 stands for the suite seed
+// at every seed site, so it renders what Seed 0x5eed renders. fig3
+// draws an experiment RNG from the seed, extensions builds platforms
+// from it (DVFSDynamicStudy, PCPSStudy), and fleet falls back to it for
+// the variation seed.
+func TestSeedZeroIsSuiteSeed(t *testing.T) {
+	for _, id := range []string{"fig3", "extensions", "fleet"} {
+		d, _ := Lookup(id)
+		var zero, suite bytes.Buffer
+		if err := d.Run(Options{Scale: 0.02}, &zero, false); err != nil {
+			t.Fatalf("%s at Seed 0: %v", id, err)
+		}
+		if err := d.Run(Options{Scale: 0.02, Seed: 0x5eed}, &suite, false); err != nil {
+			t.Fatalf("%s at Seed 0x5eed: %v", id, err)
+		}
+		if !bytes.Equal(zero.Bytes(), suite.Bytes()) {
+			t.Errorf("%s: Seed 0 renders differently from Seed 0x5eed", id)
+		}
+	}
+}
+
 // errWriter fails after n bytes, for descriptor write-error paths.
 type errWriter struct{ n int }
 

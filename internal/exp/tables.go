@@ -246,9 +246,7 @@ func Table5(o Options) ([]Table5Cell, *report.Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.HyperThreading = false // Table V: HT not active
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
+	cfg.Seed = o.seed()
 	parent, err := o.newSystem(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -138,10 +138,6 @@ var (
 			10_000_000_000, 60_000_000_000})
 	ServerFailures = std.Counter("server_failures_total",
 		"run requests that failed with an internal error (HTTP 500)")
-	ServerStreamSamples = std.Counter("server_stream_samples_total",
-		"metric snapshots appended to the server's time-series ring")
-	ServerStreamClients = std.Gauge("server_stream_clients",
-		"SSE clients currently attached to /v1/stream")
 
 	// Silent-failure counters: zero on a clean run, nonzero when a
 	// previously invisible degradation happened (surfaced by -report).

@@ -77,9 +77,6 @@ type Config struct {
 	// (request id, tuple key, outcome, queue wait, run wall time). Nil
 	// disables access logging.
 	AccessLog io.Writer
-	// SampleInterval is the metrics time-series sampling period behind
-	// GET /v1/stream (0 = 1s).
-	SampleInterval time.Duration
 
 	// runLive executes one experiment on a held slot (test seam;
 	// nil = exp.RunLive).
@@ -108,14 +105,6 @@ type Server struct {
 	traceMu sync.RWMutex
 	started time.Time
 
-	// series is the sampled metrics time-series GET /v1/stream serves;
-	// a background sampler appends registry snapshots every
-	// SampleInterval until drain.
-	series *obs.Series
-	// drainCh closes when StartDrain is first called — the broadcast
-	// that unblocks long-lived stream handlers and stops the sampler.
-	drainCh   chan struct{}
-	drainOnce sync.Once
 	// Request-id generation: a per-process base (start time) plus a
 	// sequence number, so ids are unique within a serving period and
 	// sortable within a log.
@@ -123,10 +112,6 @@ type Server struct {
 	reqSeq   atomic.Int64
 	accessMu sync.Mutex
 }
-
-// streamCapacity bounds the metrics time-series ring behind
-// GET /v1/stream, in samples.
-const streamCapacity = 256
 
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
@@ -148,30 +133,18 @@ func New(cfg Config) *Server {
 	if lg == nil {
 		lg = log.Default()
 	}
-	interval := cfg.SampleInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
 	s := &Server{
 		cfg:     cfg,
 		pool:    pool,
 		queue:   slots.NewQueue(pool, depth),
 		log:     lg,
 		started: time.Now(),
-		series:  obs.NewSeries(streamCapacity),
-		drainCh: make(chan struct{}),
 		ridBase: fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),
 	}
-	// Prime the series so a stream client connecting immediately after
-	// startup sees a sample without waiting out the first interval.
-	s.series.Add(obs.Snapshot())
-	obs.ServerStreamSamples.Inc()
-	go s.sampler(interval)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/profile", s.handleProfile)
-	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
@@ -457,13 +430,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // StartDrain stops admission: /healthz flips to 503 (load balancers
 // stop routing here) and new run requests are rejected. In-flight runs
-// continue; call Drain to wait for them. The drain broadcast also stops
-// the metrics sampler and disconnects /v1/stream clients, so SSE
-// connections never hold up http.Server.Shutdown.
-func (s *Server) StartDrain() {
-	s.draining.Store(true)
-	s.drainOnce.Do(func() { close(s.drainCh) })
-}
+// continue; call Drain to wait for them.
+func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Drain completes a graceful shutdown: admission stops (if it had
 // not already), in-flight run requests finish — bounded by ctx — and

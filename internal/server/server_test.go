@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -266,6 +267,21 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if len(m.Metrics) == 0 {
 		t.Error("manifest carries no metrics snapshot")
+	}
+}
+
+// TestNewStartsNoGoroutine: building a server starts nothing that runs
+// on its own, so a server that is never drained leaks nothing. Sixteen
+// servers that each started a goroutine would raise the count by at
+// least 16.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	const servers = 16
+	before := runtime.NumGoroutine()
+	for range servers {
+		New(Config{Pool: slots.New(1), Log: quiet})
+	}
+	if rise := runtime.NumGoroutine() - before; rise >= servers {
+		t.Errorf("%d undrained servers raised the goroutine count by %d, want fewer than %d", servers, rise, servers)
 	}
 }
 

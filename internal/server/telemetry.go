@@ -1,14 +1,12 @@
 package server
 
-// Live-telemetry surface: the request-id + access-log middleware, the
-// sampled metrics time-series behind GET /v1/stream (SSE), and the
-// on-demand energy profile behind GET /v1/profile. Everything here is
-// out-of-band of experiment output — the same zero-perturbation rule
+// Live-telemetry surface: the request-id + access-log middleware and
+// the on-demand energy profile behind GET /v1/profile. Everything here
+// is out-of-band of experiment output — the same zero-perturbation rule
 // internal/obs lives by.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -61,7 +59,7 @@ func infoFrom(ctx context.Context) *reqInfo {
 }
 
 // statusRecorder captures the status code and body size for the access
-// log while passing Flush through so SSE streaming keeps working.
+// log.
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
@@ -77,12 +75,6 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	n, err := sr.ResponseWriter.Write(b)
 	sr.bytes += n
 	return n, err
-}
-
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // instrument wraps the API mux: every response carries an X-Request-ID
@@ -123,78 +115,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// sampler appends a registry snapshot to the time-series ring every
-// interval until the drain broadcast.
-func (s *Server) sampler(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.drainCh:
-			return
-		case <-t.C:
-			s.series.Add(obs.Snapshot())
-			obs.ServerStreamSamples.Inc()
-		}
-	}
-}
-
-// handleStream serves the sampled metrics time-series as Server-Sent
-// Events: one `metrics` event per sample, the monotone sample index as
-// the SSE event id. A reconnecting client sends Last-Event-ID (or
-// ?after=N) and replays every sample still in the ring past that
-// point, then follows live. The stream ends with a `drain` event when
-// the server shuts down, so clients distinguish drain from a drop.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	obs.ServerRequests.With("stream").Inc()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)
-		return
-	}
-	var after int64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseInt(v, 10, 64)
-	} else if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseInt(v, 10, 64)
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	obs.ServerStreamClients.Add(1)
-	defer obs.ServerStreamClients.Add(-1)
-	for {
-		for _, sm := range s.series.Since(after) {
-			data, err := json.Marshal(sm.Metrics)
-			if err != nil {
-				s.log.Printf("hswsimd: stream sample %d marshal failed: %v", sm.Index, err)
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: metrics\ndata: %s\n\n", sm.Index, data); err != nil {
-				return // client gone
-			}
-			after = sm.Index
-		}
-		fl.Flush()
-		wake := s.series.Wait()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			fmt.Fprintf(w, "event: drain\ndata: {}\n\n")
-			fl.Flush()
-			return
-		case <-wake:
-		}
-	}
-}
-
 // handleProfile serves GET /v1/profile?id=<exp>&type=energy|vtime
 // [&scale=&seed=]: a recorded run under the energy profiler, returned
 // as gzipped pprof protobuf. The query resolves like a POST /v1/run
 // body naming the same id, scale and seed, except that a query can
-// tell a present 0 from an absent field: scale=0 is rejected, and
-// seed=0 is passed through, as the CLI's -seed 0 is.
+// tell a present scale=0 from an absent one and rejects it.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	obs.ServerRequests.With("profile").Inc()
 	if s.draining.Load() {
@@ -211,9 +136,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	seed := q.Get("seed")
-	if seed != "" {
-		if req.Seed, err = strconv.ParseUint(seed, 10, 64); err != nil {
+	if v := q.Get("seed"); v != "" {
+		if req.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
 			http.Error(w, "seed must be an unsigned integer", http.StatusBadRequest)
 			return
 		}
@@ -222,9 +146,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), code)
 		return
-	}
-	if seed != "" {
-		o.Seed = req.Seed
 	}
 	var defaultType string
 	switch q.Get("type") {

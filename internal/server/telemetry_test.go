@@ -1,21 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"hswsim/internal/eprof"
 	"hswsim/internal/exp"
-	"hswsim/internal/obs"
 	"hswsim/internal/pproftest"
 	"hswsim/internal/slots"
 )
@@ -30,10 +25,7 @@ func newTelemetryServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.StartDrain() // stops the sampler goroutine
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -140,154 +132,6 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// sseEvent is one parsed Server-Sent Event.
-type sseEvent struct {
-	id    int64
-	event string
-	data  string
-}
-
-// readSSE parses events off an open SSE stream until n events or EOF.
-func readSSE(t *testing.T, r *bufio.Reader, n int) []sseEvent {
-	t.Helper()
-	var out []sseEvent
-	var cur sseEvent
-	for len(out) < n {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			if err == io.EOF {
-				return out
-			}
-			t.Fatalf("read SSE: %v", err)
-		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case line == "":
-			out = append(out, cur)
-			cur = sseEvent{}
-		case strings.HasPrefix(line, "id: "):
-			cur.id, _ = strconv.ParseInt(line[4:], 10, 64)
-		case strings.HasPrefix(line, "event: "):
-			cur.event = line[7:]
-		case strings.HasPrefix(line, "data: "):
-			cur.data = line[6:]
-		}
-	}
-	return out
-}
-
-// TestStreamReplayMatchesMetrics covers the SSE half of the time-series
-// satellite: samples stream with monotone ids, each sample carries the
-// same metric families GET /metrics exposes, and a reconnect with
-// Last-Event-ID replays retained samples byte-identically.
-func TestStreamReplayMatchesMetrics(t *testing.T) {
-	_, ts := newTelemetryServer(t, Config{
-		SampleInterval: 20 * time.Millisecond,
-		runLive: func(id string, o exp.Options, csv bool) ([]byte, error) {
-			return []byte("ok\n"), nil
-		},
-	})
-
-	resp, err := http.Get(ts.URL + "/v1/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	events := readSSE(t, bufio.NewReader(resp.Body), 3)
-	if len(events) < 3 {
-		t.Fatalf("got %d events, want 3", len(events))
-	}
-	byID := map[int64]sseEvent{}
-	for i, ev := range events {
-		if ev.event != "metrics" {
-			t.Fatalf("event %d type %q", i, ev.event)
-		}
-		if i > 0 && ev.id <= events[i-1].id {
-			t.Fatalf("ids not monotone: %d after %d", ev.id, events[i-1].id)
-		}
-		var ms []obs.Metric
-		if err := json.Unmarshal([]byte(ev.data), &ms); err != nil {
-			t.Fatalf("event %d data: %v", i, err)
-		}
-		byID[ev.id] = ev
-
-		// Family agreement with GET /metrics: every sampled name must
-		// be served on /metrics. (Subset, not equality: vector members
-		// materialize lazily, so a scrape taken after the sample can
-		// legitimately carry new families; values drift between
-		// scrapes, so the family set is the stable contract.)
-		mresp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		promText, _ := io.ReadAll(mresp.Body)
-		mresp.Body.Close()
-		served := map[string]bool{}
-		for _, l := range strings.Split(string(promText), "\n") {
-			if f, ok := strings.CutPrefix(l, "# TYPE "); ok {
-				served[strings.Fields(f)[0]] = true
-			}
-		}
-		names := map[string]bool{}
-		for _, m := range ms {
-			if !served[m.Name] {
-				t.Fatalf("sampled metric %q not served on /metrics", m.Name)
-			}
-			names[m.Name] = true
-		}
-		// Core always-registered families must be in every sample.
-		for _, want := range []string{"sim_events_dispatched_total", "server_stream_samples_total"} {
-			if !names[want] {
-				t.Fatalf("sample missing always-registered metric %q", want)
-			}
-		}
-	}
-
-	// Reconnect with Last-Event-ID = first event: the replay must
-	// reproduce the retained overlapping samples byte-identically.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/stream", nil)
-	req.Header.Set("Last-Event-ID", strconv.FormatInt(events[0].id, 10))
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	replayed := readSSE(t, bufio.NewReader(resp2.Body), 2)
-	for _, ev := range replayed {
-		if ev.id <= events[0].id {
-			t.Fatalf("replay included id %d ≤ cursor %d", ev.id, events[0].id)
-		}
-		if orig, ok := byID[ev.id]; ok && orig.data != ev.data {
-			t.Fatalf("replayed sample %d differs from original:\n%s\n----\n%s",
-				ev.id, ev.data, orig.data)
-		}
-	}
-}
-
-func TestStreamDrainEventOnShutdown(t *testing.T) {
-	s, ts := newTelemetryServer(t, Config{
-		SampleInterval: time.Hour, // only the primed sample
-	})
-	resp, err := http.Get(ts.URL + "/v1/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	r := bufio.NewReader(resp.Body)
-	first := readSSE(t, r, 1)
-	if len(first) != 1 || first[0].event != "metrics" {
-		t.Fatalf("expected the primed sample first, got %+v", first)
-	}
-	s.StartDrain()
-	rest := readSSE(t, r, 1)
-	if len(rest) != 1 || rest[0].event != "drain" {
-		t.Fatalf("expected a drain event, got %+v", rest)
-	}
-}
-
 // TestProfileEndpointRealRun drives GET /v1/profile through a real
 // exp.RunLive: the response must be decodable pprof with both sample
 // types, nonzero samples, and the requested default view.
@@ -353,7 +197,7 @@ func TestProfileEndpointValidation(t *testing.T) {
 		{query: "?id=tab3&scale=NaN", code: http.StatusBadRequest, want: "scale NaN outside"},
 		{query: "?id=tab3&scale=0.25&seed=notanumber", code: http.StatusBadRequest, want: "seed must be"},
 		{query: "?id=tab3&scale=0.5", code: http.StatusOK, seed: exp.Defaults().Seed},
-		{query: "?id=tab3&scale=0.25&seed=0", code: http.StatusOK, seed: 0},
+		{query: "?id=tab3&scale=0.25&seed=0", code: http.StatusOK, seed: exp.Defaults().Seed},
 		{query: "?id=tab3&scale=0.25&seed=7", code: http.StatusOK, seed: 7},
 	}
 	for _, tc := range cases {

@@ -47,7 +47,7 @@ func BenchmarkEngineEveryTick(b *testing.B) {
 
 // BenchmarkEngineEveryRunUntil measures many concurrent periodic timers
 // advanced through RunUntil — the full steady-state dispatch loop with
-// same-timestamp batches (all series share phase and period).
+// same-timestamp events (all series share phase and period).
 func BenchmarkEngineEveryRunUntil(b *testing.B) {
 	e := NewEngine()
 	n := 0

@@ -20,17 +20,6 @@ type Handler interface {
 	HandleEvent(now Time, arg int)
 }
 
-// Entry locations. locQueued marks a pending entry in the engine's
-// heap; locClaimed marks it pulled into the current same-timestamp
-// dispatch batch but not yet run; locNone covers both in-flight (its
-// callback is running) and retired/free entries — the generation stamp
-// tells those apart.
-const (
-	locNone    int8 = iota
-	locQueued       // pending in the (at, seq) heap; index = heap position
-	locClaimed      // claimed into the current dispatch batch
-)
-
 // scheduled is an entry in the event queue. seq breaks ties between events
 // scheduled for the same instant so dispatch order is insertion order,
 // keeping runs deterministic.
@@ -47,11 +36,14 @@ type scheduled struct {
 	fn  Event
 	// h/arg are the closure-free callback form: when h is non-nil the
 	// dispatcher calls h.HandleEvent(now, arg) instead of fn(now).
-	h      Handler
-	arg    int
-	loc    int8
+	h   Handler
+	arg int
+	// queued marks an entry pending in the (at, seq) heap. An entry that
+	// is not queued is either in flight (its callback is running) or
+	// retired; the generation stamp tells those apart.
+	queued bool
 	gen    uint64 // incremented each time the entry returns to the pool
-	index  int    // heap position while locQueued
+	index  int    // heap position while queued
 	period Time   // > 0: persistent periodic timer (Every)
 	// stopped marks a periodic series whose stop function ran while its
 	// tick was in flight; the dispatcher retires the entry instead of
@@ -176,8 +168,6 @@ type Engine struct {
 	// free pools retired queue entries for reuse (bounded by the peak
 	// number of simultaneously pending events).
 	free []*scheduled
-	// batch is the scratch buffer for same-timestamp dispatch in RunUntil.
-	batch []*scheduled
 	// stats are plain counters (the engine is single-goroutine by
 	// design); deltas flush to the process-wide obs registry at the end
 	// of each RunUntil/Drain, keeping the per-event path atomic-free.
@@ -242,14 +232,14 @@ func (e *Engine) release(s *scheduled) {
 	s.arg = 0
 	s.period = 0
 	s.stopped = false
-	s.loc = locNone
+	s.queued = false
 	s.index = 0
 	e.free = append(e.free, s)
 }
 
 // place queues a pending entry whose at/seq the caller has set.
 func (e *Engine) place(s *scheduled) {
-	s.loc = locQueued
+	s.queued = true
 	e.queue.push(s)
 }
 
@@ -312,14 +302,11 @@ func (e *Engine) EveryIDHandler(start, period Time, h Handler, arg int) EventID 
 // has already validated the generation and period.
 func (e *Engine) stopPeriodic(s *scheduled) {
 	s.stopped = true
-	switch s.loc {
-	case locQueued:
+	if s.queued {
 		e.queue.remove(s.index)
 		e.release(s)
-	case locClaimed:
-		e.release(s)
 	}
-	// locNone: the tick is in flight; the dispatcher sees stopped and
+	// Otherwise the tick is in flight; the dispatcher sees stopped and
 	// retires the entry instead of re-arming.
 }
 
@@ -328,7 +315,7 @@ func (e *Engine) stopPeriodic(s *scheduled) {
 // false; a periodic series reports true until stopped.
 func (e *Engine) IsPending(id EventID) bool {
 	s := id.s
-	return s != nil && s.gen == id.gen && s.loc == locQueued
+	return s != nil && s.gen == id.gen && s.queued
 }
 
 // Fork returns a new engine at the same virtual time with the same
@@ -378,7 +365,7 @@ func (e *Engine) ResetToFork(parent *Engine) {
 // caller binds its callback.
 func (e *Engine) rearm(id EventID) *scheduled {
 	s := id.s
-	if s == nil || s.gen != id.gen || s.loc != locQueued {
+	if s == nil || s.gen != id.gen || !s.queued {
 		panic("sim: Rearm of an event that is not pending")
 	}
 	n := e.alloc()
@@ -426,8 +413,8 @@ func (e *Engine) Every(start, period Time, fn Event) (stop func()) {
 }
 
 // dispatch runs one entry taken from the queue, re-arming periodic
-// timers and recycling everything else. The caller has set loc to
-// locNone (in flight).
+// timers and recycling everything else. The caller has cleared queued
+// (in flight).
 func (e *Engine) dispatch(s *scheduled) {
 	e.stats.dispatched++
 	if s.period > 0 {
@@ -469,47 +456,23 @@ func (e *Engine) Step() bool {
 	if s.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
-	s.loc = locNone
+	s.queued = false
 	e.now = s.at
 	e.dispatch(s)
 	return true
 }
 
-// RunUntil dispatches events until the clock reaches t (events due exactly
-// at t are dispatched) or the queue drains, then sets the clock to t.
-// Events sharing a timestamp are claimed from the queue as one batch
-// before any of them runs, so a burst of same-instant events (aligned
-// periodic timers, simultaneous per-core ticks) pays one drain
-// instead of interleaving pops with the pushes their callbacks issue.
+// RunUntil dispatches events one at a time in (at, seq) order until
+// the clock reaches t (events due exactly at t are dispatched) or the
+// queue drains, then sets the clock to t. A callback that schedules an
+// event at its own instant gets a later sequence number, so the new
+// event runs after every same-instant event already pending.
 func (e *Engine) RunUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
 	for len(e.queue) > 0 && e.queue[0].at <= t {
-		at := e.queue[0].at
-		if at < e.now {
-			panic("sim: event queue corrupted (time went backwards)")
-		}
-		// Claim the whole same-timestamp cohort. Callbacks may schedule
-		// new events at this same instant; those land in the queue with
-		// higher sequence numbers and form the next batch.
-		batch := e.batch[:0]
-		e.batch = nil // guard against re-entrant RunUntil from a callback
-		for len(e.queue) > 0 && e.queue[0].at == at {
-			s := e.queue.pop()
-			s.loc = locClaimed
-			batch = append(batch, s)
-		}
-		e.now = at
-		for i, s := range batch {
-			batch[i] = nil
-			if s.loc != locClaimed {
-				continue // cancelled/stopped by an earlier batch member
-			}
-			s.loc = locNone
-			e.dispatch(s)
-		}
-		e.batch = batch[:0]
+		e.Step()
 	}
 	e.now = t
 	e.flushStats()

@@ -16,20 +16,13 @@ func (e *Engine) Cancel(id EventID) bool {
 	if s == nil || s.gen != id.gen {
 		return false
 	}
-	switch s.loc {
-	case locQueued:
-		e.queue.remove(s.index)
-		e.release(s)
-		return true
-	case locClaimed:
-		// Pending in the current dispatch batch: retire it before it
-		// fires (the dispatcher skips entries it no longer owns).
-		e.release(s)
-		return true
-	default:
+	if !s.queued {
 		// In flight (its own callback is running) or already done.
 		return false
 	}
+	e.queue.remove(s.index)
+	e.release(s)
+	return true
 }
 
 // EveryID is Every returning the series' EventID instead of a stop

@@ -4,23 +4,20 @@ import "fmt"
 
 // refEngine is the reference queue implementation Engine is
 // property-tested against: a plain binary min-heap engine with
-// identical (at, seq) dispatch order, tie-break, batch-claim,
-// cancel/stop and fork semantics. It is kept as an independent copy
-// rather than sharing code with Engine, so a bug in one cannot hide in
-// both — the property test (pool_test.go) asserts Engine reproduces its
-// dispatch sequences exactly, including same-instant batches and fork
-// re-arm coordinates.
+// identical (at, seq) dispatch order, tie-break, cancel/stop and fork
+// semantics. It is kept as an independent copy rather than sharing
+// code with Engine, so a bug in one cannot hide in both — the property
+// test (pool_test.go) asserts Engine reproduces its dispatch sequences
+// exactly, including same-instant events and fork re-arm coordinates.
 type refScheduled struct {
 	at      Time
 	seq     uint64
 	fn      Event
-	index   int // heap index; -1 once popped/cancelled, -2 claimed
+	index   int // heap index; -1 once popped/cancelled
 	gen     uint64
 	period  Time
 	stopped bool
 }
-
-const refClaimed = -2
 
 type refEventID struct {
 	s   *refScheduled
@@ -80,7 +77,6 @@ type refEngine struct {
 	queue refQueue
 	seq   uint64
 	free  []*refScheduled
-	batch []*refScheduled
 }
 
 func newRefEngine() *refEngine { return &refEngine{} }
@@ -174,17 +170,12 @@ func (e *refEngine) Cancel(id refEventID) bool {
 	if s == nil || s.gen != id.gen {
 		return false
 	}
-	switch {
-	case s.index >= 0:
-		e.remove(s.index)
-		e.release(s)
-		return true
-	case s.index == refClaimed:
-		e.release(s)
-		return true
-	default:
+	if s.index < 0 {
 		return false
 	}
+	e.remove(s.index)
+	e.release(s)
+	return true
 }
 
 func (e *refEngine) EveryID(start, period Time, fn Event) refEventID {
@@ -201,8 +192,6 @@ func (e *refEngine) StopSeries(id refEventID) {
 	s.stopped = true
 	if s.index >= 0 {
 		e.remove(s.index)
-		e.release(s)
-	} else if s.index == refClaimed {
 		e.release(s)
 	}
 }
@@ -266,24 +255,7 @@ func (e *refEngine) RunUntil(t Time) {
 		panic(fmt.Sprintf("sim: ref RunUntil(%v) before now %v", t, e.now))
 	}
 	for len(e.queue) > 0 && e.queue[0].at <= t {
-		at := e.queue[0].at
-		batch := e.batch
-		e.batch = nil
-		batch = batch[:0]
-		for len(e.queue) > 0 && e.queue[0].at == at {
-			s := e.pop()
-			s.index = refClaimed
-			batch = append(batch, s)
-		}
-		e.now = at
-		for i, s := range batch {
-			batch[i] = nil
-			if s.index != refClaimed {
-				continue
-			}
-			e.dispatch(s)
-		}
-		e.batch = batch[:0]
+		e.Step()
 	}
 	e.now = t
 }

@@ -42,33 +42,29 @@ func TestEngineCancelStaleAfterRecycle(t *testing.T) {
 }
 
 // TestEngineCancelBatchMate: an event may cancel a sibling scheduled for
-// the same instant, even though RunUntil has already claimed the whole
-// cohort from the heap.
+// the same instant that has not run yet.
 func TestEngineCancelBatchMate(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	var victim EventID
 	e.At(10, func(Time) {
 		if !e.Cancel(victim) {
-			t.Errorf("Cancel of claimed batch mate returned false")
+			t.Errorf("Cancel of a pending same-instant event returned false")
 		}
 	})
 	victim = e.At(10, func(Time) { ran = true })
 	e.RunUntil(10)
 	if ran {
-		t.Fatalf("cancelled batch mate still ran")
+		t.Fatalf("cancelled same-instant event still ran")
 	}
 }
 
 // TestEngineEveryStopFromBatchMate: stopping a periodic series from a
-// same-instant sibling suppresses the tick already claimed for dispatch.
+// same-instant sibling suppresses the tick that has not run yet.
 func TestEngineEveryStopFromBatchMate(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	stop := e.Every(10, 5, func(Time) { n++ })
-	// Same timestamp, lower seq would run first — but Every above was
-	// scheduled first, so give the stopper an earlier timestamp slot by
-	// scheduling it at the same instant and relying on the claim path.
 	e.At(10, func(Time) { stop() })
 	// The Every entry (seq 0) dispatches before the stopper (seq 1), so
 	// the first tick fires; the stop then removes the re-armed timer.
@@ -86,7 +82,7 @@ func TestEngineEveryStopFromBatchMate(t *testing.T) {
 	stop2 = e2.Every(10, 5, func(Time) { m++ })
 	e2.RunUntil(100)
 	if m != 0 {
-		t.Fatalf("Every fired %d times, want 0 (stopped by earlier batch mate)", m)
+		t.Fatalf("Every fired %d times, want 0 (stopped by an earlier same-instant event)", m)
 	}
 }
 
@@ -133,20 +129,22 @@ func TestEngineEveryStopFromWithinThenReuse(t *testing.T) {
 }
 
 // TestEngineReentrantRunUntil: a callback may pump the engine itself
-// (RunUntil from within RunUntil); the batch scratch buffer must not be
-// shared between the two activations.
+// (RunUntil from within RunUntil). The inner call dispatches in
+// (at, seq) order like any other: the same-instant event already
+// pending (4) runs before the one the callback just scheduled (2), and
+// both before the callback resumes (3).
 func TestEngineReentrantRunUntil(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.At(10, func(Time) {
 		order = append(order, 1)
 		e.At(10, func(Time) { order = append(order, 2) })
-		e.RunUntil(10) // drains the just-scheduled same-instant event
+		e.RunUntil(10) // drains every pending same-instant event
 		order = append(order, 3)
 	})
 	e.At(10, func(Time) { order = append(order, 4) })
 	e.RunUntil(20)
-	want := []int{1, 2, 3, 4}
+	want := []int{1, 4, 2, 3}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -164,8 +162,8 @@ func checkEngine(t *testing.T, e *Engine) {
 		if i > 0 && eventLess(s, e.queue[(i-1)/2]) {
 			t.Fatalf("heap violated at %d: (%v,%d) < parent", i, s.at, s.seq)
 		}
-		if s.loc != locQueued {
-			t.Fatalf("entry (%v,%d) has loc %d, want %d", s.at, s.seq, s.loc, locQueued)
+		if !s.queued {
+			t.Fatalf("entry (%v,%d) is in the heap but not marked queued", s.at, s.seq)
 		}
 		if s.at < e.now {
 			t.Fatalf("entry (%v,%d) pending in the past (now %v)", s.at, s.seq, e.now)
@@ -179,7 +177,7 @@ func checkEngine(t *testing.T, e *Engine) {
 // FuzzEngineDispatchOrder drives the engine and the reference heap
 // engine (engine_ref_test.go) through one random interleaving of
 // At/After/EveryID/Cancel/StopSeries/Run/Fork per seed and requires
-// identical dispatch traces — including same-instant batch ordering
+// identical dispatch traces — including same-instant ordering
 // and fork re-arm at the original (time, seq) coordinates. The heap's
 // structural invariants are checked after every operation. The seed
 // corpus runs under plain go test; -fuzz explores further seeds.
@@ -204,8 +202,8 @@ func runDualScript(t *testing.T, rng *RNG) {
 	var everies []int // indices of periodic entries (StopSeries targets)
 	nextTag := 0
 	// Periods drawn from a small set, with starts usually snapped to the
-	// next period multiple, so independent series align into same-instant
-	// batches; sparse phases keep singleton series too.
+	// next period multiple, so independent series share instants;
+	// sparse phases keep singleton series too.
 	periods := []Time{5, 10, 25, 40}
 	for op := 0; op < 400; op++ {
 		switch rng.Intn(12) {
@@ -348,7 +346,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Every(Time(i), 10, func(Time) {})
 	}
-	e.Run(100) // warm the pool and the batch buffer
+	e.Run(100) // warm the pool
 	avg := testing.AllocsPerRun(100, func() {
 		e.Run(100)
 	})
