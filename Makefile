@@ -97,14 +97,19 @@ serve-smoke:
 # plus the heap invariants), the p-state domain against the
 # transition ring it replaced (LastTransition, InFlight, Granted and
 # CompletionTime after every operation, and each record Complete
-# returns), and hostile hswsimd POST /v1/run bodies through decode and
+# returns), hostile hswsimd POST /v1/run bodies through decode and
 # resolve (no panic; every accepted request names a known experiment
-# with a scale in (0, max-scale] and valid options); plain `go test`
-# runs only the committed seed corpora.
+# with a scale in (0, max-scale] and valid options), and the sockets'
+# kept operating-point tables against tables rebuilt on every full
+# segment (equal RAPL energy and counter snapshots bit for bit, equal
+# segment and point counts after up to 32 kernel, idle-state, p-state,
+# power-limit, run and fork operations); plain `go test` runs only the
+# committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzPointTable$$' -fuzztime 10s ./internal/core
 
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
@@ -114,8 +119,8 @@ fuzz-smoke:
 # determinism test), benchmark smoke, perf regression diff, the
 # serial-vs-forked-parallel golden comparison, the committed reference
 # output, the energy-profiler gate, the hswsimd server lifecycle smoke,
-# the bench/ module build and smoke test, and the event-engine, p-state
-# and run-request fuzz smoke.
+# the bench/ module build and smoke test, and the event-engine, p-state,
+# run-request and point-table fuzz smoke.
 ci:
 	@echo "==> ci step 1/13: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
@@ -142,5 +147,5 @@ ci:
 	@echo "==> ci step 12/13: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 13/13: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, or hswsimd accepted or panicked on a hostile run request, under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, or a kept operating-point table diverged from one rebuilt every segment, under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

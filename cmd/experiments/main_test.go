@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hswsim/internal/obs"
@@ -91,6 +92,7 @@ func TestReportLeavesOutputByteIdentical(t *testing.T) {
 		"expcache_misses_total", // run 1 started cold
 		"expcache_hits_total",   // run 2 replayed run 1's entries
 		"power_segments_replayed_total",
+		"power_segments_regrouped_total",
 	}
 	for _, name := range mustPositive {
 		met, ok := m.Metric(name)
@@ -169,5 +171,39 @@ func TestHelpExitsZero(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("run(bad flag) = %d, want 2", code)
+	}
+}
+
+// TestCSVWithoutCSVFormSharesCacheEntry: fig3 has no CSV form, so
+// -csv renders its text figure and must replay the plain run's cache
+// entry instead of storing a second, identical one.
+func TestCSVWithoutCSVFormSharesCacheEntry(t *testing.T) {
+	cacheDir := t.TempDir()
+	var outs [2]bytes.Buffer
+	for i, extra := range [][]string{nil, {"-csv"}} {
+		var stderr bytes.Buffer
+		args := append([]string{"-run", "fig3", "-scale", "0.05", "-v", "-cache-dir", cacheDir}, extra...)
+		if code := run(args, &outs[i], &stderr); code != 0 {
+			t.Fatalf("run %v: exit %d, stderr:\n%s", args, code, stderr.String())
+		}
+		if cached := strings.Contains(stderr.String(), "fig3: cache hit"); cached != (i == 1) {
+			t.Errorf("run %v: cache hit %v, want %v; stderr:\n%s", args, cached, i == 1, stderr.String())
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Error("-csv changed fig3's output")
+	}
+	entries := 0
+	err := filepath.Walk(cacheDir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") {
+			entries++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries != 1 {
+		t.Errorf("%d cache entries for fig3 with and without -csv, want 1", entries)
 	}
 }

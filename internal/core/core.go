@@ -109,6 +109,7 @@ func (c *Core) onComplete(t sim.Time) {
 	if x, ok := c.dom.Complete(t); ok {
 		c.sk.markDirty()
 		c.sk.grantsSettled = false
+		c.sk.landed = true
 		if tr := c.sk.sys.trace; tr != nil {
 			label := fmt.Sprintf("%v -> %v", x.From, x.To)
 			tr.Add(trace.SpanPState, c.sk.Index, c.CPU, x.RequestedAt, x.CompletedAt, label)
@@ -130,6 +131,7 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 		c.profCacheVal, c.profCacheOK = ck.ConstantProfile(), true
 	}
 	c.sk.markDirty()
+	c.sk.regroup = true
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
 	cacheable := true

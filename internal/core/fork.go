@@ -374,13 +374,16 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	// Apply); reseat the harvested private backing.
 	nk.eplan.Attach(eplanEntries)
 	nk.coresBuf, nk.pointOf, nk.pointsBuf, nk.pointsMeta = coresBuf, pointOf, pointsBuf, pointsMeta
+	// The harvested operating-point table is the old child's, never the
+	// parent's: the child's first full segment must rebuild it.
+	nk.regroup = true
 	nk.statesBuf, nk.resultsBuf, nk.telCores = statesBuf, resultsBuf, telCores
 	// The harvested telemetry buffer holds the old child's values, not
 	// the parent's: force a rebuild on the child's first grid tick.
 	nk.telBuilt = 0
 	// Forked sockets count their own integration segments from zero.
-	nk.statReplay, nk.statFull, nk.statLoads, nk.statPoints = 0, 0, 0, 0
-	nk.statReplayFlushed, nk.statFullFlushed, nk.statLoadsFlushed, nk.statPointsFlushed = 0, 0, 0, 0
+	nk.statReplay, nk.statFull, nk.statRegroup, nk.statLoads, nk.statPoints = 0, 0, 0, 0, 0
+	nk.statReplayFlushed, nk.statFullFlushed, nk.statRegroupFlushed, nk.statLoadsFlushed, nk.statPointsFlushed = 0, 0, 0, 0, 0
 
 	// Residency: one contiguous slab per socket, copied from the parent.
 	bins := residencyBins(sk.Spec)

@@ -16,10 +16,13 @@ import (
 
 // checkPointsInvariant renders scenario with point sharing on and off,
 // each with the steady replay on and forced off, and requires all four
-// renders to be identical.
+// renders to be identical. It then does the same with the
+// operating-point table kept and rebuilt on every full segment (see
+// pointtable_test.go).
 func checkPointsInvariant(t *testing.T, scenario func(t *testing.T) string) {
 	t.Helper()
 	checkOffSwitch(t, &debugNoSharedPoints, "shared points off", scenario)
+	checkTableInvariant(t, scenario)
 }
 
 // checkPoints requires the socket's last full segment to have solved

@@ -15,7 +15,6 @@ import (
 	"hswsim/internal/sim"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
-	"hswsim/internal/workload"
 )
 
 // Socket is one processor package.
@@ -84,14 +83,25 @@ type Socket struct {
 	segDRAMW  float64
 	segUncGHz float64
 
+	// regroup is raised when an input of the operating-point table's
+	// grouping changes: a kernel or thread assignment (which is also how
+	// a core enters or leaves C0, see Core.assign), or a fork. The next
+	// full segment then rebuilds the table. landed is raised when a
+	// p-state lands on one of the socket's cores (Core.onComplete); the
+	// next full segment moves the cores whose clock left their point's
+	// and keeps the rest of the table.
+	regroup bool
+	landed  bool
+
 	// Change-driven integration accounting: replay vs full-recompute
-	// segment counts, and the core loads and operating points the full
-	// segments solved. Plain fields (a socket integrates on one
-	// goroutine); System.flushObs pushes deltas to the obs registry at
-	// run boundaries, so the per-segment path stays atomic-free. Forked
+	// segment counts, the full segments that rebuilt the operating-point
+	// table, and the core loads and operating points the full segments
+	// solved. Plain fields (a socket integrates on one goroutine);
+	// System.flushObs pushes deltas to the obs registry at run
+	// boundaries, so the per-segment path stays atomic-free. Forked
 	// sockets start at zero and count their own segments.
-	statReplay, statFull, statLoads, statPoints                             uint64
-	statReplayFlushed, statFullFlushed, statLoadsFlushed, statPointsFlushed uint64
+	statReplay, statFull, statRegroup, statLoads, statPoints                                    uint64
+	statReplayFlushed, statFullFlushed, statRegroupFlushed, statLoadsFlushed, statPointsFlushed uint64
 
 	// eplan is the energy profiler's attribution plan for the memoized
 	// segment: one prebuilt (bucket, rate) entry per power-model term,
@@ -101,11 +111,12 @@ type Socket struct {
 	// the other scratch buffers.
 	eplan eprof.Plan
 
-	// Scratch buffers for the per-segment integration (hot path), all
-	// rebuilt by every full segment. coresBuf lists the active cores in
-	// core order and pointOf the operating point each runs at; pointsBuf
-	// holds one solver load per point, pointsMeta its grouping key and
-	// per-point derivations, and resultsBuf one solver result per point.
+	// The operating-point table, kept from one full segment to the next
+	// (see groupPoints): coresBuf lists the active cores in core order
+	// and pointOf the operating point each runs at; pointsBuf holds one
+	// solver load per point and pointsMeta its grouping key and
+	// per-point derivations. Below it, scratch that every full segment
+	// rewrites: resultsBuf holds one solver result per point.
 	coresBuf   []*Core
 	pointOf    []int
 	pointsBuf  []cache.CoreLoad
@@ -185,6 +196,7 @@ func newSocket(sys *System, index int, topo *ring.Topology) *Socket {
 		c.resid.pstate = sk.residSlab[i*bins : (i+1)*bins : (i+1)*bins]
 	}
 	sk.opDirty = true
+	sk.regroup = true
 	sk.telVersion = 1
 	sk.telCacheable = true
 	return sk
@@ -429,16 +441,23 @@ func (sk *Socket) integrateSteady(dt sim.Time) float64 {
 // opPoint is one operating point's grouping key and per-segment
 // derivations. The clock, ring class and threads of a point are equal
 // for all its cores, and so is the profile: the cores share a profile
-// leader, or their profiles are == (which lets constant kernels share).
-// NaN never matches, so a NaN profile gets a point of its own; +0 and
-// −0 match, which no consumer can tell apart (every profile field is
-// either tested > 0 or added into a sum that starts at +0).
+// leader, or all run constant-profile kernels whose profiles are ==.
+// Phase-varying cores of different leaders never share a point, even
+// while their profiles happen to be equal: a kept point would be wrong
+// one segment later. NaN never matches, so a constant NaN profile gets
+// a point of its own; +0 and −0 match, which no consumer can tell
+// apart (every profile field is either tested > 0 or added into a sum
+// that starts at +0).
 type opPoint struct {
 	mhz    uarch.MHz
 	class  int // cache.Model.RingClass
-	leader int // profile leader of the point's first core
+	leader int // profile leader of the core that opened the point
+	// constProf: the point's cores run constant-profile kernels, so its
+	// load's profile never needs refreshing.
+	constProf bool
+	n         int // cores at the point
 	// sd is the AVX-ramp slowdown that rate, gips and ipcShare were last
-	// derived for (NaN until the point's first core).
+	// derived for (NaN at the start of every full segment).
 	sd, rate, gips, ipcShare float64
 }
 
@@ -447,62 +466,156 @@ type opPoint struct {
 // scenario with and without it and requires identical output).
 var debugNoSharedPoints = false
 
-// integrateFull re-derives the operating point, solves the memory
-// hierarchy, recomputes the power breakdown, and refreshes the segment
-// memo for subsequent steady segments. Active cores that agree in
-// clock, ring class, threads and profile share one operating point:
-// the solver and every per-core derivation that depends only on the
-// point run once per point.
-func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
+// debugRegroupEverySegment makes every full segment rebuild the
+// operating-point table, as if a grouping input had changed (test seam:
+// the point-table equivalence tests run the same scenario with and
+// without it and require identical output).
+var debugRegroupEverySegment = false
+
+// groupPoints brings the operating-point table up to date for a full
+// segment starting at from. The table outlives the segment, and its
+// inputs change only at events, so a segment takes one of three paths:
+// it rebuilds the table after a grouping input changed (regroup), moves
+// the cores whose p-state landed to the point of their new clock, or
+// keeps the table. A moved or kept table then refreshes what drifts
+// without an event: each phase-varying point's profile, and every
+// point's slowdown memo.
+func (sk *Socket) groupPoints(from sim.Time) {
+	if sk.regroup || debugRegroupEverySegment {
+		sk.rebuildPoints(from)
+		return
+	}
+	if sk.landed {
+		sk.movePoints(from)
+	}
+	for p := range sk.pointsMeta {
+		pt := &sk.pointsMeta[p]
+		pt.sd = math.NaN()
+		if !pt.constProf {
+			sk.pointsBuf[p].Prof = *sk.cores[pt.leader].profileNow(from)
+		}
+	}
+}
+
+// rebuildPoints groups the active cores into operating points from
+// scratch, in core order.
+func (sk *Socket) rebuildPoints(from sim.Time) {
 	if n := len(sk.cores); cap(sk.coresBuf) < n {
 		// The four grow together, and forkInto harvests them together.
 		sk.coresBuf, sk.pointOf = make([]*Core, 0, n), make([]int, 0, n)
 		sk.pointsBuf, sk.pointsMeta = make([]cache.CoreLoad, 0, n), make([]opPoint, 0, n)
 	}
-	cores, of := sk.coresBuf[:0], sk.pointOf[:0]
-	loads, pts := sk.pointsBuf[:0], sk.pointsMeta[:0]
+	sk.coresBuf, sk.pointOf = sk.coresBuf[:0], sk.pointOf[:0]
+	sk.pointsBuf, sk.pointsMeta = sk.pointsBuf[:0], sk.pointsMeta[:0]
 	for _, c := range sk.cores {
 		if c.cstateNow != cstate.C0 || c.kernel == nil {
 			continue
 		}
 		mhz, class := c.dom.Granted(), sk.Cache.RingClass(c.Index)
-		// The profile is read only when no leader match decides: a
-		// follower's leader memo was already read at from by the point's
-		// first core.
-		var prof *workload.Profile
-		q := len(pts)
-		for p := 0; p < len(pts) && !debugNoSharedPoints; p++ {
-			pt := &pts[p]
-			if pt.mhz != mhz || pt.class != class || loads[p].Threads != c.threads {
-				continue
-			}
-			if pt.leader != c.profLeader {
-				if prof == nil {
-					prof = c.profileNow(from)
-				}
-				if loads[p].Prof != *prof {
-					continue
-				}
-			}
-			q = p
-			break
+		q := sk.findPoint(c, mhz, class, from)
+		if q < 0 {
+			q = sk.addPoint(c, mhz, class, from)
 		}
-		if q == len(pts) {
-			if prof == nil {
-				prof = c.profileNow(from)
-			}
-			pts = append(pts, opPoint{mhz: mhz, class: class, leader: c.profLeader, sd: math.NaN()})
-			loads = append(loads, cache.CoreLoad{
-				CoreID:  c.Index,
-				FreqGHz: mhz.GHz(),
-				Threads: c.threads,
-				Prof:    *prof,
-			})
-		}
-		cores = append(cores, c)
-		of = append(of, q)
+		sk.pointsMeta[q].n++
+		sk.coresBuf = append(sk.coresBuf, c)
+		sk.pointOf = append(sk.pointOf, q)
 	}
-	sk.coresBuf, sk.pointOf, sk.pointsBuf, sk.pointsMeta = cores, of, loads, pts
+	sk.regroup, sk.landed = false, false
+	sk.statRegroup++
+}
+
+// movePoints moves every active core whose clock left its point's,
+// which only a p-state landing does, to the point of its new clock: an
+// existing point with an equal key, its own point retargeted if it was
+// alone there, or a new point. A point left empty is dropped. Point
+// order enters no sum (the solver sums demand over the cores in core
+// order and rescales per point), so a drop may reorder the table.
+func (sk *Socket) movePoints(from sim.Time) {
+	for j, c := range sk.coresBuf {
+		q, mhz := sk.pointOf[j], c.dom.Granted()
+		if sk.pointsMeta[q].mhz == mhz {
+			continue
+		}
+		sk.pointsMeta[q].n--
+		class := sk.pointsMeta[q].class
+		p := sk.findPoint(c, mhz, class, from)
+		switch {
+		case p >= 0:
+		case sk.pointsMeta[q].n == 0:
+			// Alone at its old point: retarget it in place.
+			sk.pointsMeta[q].mhz = mhz
+			sk.pointsBuf[q].FreqGHz = mhz.GHz()
+			p = q
+		default:
+			p = sk.addPoint(c, mhz, class, from)
+		}
+		sk.pointsMeta[p].n++
+		sk.pointOf[j] = p
+		if sk.pointsMeta[q].n == 0 {
+			sk.dropPoint(q)
+		}
+	}
+	sk.landed = false
+}
+
+// findPoint returns the table's point that core c joins at clock mhz,
+// or -1 if none matches (always -1 with point sharing off).
+func (sk *Socket) findPoint(c *Core, mhz uarch.MHz, class int, from sim.Time) int {
+	if debugNoSharedPoints {
+		return -1
+	}
+	loads := sk.pointsBuf
+	for p := range sk.pointsMeta {
+		pt := &sk.pointsMeta[p]
+		if pt.mhz != mhz || pt.class != class || loads[p].Threads != c.threads {
+			continue
+		}
+		if pt.leader == c.profLeader ||
+			(pt.constProf && c.constProf && loads[p].Prof == *c.profileNow(from)) {
+			return p
+		}
+	}
+	return -1
+}
+
+// addPoint appends an empty point for core c at clock mhz and returns
+// its index.
+func (sk *Socket) addPoint(c *Core, mhz uarch.MHz, class int, from sim.Time) int {
+	sk.pointsMeta = append(sk.pointsMeta, opPoint{
+		mhz: mhz, class: class, leader: c.profLeader, constProf: c.constProf, sd: math.NaN(),
+	})
+	sk.pointsBuf = append(sk.pointsBuf, cache.CoreLoad{
+		CoreID:  c.Index,
+		FreqGHz: mhz.GHz(),
+		Threads: c.threads,
+		Prof:    *c.profileNow(from),
+	})
+	return len(sk.pointsMeta) - 1
+}
+
+// dropPoint removes empty point q, moving the last point into its slot.
+func (sk *Socket) dropPoint(q int) {
+	last := len(sk.pointsMeta) - 1
+	if q != last {
+		sk.pointsMeta[q], sk.pointsBuf[q] = sk.pointsMeta[last], sk.pointsBuf[last]
+		for j, p := range sk.pointOf {
+			if p == last {
+				sk.pointOf[j] = q
+			}
+		}
+	}
+	sk.pointsMeta, sk.pointsBuf = sk.pointsMeta[:last], sk.pointsBuf[:last]
+}
+
+// integrateFull brings the operating-point table up to date, solves the
+// memory hierarchy, recomputes the power breakdown, and refreshes the
+// segment memo for subsequent steady segments. Active cores that agree
+// in clock, ring class, threads and profile share one operating point:
+// the solver and every per-core derivation that depends only on the
+// point run once per point.
+func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
+	sk.groupPoints(from)
+	cores, of, loads, pts := sk.coresBuf, sk.pointOf, sk.pointsBuf, sk.pointsMeta
 	sk.statLoads += uint64(len(cores))
 	sk.statPoints += uint64(len(pts))
 	uncoreGHz := sk.UncoreMHz().GHz()

@@ -379,6 +379,10 @@ func (s *System) flushObs() {
 			obs.PowerSegFulls.Add(int64(d))
 			sk.statFullFlushed = sk.statFull
 		}
+		if d := sk.statRegroup - sk.statRegroupFlushed; d > 0 {
+			obs.PowerSegRegrouped.Add(int64(d))
+			sk.statRegroupFlushed = sk.statRegroup
+		}
 		if d := sk.statLoads - sk.statLoadsFlushed; d > 0 {
 			obs.PowerFullLoads.Add(int64(d))
 			sk.statLoadsFlushed = sk.statLoads

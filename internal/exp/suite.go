@@ -23,7 +23,12 @@ import (
 type Descriptor struct {
 	ID    string
 	Title string
-	Run   func(o Options, w io.Writer, csv bool) error
+	// CSV: Run renders a CSV form when csv is set. The other
+	// descriptors render the same text either way, so runOne and the
+	// server pass them csv=false: one entry, one flight and one content
+	// type per text result.
+	CSV bool
+	Run func(o Options, w io.Writer, csv bool) error
 }
 
 // renderable is the common surface of report tables.
@@ -45,31 +50,31 @@ func writeRendered(w io.Writer, t renderable, csv bool) error {
 // suite is the experiment table in canonical (paper) order — the order
 // a full run emits, whatever subset was requested.
 var suite = []Descriptor{
-	{ID: "tab1", Title: "Table I: SNB-EP vs HSW-EP microarchitecture", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "tab1", Title: "Table I: SNB-EP vs HSW-EP microarchitecture", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		return writeRendered(w, Table1(), csv)
 	}},
-	{ID: "tab2", Title: "Table II: test system details", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "tab2", Title: "Table II: test system details", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		t, _, err := Table2(o)
 		if err != nil {
 			return err
 		}
 		return writeRendered(w, t, csv)
 	}},
-	{ID: "tab3", Title: "Table III: uncore frequencies, single-threaded", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "tab3", Title: "Table III: uncore frequencies, single-threaded", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t, err := Table3(o)
 		if err != nil {
 			return err
 		}
 		return writeRendered(w, t, csv)
 	}},
-	{ID: "tab4", Title: "Table IV: FIRESTARTER under frequency settings", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "tab4", Title: "Table IV: FIRESTARTER under frequency settings", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t, err := Table4(o)
 		if err != nil {
 			return err
 		}
 		return writeRendered(w, t, csv)
 	}},
-	{ID: "tab5", Title: "Table V: max node power and sustained frequency", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "tab5", Title: "Table V: max node power and sustained frequency", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t, err := Table5(o)
 		if err != nil {
 			return err
@@ -80,7 +85,7 @@ var suite = []Descriptor{
 		_, err := io.WriteString(w, Fig1Render())
 		return err
 	}},
-	{ID: "fig2", Title: "Figure 2: RAPL accuracy vs reference meter", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "fig2", Title: "Figure 2: RAPL accuracy vs reference meter", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		var out strings.Builder
 		if csv {
 			out.WriteString("arch,workload,cores,ac_w,rapl_w\n")
@@ -133,7 +138,7 @@ var suite = []Descriptor{
 		_, err = io.WriteString(w, r.Render())
 		return err
 	}},
-	{ID: "fig7", Title: "Figure 7: memory bandwidth vs core frequency", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "fig7", Title: "Figure 7: memory bandwidth vs core frequency", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		r, err := Fig7(o)
 		if err != nil {
 			return err
@@ -150,7 +155,7 @@ var suite = []Descriptor{
 		_, err = io.WriteString(w, b.String())
 		return err
 	}},
-	{ID: "fig8", Title: "Figure 8: bandwidth vs cores/threads/frequency", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "fig8", Title: "Figure 8: bandwidth vs cores/threads/frequency", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		r, err := Fig8(o)
 		if err != nil {
 			return err
@@ -167,7 +172,7 @@ var suite = []Descriptor{
 		_, err = io.WriteString(w, b.String())
 		return err
 	}},
-	{ID: "extensions", Title: "Beyond the paper: power cap, idle, DVFS, NUMA, PCPS studies", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "extensions", Title: "Beyond the paper: power cap, idle, DVFS, NUMA, PCPS studies", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t1, err := PowerCapStudy(o)
 		if err != nil {
 			return err
@@ -206,7 +211,7 @@ var suite = []Descriptor{
 		}
 		return writeRendered(w, t5, csv)
 	}},
-	{ID: "catalog", Title: "Kernel catalog characterization", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "catalog", Title: "Kernel catalog characterization", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t, err := KernelCatalogStudy(o)
 		if err != nil {
 			return err
@@ -229,7 +234,7 @@ var suite = []Descriptor{
 		}
 		return nil
 	}},
-	{ID: "fleet", Title: "Fleet-scale manufacturing variation: tail slowdown vs fleet size", Run: func(o Options, w io.Writer, csv bool) error {
+	{ID: "fleet", Title: "Fleet-scale manufacturing variation: tail slowdown vs fleet size", CSV: true, Run: func(o Options, w io.Writer, csv bool) error {
 		_, t, err := FleetVariationStudy(o)
 		if err != nil {
 			return err
@@ -349,9 +354,11 @@ func RunLive(id string, o Options, csv bool) ([]byte, error) {
 
 // runOne resolves, caches and executes a single experiment.
 func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
-	if _, ok := Lookup(id); !ok {
+	d, ok := Lookup(id)
+	if !ok {
 		return SuiteResult{ID: id, Err: fmt.Errorf("unknown experiment id %q", id)}
 	}
+	csv = csv && d.CSV
 	if activeRecorder.Load() != nil {
 		// A span trace or energy profile comes from living through the
 		// run: cached bytes carry neither, so a recorded run neither

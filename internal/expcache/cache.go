@@ -109,8 +109,15 @@ type entry struct {
 // field, so options added later automatically become part of the key —
 // provided they stay flat and comparable (TestOptionsFlatForCacheKey
 // guards this: a pointer/slice/map field would embed addresses and make
-// the key nondeterministic across processes).
-func optionsKey(o exp.Options) string { return fmt.Sprintf("%#v", o) }
+// the key nondeterministic across processes). Seed 0 renders the suite
+// seed's bytes, so it keys as the suite seed: `experiments -seed 0`, a
+// flagless run and an hswsimd request share one entry and one flight.
+func optionsKey(o exp.Options) string {
+	if o.Seed == 0 {
+		o.Seed = exp.Defaults().Seed
+	}
+	return fmt.Sprintf("%#v", o)
+}
 
 // TupleKey canonicalizes a request tuple (experiment id, options,
 // output format) into the deterministic string this cache keys entries

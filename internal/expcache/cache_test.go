@@ -49,6 +49,26 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeedZeroKeysAsSuiteSeed: Seed 0 renders the suite seed's bytes,
+// so an entry stored under either spelling serves the other, and both
+// spellings share one coalescing key.
+func TestSeedZeroKeysAsSuiteSeed(t *testing.T) {
+	out := []byte("==== rendered table ====\n")
+	for _, c := range []struct{ put, get uint64 }{{0x5eed, 0}, {0, 0x5eed}} {
+		d := open(t)
+		if err := d.Put("tab3", exp.Options{Scale: 0.05, Seed: c.put}, false, out); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := d.Get("tab3", exp.Options{Scale: 0.05, Seed: c.get}, false); !ok || string(got) != string(out) {
+			t.Errorf("Put under seed %#x, Get under seed %#x: %q, %v", c.put, c.get, got, ok)
+		}
+	}
+	if a, b := TupleKey("tab3", exp.Options{Scale: 0.05}, false),
+		TupleKey("tab3", exp.Options{Scale: 0.05, Seed: 0x5eed}, false); a != b {
+		t.Errorf("seed 0 and the suite seed key apart: %q, %q", a, b)
+	}
+}
+
 // entryFile locates the single stored entry.
 func entryFile(t *testing.T, d *Dir) string {
 	t.Helper()

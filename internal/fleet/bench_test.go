@@ -55,3 +55,33 @@ func BenchmarkFleetStep(b *testing.B) {
 		fl.StepNode(i%benchNodes, sim.Millisecond)
 	}
 }
+
+// BenchmarkFleetNodeCapBurst measures what FleetVariationStudy does to
+// each node at scale 0.25: fork it from the warmed FIRESTARTER-at-turbo
+// parent (Hyper-Threading on), cap both sockets at 85 W, run the
+// study's 7.5 ms of settling and measurement, release. Unlike
+// BenchmarkFleetStep it times the cap transient itself, a burst of
+// per-core p-state landings. One untimed round fills the fork free list
+// first, so allocs/op does not depend on b.N.
+func BenchmarkFleetNodeCapBurst(b *testing.B) {
+	parent := warmParent(b)
+	round := func() {
+		n, err := parent.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s := 0; s < n.Sockets(); s++ {
+			if err := n.SetPowerLimitW(s, 85); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n.Run(7500 * sim.Microsecond)
+		n.Release()
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

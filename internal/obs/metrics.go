@@ -95,6 +95,8 @@ var (
 		"integration segments served by the memoized steady-state replay")
 	PowerSegFulls = std.Counter("power_segments_full_total",
 		"integration segments that re-solved the full operating point")
+	PowerSegRegrouped = std.Counter("power_segments_regrouped_total",
+		"full segments that rebuilt the socket's operating-point table")
 	PowerFullLoads = std.Counter("power_full_core_loads_total",
 		"active cores integrated by full segments (one load per core per segment)")
 	PowerFullPoints = std.Counter("power_full_points_total",

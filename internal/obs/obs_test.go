@@ -133,6 +133,7 @@ func TestDefaultRegistryHasCanonicalMetrics(t *testing.T) {
 		"sched_slot_acquires_total", "expcache_hits_total",
 		"expcache_misses_total", "expcache_put_failures_total",
 		"power_segments_replayed_total", "power_segments_full_total",
+		"power_segments_regrouped_total",
 		"power_full_core_loads_total", "power_full_points_total",
 		"rapl_window_errors_total", "stats_empty_input_total",
 	} {

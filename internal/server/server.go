@@ -190,11 +190,15 @@ func decodeRunRequest(body io.Reader) (runRequest, error) {
 // resolved scale must lie in (0, MaxScale] and the options must pass
 // Options.Validate (400). POST /v1/run and GET /v1/profile both resolve
 // here, so a defaulted scale meets the same ceiling as an explicit one.
-func (s *Server) resolve(rq runRequest) (exp.Options, int, error) {
-	if _, ok := exp.Lookup(rq.ID); !ok {
+// It also clears rq.CSV for an experiment without a CSV form, whose
+// reply is text either way.
+func (s *Server) resolve(rq *runRequest) (exp.Options, int, error) {
+	d, ok := exp.Lookup(rq.ID)
+	if !ok {
 		return exp.Options{}, http.StatusNotFound,
 			fmt.Errorf("unknown experiment id %q (GET /v1/experiments lists them)", rq.ID)
 	}
+	rq.CSV = rq.CSV && d.CSV
 	o := exp.Defaults()
 	if rq.Scale != 0 {
 		o.Scale = rq.Scale
@@ -228,7 +232,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	o, code, err := s.resolve(req)
+	o, code, err := s.resolve(&req)
 	if err != nil {
 		http.Error(w, err.Error(), code)
 		return

@@ -317,6 +317,27 @@ func TestRunBytesIdenticalToCLI(t *testing.T) {
 	}
 }
 
+// TestCSVContentType: a CSV request is served as text/csv only by an
+// experiment with a CSV form; the others reply with their text figure,
+// labelled text/plain, under the same key as a plain request.
+func TestCSVContentType(t *testing.T) {
+	s := New(Config{Pool: slots.New(2), Log: quiet})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ id, want string }{
+		{"tab1", "text/csv; charset=utf-8"},
+		{"fig1", "text/plain; charset=utf-8"},
+	} {
+		resp, body := postRun(t, ts, fmt.Sprintf(`{"id":%q,"scale":0.05,"csv":true}`, tc.id), "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.id, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("Content-Type"); got != tc.want {
+			t.Errorf("%s csv=true: Content-Type %q, want %q", tc.id, got, tc.want)
+		}
+	}
+}
+
 // TestServerSharesCacheWithCLI: a tuple stored by the CLI path replays
 // from the server (and vice versa) through one expcache directory.
 func TestServerSharesCacheWithCLI(t *testing.T) {
@@ -565,7 +586,7 @@ func FuzzRunRequest(f *testing.F) {
 		if !json.Valid(body) {
 			t.Fatalf("%q accepted but is not one JSON value", body)
 		}
-		o, code, err := s.resolve(rq)
+		o, code, err := s.resolve(&rq)
 		if err != nil {
 			if code != http.StatusNotFound && code != http.StatusBadRequest {
 				t.Fatalf("%q rejected with status %d: %v", body, code, err)
@@ -580,6 +601,9 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if verr := o.Validate(); verr != nil {
 			t.Fatalf("%q accepted but Validate fails: %v", body, verr)
+		}
+		if d, _ := exp.Lookup(rq.ID); rq.CSV && !d.CSV {
+			t.Fatalf("%q accepted as CSV, but %s has no CSV form", body, rq.ID)
 		}
 	})
 }

@@ -142,7 +142,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	o, code, err := s.resolve(req)
+	o, code, err := s.resolve(&req)
 	if err != nil {
 		http.Error(w, err.Error(), code)
 		return
