@@ -99,17 +99,21 @@ serve-smoke:
 # CompletionTime after every operation, and each record Complete
 # returns), hostile hswsimd POST /v1/run bodies through decode and
 # resolve (no panic; every accepted request names a known experiment
-# with a scale in (0, max-scale] and valid options), and the sockets'
+# with a scale in (0, max-scale] and valid options), the sockets'
 # kept operating-point tables against tables rebuilt on every full
 # segment (equal RAPL energy and counter snapshots bit for bit, equal
 # segment and point counts after up to 32 kernel, idle-state, p-state,
-# power-limit, run and fork operations); plain `go test` runs only the
+# power-limit, run and fork operations), and System.ReadMSR/WriteMSR
+# against the MSR handler layout they replaced (equal values and #GP
+# faults after each of up to 64 register, run and fork operations,
+# equal rendered outputs at the end); plain `go test` runs only the
 # committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPointTable$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMSR$$' -fuzztime 10s ./internal/core
 
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
@@ -120,7 +124,7 @@ fuzz-smoke:
 # serial-vs-forked-parallel golden comparison, the committed reference
 # output, the energy-profiler gate, the hswsimd server lifecycle smoke,
 # the bench/ module build and smoke test, and the event-engine, p-state,
-# run-request and point-table fuzz smoke.
+# run-request, point-table and MSR fuzz smoke.
 ci:
 	@echo "==> ci step 1/13: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
@@ -147,5 +151,5 @@ ci:
 	@echo "==> ci step 12/13: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 13/13: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, or a kept operating-point table diverged from one rebuilt every segment, under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, a kept operating-point table diverged from one rebuilt every segment, or the MSR switch diverged from the handler layout it replaced, under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

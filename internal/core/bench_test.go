@@ -124,8 +124,8 @@ func BenchmarkSystemForkedSweepPoint(b *testing.B) {
 
 // BenchmarkSystemForkRelease measures the steady-state fork cost when
 // children are returned to the free list after each sweep point — the
-// pooled path, which reuses the released child's engine, socket/core
-// slabs and MSR device instead of allocating fresh ones.
+// pooled path, which reuses the released child's engine and
+// socket/core slabs instead of allocating fresh ones.
 func BenchmarkSystemForkRelease(b *testing.B) {
 	sys := benchSystem(b)
 	b.ReportAllocs()

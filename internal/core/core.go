@@ -33,7 +33,11 @@ type Core struct {
 	kernStart sim.Time
 	threads   int
 
-	epbBits uint64
+	// epb and perfCtl are the raw IA32_ENERGY_PERF_BIAS and
+	// IA32_PERF_CTL words last written (see WriteMSR); the PCU reads
+	// the bias from epb's bits 3:0.
+	epb     uint64
+	perfCtl uint64
 
 	// avxMode mirrors the PCU's AVX operating mode for this core.
 	avxMode bool
@@ -92,7 +96,7 @@ func newCore(sk *Socket, index int, voltOffset float64) *Core {
 		dom:       *pstate.NewDomain(spec),
 		cstateNow: sk.sys.cfg.IdleState,
 		threads:   1,
-		epbBits:   uint64(6), // balanced
+		epb:       6, // balanced
 	}
 	if c.cstateNow == cstate.C0 {
 		c.cstateNow = cstate.C6

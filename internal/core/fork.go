@@ -15,8 +15,8 @@ import (
 
 // forkPool is the tree-wide free list of released fork children. One
 // pool is created per root system and shared (by pointer) with every
-// fork, so any released child's storage — engine, socket/core slabs,
-// MSR device — can be recycled by the next Fork anywhere in the tree.
+// fork, so any released child's storage — engine, socket/core slabs —
+// can be recycled by the next Fork anywhere in the tree.
 //
 // A plain mutex-guarded slice rather than a sync.Pool: reuse must be
 // deterministic (tests assert a released child is reused, and the GC
@@ -86,14 +86,14 @@ func (s *System) Release() {
 // concurrently from one warmed-up platform.
 //
 // Mechanically, a fork is struct copies plus slice copies: every
-// component is embedded by value in its socket/core shell, and each
-// component's internal slices (residency bins, PCU bookkeeping, meter
-// samples, the MSR register file) are copied once, at fork time, into
-// storage harvested from the recycled child. Copying on every fork is
-// what makes harvesting sound (every pooled child's storage is private
-// by induction), and it is what makes steady-state fork/Release cycles
-// allocation-free. The span ring and the energy profile, when enabled,
-// are copied into newly allocated collectors. The pending platform
+// component is embedded by value in its socket/core shell (the MSR
+// register words included), and each component's internal slices
+// (residency bins, PCU bookkeeping, meter samples) are copied once, at
+// fork time, into storage harvested from the recycled child. Copying
+// on every fork is what makes harvesting sound (every pooled child's
+// storage is private by induction), and it is what makes steady-state
+// fork/Release cycles allocation-free. The span ring and the energy
+// profile, when enabled, are copied into newly allocated collectors. The pending platform
 // timers (per-socket PCU grid tick, meter sample, in-flight p-state
 // completions) are re-created declaratively on the child engine with
 // their original (time, sequence) coordinates through the closure-free
@@ -193,11 +193,11 @@ func (s *System) forkPrep() error {
 // newChildShells bulk-allocates count fresh child skeletons: the
 // System/Socket/Core structs and their pointer slices come from one
 // slab each for the whole batch, so a 1000-child fan-out costs six
-// slice allocations plus per-child MSR devices instead of six
-// allocations per child. Pool membership guarantees shape — the pool
-// is only reachable from forks of this root, so a pooled child always
-// has this root's socket/core geometry and layout; shells built here
-// enter the pool on Release and uphold the same guarantee.
+// slice allocations instead of six allocations per child. Pool
+// membership guarantees shape — the pool is only reachable from forks
+// of this root, so a pooled child always has this root's socket/core
+// geometry; shells built here enter the pool on Release and uphold the
+// same guarantee.
 func (s *System) newChildShells(count int) []*System {
 	nsk := len(s.sockets)
 	totalCores := 0
@@ -226,7 +226,6 @@ func (s *System) newChildShells(count int) []*System {
 			sockets[i] = sk
 		}
 		n.sockets = sockets
-		n.msrDev = s.msrDev.Fork(n)
 		out[k] = n
 	}
 	return out
@@ -243,7 +242,6 @@ func (s *System) populateFork(n *System, reused bool) {
 		eng = s.Engine.Fork()
 	}
 	sockets := n.sockets
-	device := n.msrDev
 	// Harvest the old child's private System-level storage before the
 	// overwrite (nil on a fresh shell): the meter's sample log, refilled
 	// below, and scratch that refreshPackageStates rewrites through a cap
@@ -255,8 +253,6 @@ func (s *System) populateFork(n *System, reused bool) {
 		Engine:        eng,
 		cfg:           s.cfg,
 		sockets:       sockets,
-		mlay:          s.mlay,
-		msrDev:        device,
 		meter:         meter,
 		rng:           s.rng,
 		lastIntegrate: s.lastIntegrate,
@@ -272,9 +268,6 @@ func (s *System) populateFork(n *System, reused bool) {
 		raplJoules:    s.raplJoules,
 	}
 	s.meter.ForkInto(&n.meter)
-	if reused {
-		s.msrDev.ForkInto(device, n)
-	}
 	// The cloned collector carries the parent's cumulative counters;
 	// baseline the child's flush marks there so the child reports only
 	// its own post-fork spans to obs (the parent flushes its own
@@ -306,10 +299,11 @@ func (s *System) populateFork(n *System, reused bool) {
 }
 
 // forkCopiedBytes estimates the bytes one fork copies: the struct
-// shells (System, sockets, cores), each socket's residency slab and PCU
-// bookkeeping, the MSR register file and the meter samples, plus the
-// span ring and the energy profile's buckets when they are enabled. The
-// open-episode and interning maps are not counted.
+// shells (System, sockets, cores — the MSR register words ride in
+// them), each socket's residency slab and PCU bookkeeping and the meter
+// samples, plus the span ring and the energy profile's buckets when
+// they are enabled. The open-episode and interning maps are not
+// counted.
 func (s *System) forkCopiedBytes() int64 {
 	b := int64(unsafe.Sizeof(System{}))
 	for _, sk := range s.sockets {
@@ -318,7 +312,6 @@ func (s *System) forkCopiedBytes() int64 {
 		b += int64(len(sk.residSlab)) * int64(unsafe.Sizeof(sim.Time(0)))
 		b += sk.PCU.ForkBytes()
 	}
-	b += int64(s.msrDev.FileWords()) * 8
 	b += int64(len(s.meter.Samples())) * int64(unsafe.Sizeof(power.Sample{}))
 	b += int64(s.trace.SpanCount()) * int64(unsafe.Sizeof(trace.Span{}))
 	if s.eprof != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hswsim/internal/msr"
 	"hswsim/internal/sim"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
@@ -36,6 +37,12 @@ type forkFingerprint struct {
 	OpenSpans []trace.Span
 	SpanStats [2]uint64 // recorded, dropped
 	ACPower   float64
+	// The writable register words, read back through ReadMSR: EPB and
+	// IA32_PERF_CTL per CPU, the power and uncore limits per socket.
+	EPB         []uint64
+	PerfCtl     []uint64
+	PowerLimit  []uint64
+	UncoreLimit []uint64
 }
 
 func fingerprint(t *testing.T, s *System) forkFingerprint {
@@ -59,6 +66,15 @@ func fingerprint(t *testing.T, s *System) forkFingerprint {
 		fp.MPERF = append(fp.MPERF, snap.MPERF)
 		fp.Instr = append(fp.Instr, snap.Instructions)
 	}
+	for cpu := 0; cpu < s.CPUs(); cpu++ {
+		fp.EPB = append(fp.EPB, readMSR(t, s, cpu, msr.IA32_ENERGY_PERF_BIAS))
+		fp.PerfCtl = append(fp.PerfCtl, readMSR(t, s, cpu, msr.IA32_PERF_CTL))
+	}
+	for i := 0; i < s.Sockets(); i++ {
+		cpu := i * s.Spec().Cores
+		fp.PowerLimit = append(fp.PowerLimit, readMSR(t, s, cpu, msr.MSR_PKG_POWER_LIMIT))
+		fp.UncoreLimit = append(fp.UncoreLimit, readMSR(t, s, cpu, msr.MSR_UNCORE_RATIO_LIMIT))
+	}
 	for _, smp := range s.Meter().Samples() {
 		// Exact float identity via the IEEE-754 bit pattern: any bit
 		// difference between parent and child shows.
@@ -68,6 +84,25 @@ func fingerprint(t *testing.T, s *System) forkFingerprint {
 	fp.OpenSpans = s.Trace().Open(s.Now())
 	fp.SpanStats = [2]uint64{s.Trace().SpansRecorded(), s.Trace().SpanDrops()}
 	return fp
+}
+
+// readMSR reads a register that must not fault. It reports a fault
+// with t.Error, since fingerprint runs on forks' own goroutines too.
+func readMSR(t *testing.T, s *System, cpu int, reg uint32) uint64 {
+	t.Helper()
+	v, err := s.ReadMSR(cpu, reg)
+	if err != nil {
+		t.Error(err)
+	}
+	return v
+}
+
+// writeMSR writes a register that must not fault.
+func writeMSR(t *testing.T, s *System, cpu int, reg uint32, v uint64) {
+	t.Helper()
+	if err := s.WriteMSR(cpu, reg, v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // forkScenario builds a warmed-up platform in a given state.
@@ -323,6 +358,65 @@ func TestForkReleaseReuse(t *testing.T) {
 	sys.Release()
 	if got := len(sys.pool.free); got != 1 {
 		t.Fatalf("pool holds %d systems after root Release, want 1 (the child only)", got)
+	}
+}
+
+// TestForkReuseRegisterWords: the four writable register words ride a
+// fork's struct copy. A child that wrote other words is released and
+// its storage recycled by the next Fork; the recycled child must read
+// back the parent's words, upper bits included, and evolve exactly as
+// an unforked copy of the parent.
+func TestForkReuseRegisterWords(t *testing.T) {
+	warm := func(s *System) {
+		for cpu := 0; cpu < 4; cpu++ {
+			if err := s.AssignKernel(cpu, workload.Firestarter(), 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writeMSR(t, s, 2, msr.IA32_ENERGY_PERF_BIAS, 0xab0)
+		writeMSR(t, s, 0, msr.IA32_PERF_CTL, 0xc0de<<32|20<<8)
+		writeMSR(t, s, s.CPUs()-1, msr.MSR_PKG_POWER_LIMIT, 1<<40|90*8|1<<15)
+		writeMSR(t, s, 0, msr.MSR_UNCORE_RATIO_LIMIT, 28|13<<8)
+		s.Run(40 * sim.Millisecond)
+	}
+	sys := forkScenario(t, warm)
+	ref := forkScenario(t, warm) // the unforked copy
+
+	c1, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	writeMSR(t, c1, 2, msr.IA32_ENERGY_PERF_BIAS, 0)
+	writeMSR(t, c1, 0, msr.IA32_PERF_CTL, 12<<8)
+	writeMSR(t, c1, c1.CPUs()-1, msr.MSR_PKG_POWER_LIMIT, 0)
+	writeMSR(t, c1, 0, msr.MSR_UNCORE_RATIO_LIMIT, 20|12<<8)
+	c1.Run(5 * sim.Millisecond)
+	c1.Release()
+	c2, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if c2 != c1 {
+		t.Fatal("fork after Release did not reuse the released child's storage")
+	}
+	for _, w := range []struct {
+		cpu  int
+		reg  uint32
+		want uint64
+	}{
+		{2, msr.IA32_ENERGY_PERF_BIAS, 0xab0},
+		{0, msr.IA32_PERF_CTL, 0xc0de<<32 | 20<<8},
+		{c2.CPUs() - 1, msr.MSR_PKG_POWER_LIMIT, 1<<40 | 90*8 | 1<<15},
+		{0, msr.MSR_UNCORE_RATIO_LIMIT, 28 | 13<<8},
+	} {
+		if got := readMSR(t, c2, w.cpu, w.reg); got != w.want {
+			t.Errorf("recycled child reads %s = %#x on cpu %d, want the parent's %#x", msr.Name(w.reg), got, w.cpu, w.want)
+		}
+	}
+	c2.Run(120 * sim.Millisecond)
+	ref.Run(120 * sim.Millisecond)
+	if got, want := fingerprint(t, c2), fingerprint(t, ref); !reflect.DeepEqual(got, want) {
+		t.Errorf("recycled child diverged from an unforked copy:\nreused:   %+v\nunforked: %+v", got, want)
 	}
 }
 

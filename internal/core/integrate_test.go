@@ -61,7 +61,7 @@ func renderOutputs(t *testing.T, sys *System) string {
 	}
 	for cpu := 0; cpu < sys.CPUs(); cpu++ {
 		s := sys.Core(cpu).Snapshot()
-		msrTSC, err := sys.MSR().Read(cpu, msr.IA32_TIME_STAMP_COUNTER)
+		msrTSC, err := sys.ReadMSR(cpu, msr.IA32_TIME_STAMP_COUNTER)
 		if err != nil {
 			t.Fatal(err)
 		}

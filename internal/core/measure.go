@@ -49,13 +49,13 @@ func (s *System) ReadRAPL(socket int) (RAPLReading, error) {
 		return RAPLReading{}, fmt.Errorf("core: no socket %d", socket)
 	}
 	cpu := socket * s.cfg.Spec.Cores
-	pkg, err := s.msrDev.Read(cpu, msr.MSR_PKG_ENERGY_STATUS)
+	pkg, err := s.ReadMSR(cpu, msr.MSR_PKG_ENERGY_STATUS)
 	if err != nil {
 		return RAPLReading{}, err
 	}
 	r := RAPLReading{At: s.Engine.Now(), Pkg: pkg}
 	if s.cfg.Spec.RAPLDRAMSupported {
-		dram, err := s.msrDev.Read(cpu, msr.MSR_DRAM_ENERGY_STATUS)
+		dram, err := s.ReadMSR(cpu, msr.MSR_DRAM_ENERGY_STATUS)
 		if err != nil {
 			return RAPLReading{}, err
 		}
@@ -78,7 +78,7 @@ func (s *System) RAPLPowerW(a, b RAPLReading) (pkgW, dramW float64, err error) {
 		obs.RAPLWindowErrors.Inc()
 		return 0, 0, fmt.Errorf("core: invalid RAPL window [%v, %v]: second reading must be later", a.At, b.At)
 	}
-	unitReg, err := s.msrDev.Read(0, msr.MSR_RAPL_POWER_UNIT)
+	unitReg, err := s.ReadMSR(0, msr.MSR_RAPL_POWER_UNIT)
 	if err != nil {
 		obs.RAPLWindowErrors.Inc()
 		return 0, 0, fmt.Errorf("core: RAPL power units: %w", err)

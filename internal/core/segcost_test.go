@@ -512,7 +512,7 @@ func checkOneTSC(t *testing.T, sys *System) uint64 {
 	t.Helper()
 	want := sys.Core(0).Snapshot().TSC
 	for cpu := 0; cpu < sys.CPUs(); cpu++ {
-		v, err := sys.MSR().Read(cpu, msr.IA32_TIME_STAMP_COUNTER)
+		v, err := sys.ReadMSR(cpu, msr.IA32_TIME_STAMP_COUNTER)
 		if err != nil {
 			t.Fatal(err)
 		}

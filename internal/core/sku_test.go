@@ -97,7 +97,7 @@ func TestUncoreRatioLimitMSR(t *testing.T) {
 		t.Fatalf("memory stalls should pin the uncore at 3.0, got %.2f", got)
 	}
 	// Cap the uncore at 20 x 100 MHz.
-	if err := s.MSR().Write(0, msr.MSR_UNCORE_RATIO_LIMIT, 20|(12<<8)); err != nil {
+	if err := s.WriteMSR(0, msr.MSR_UNCORE_RATIO_LIMIT, 20|(12<<8)); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(5 * time20ms())
@@ -105,7 +105,7 @@ func TestUncoreRatioLimitMSR(t *testing.T) {
 		t.Fatalf("uncore cap ignored: %.2f GHz", got)
 	}
 	// Restore.
-	if err := s.MSR().Write(0, msr.MSR_UNCORE_RATIO_LIMIT, 30|(12<<8)); err != nil {
+	if err := s.WriteMSR(0, msr.MSR_UNCORE_RATIO_LIMIT, 30|(12<<8)); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(5 * time20ms())
@@ -243,18 +243,24 @@ func TestPROCHOTThermalThrottle(t *testing.T) {
 	}
 }
 
+// modeledMSRs lists the 13 registers the platform models, in ascending
+// register order. Four of them are writable: IA32_PERF_CTL,
+// IA32_ENERGY_PERF_BIAS, MSR_PKG_POWER_LIMIT and MSR_UNCORE_RATIO_LIMIT.
+var modeledMSRs = []uint32{
+	msr.IA32_TIME_STAMP_COUNTER, msr.MSR_PLATFORM_INFO, msr.IA32_MPERF, msr.IA32_APERF,
+	msr.IA32_PERF_STATUS, msr.IA32_PERF_CTL, msr.IA32_ENERGY_PERF_BIAS,
+	msr.MSR_RAPL_POWER_UNIT, msr.MSR_PKG_POWER_LIMIT, msr.MSR_PKG_ENERGY_STATUS,
+	msr.MSR_DRAM_ENERGY_STATUS, msr.MSR_UNCORE_RATIO_LIMIT, msr.MSR_PP0_ENERGY_STATUS,
+}
+
 // TestMSRSurfaceSweep exercises every implemented register on every
 // logical CPU plus out-of-range CPUs: reads/writes either succeed or
 // fault cleanly, and never panic.
 func TestMSRSurfaceSweep(t *testing.T) {
 	s := newSys(t)
-	regs := s.MSR().Implemented()
-	if len(regs) < 10 {
-		t.Fatalf("only %d registers implemented", len(regs))
-	}
-	for _, reg := range regs {
+	for _, reg := range modeledMSRs {
 		for _, cpu := range []int{0, 5, s.CPUs() - 1, s.CPUs(), -1, 9999} {
-			v, err := s.MSR().Read(cpu, reg)
+			v, err := s.ReadMSR(cpu, reg)
 			valid := cpu >= 0 && cpu < s.CPUs()
 			if !valid && err == nil && reg != msr.MSR_RAPL_POWER_UNIT && reg != msr.MSR_PLATFORM_INFO {
 				// Global (package-invariant) registers may ignore the
@@ -267,16 +273,16 @@ func TestMSRSurfaceSweep(t *testing.T) {
 		}
 	}
 	// Writes to read-only registers fault; writable ones accept.
-	if err := s.MSR().Write(0, msr.MSR_RAPL_POWER_UNIT, 1); err == nil {
+	if err := s.WriteMSR(0, msr.MSR_RAPL_POWER_UNIT, 1); err == nil {
 		t.Error("write to RAPL unit register succeeded")
 	}
-	if err := s.MSR().Write(0, msr.MSR_PLATFORM_INFO, 1); err == nil {
+	if err := s.WriteMSR(0, msr.MSR_PLATFORM_INFO, 1); err == nil {
 		t.Error("write to platform info succeeded")
 	}
-	if err := s.MSR().Write(0, msr.IA32_ENERGY_PERF_BIAS, 15); err != nil {
+	if err := s.WriteMSR(0, msr.IA32_ENERGY_PERF_BIAS, 15); err != nil {
 		t.Errorf("EPB write faulted: %v", err)
 	}
-	if err := s.MSR().Write(0, msr.MSR_PKG_ENERGY_STATUS, 0); err == nil {
+	if err := s.WriteMSR(0, msr.MSR_PKG_ENERGY_STATUS, 0); err == nil {
 		t.Error("write to energy counter succeeded")
 	}
 }
@@ -294,7 +300,7 @@ func TestRAPLCounterMonotoneThroughMSR(t *testing.T) {
 	prev := uint64(0)
 	for i := 0; i < 20; i++ {
 		s.Run(50 * sim.Millisecond)
-		v, err := s.MSR().Read(0, msr.MSR_PKG_ENERGY_STATUS)
+		v, err := s.ReadMSR(0, msr.MSR_PKG_ENERGY_STATUS)
 		if err != nil {
 			t.Fatal(err)
 		}

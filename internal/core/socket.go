@@ -39,6 +39,12 @@ type Socket struct {
 	uncoreCtr perfctr.Uncore
 	mbvr      fivr.MBVR
 
+	// powerLimit and uncoreLimit are the raw MSR_PKG_POWER_LIMIT and
+	// MSR_UNCORE_RATIO_LIMIT words last written (see WriteMSR); the
+	// PCU holds what they decode to.
+	powerLimit  uint64
+	uncoreLimit uint64
+
 	cores []*Core
 	// residSlab backs every core's p-state residency bins in one
 	// contiguous allocation (cores × residencyBins, subsliced with full
@@ -158,6 +164,10 @@ func newSocket(sys *System, index int, topo *ring.Topology) *Socket {
 		Index: index,
 		Spec:  spec,
 		Topo:  topo,
+		// Power-on values: the limit enabled at the rated TDP, the
+		// uncore bounded by the spec's range.
+		powerLimit:  uint64(spec.Power.TDP*8) | 1<<15,
+		uncoreLimit: uint64(spec.UncoreMaxMHz/100) | uint64(spec.UncoreMinMHz/100)<<8,
 	}
 	sk.Cache = cache.NewModel(spec, topo)
 	// Socket silicon lottery: socket 0 is the less efficient part
@@ -350,7 +360,7 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 			RequestMHz: c.dom.Requested(),
 			AVXNow:     avxNow,
 			StallFrac:  c.lastStall,
-			EPB:        pcu.EPBFromBits(c.epbBits),
+			EPB:        pcu.EPBFromBits(c.epb),
 		}
 		if memBound {
 			tel.MemoryStalls = true

@@ -100,12 +100,6 @@ type System struct {
 	cfg    Config
 
 	sockets []*Socket
-	// mlay is the immutable MSR layout (register map + slot bases),
-	// built once per root system and shared by reference with every
-	// fork; msrDev is this system's device: layout pointer plus its own
-	// register file.
-	mlay   *msrLayout
-	msrDev *msr.Device
 	// meter and rng are embedded by value: a struct copy of the System
 	// carries them wholesale (Fork copies the meter's sample history
 	// into the child's own log).
@@ -191,7 +185,7 @@ func (s *System) EnableTrace(capacity int) *trace.Collector {
 		s.trace.Beginf(now, trace.SpanUncore, sk.Index, -1, "%v", sk.uncoreMHz)
 		s.trace.Begin(now, trace.SpanPkgCState, sk.Index, -1, sk.pkgCState.String())
 		s.trace.Begin(now, trace.SpanPowerLimit, sk.Index, -1,
-			powerLimitLabel(s.msrDev.Load(s.mlay.pkgLimitBase+sk.Index), sk.Spec.Power.TDP))
+			powerLimitLabel(sk.powerLimit, sk.Spec.Power.TDP))
 	}
 	return s.trace
 }
@@ -268,9 +262,6 @@ func NewSystem(cfg Config) (*System, error) {
 	for i := 0; i < cfg.Sockets; i++ {
 		s.sockets = append(s.sockets, newSocket(s, i, topo))
 	}
-	s.mlay = buildMSRLayout(cfg.Spec, s.CPUs(), cfg.Sockets)
-	s.msrDev = s.mlay.lay.Device(s)
-	s.mlay.initFile(s.msrDev, cfg.Spec, s.CPUs(), cfg.Sockets)
 	s.pool = &forkPool{}
 
 	// Arm the PCU grids (jittered, per-socket phase) and the meter.
@@ -321,9 +312,6 @@ func (s *System) coreOf(cpu int) *Core {
 	}
 	return s.sockets[cpu/s.cfg.Spec.Cores].cores[cpu%s.cfg.Spec.Cores]
 }
-
-// MSR returns the system's MSR device (the rdmsr/wrmsr surface).
-func (s *System) MSR() *msr.Device { return s.msrDev }
 
 // Meter returns the LMG450 reference power meter.
 func (s *System) Meter() *power.LMG450 { return &s.meter }
@@ -459,8 +447,8 @@ func (s *System) SetEPB(e pcu.EPB) {
 	s.integrateTo(s.Engine.Now())
 	s.epb = e
 	for cpu := 0; cpu < s.CPUs(); cpu++ {
-		if err := s.msrDev.Write(cpu, msr.IA32_ENERGY_PERF_BIAS, uint64(e)); err != nil {
-			panic(err) // wired internally; cannot fault
+		if err := s.WriteMSR(cpu, msr.IA32_ENERGY_PERF_BIAS, uint64(e)); err != nil {
+			panic(err) // every cpu in range; cannot fault
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -299,18 +300,18 @@ func TestWakeErrors(t *testing.T) {
 func TestMSRSurface(t *testing.T) {
 	s := newSys(t)
 	// EPB write routes to the PCU input.
-	if err := s.MSR().Write(3, msr.IA32_ENERGY_PERF_BIAS, 0); err != nil {
+	if err := s.WriteMSR(3, msr.IA32_ENERGY_PERF_BIAS, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := pcu.EPBFromBits(s.Core(3).epbBits); got != pcu.EPBPerformance {
+	if got := pcu.EPBFromBits(s.Core(3).epb); got != pcu.EPBPerformance {
 		t.Errorf("EPB bits did not reach the core: %v", got)
 	}
 	// PP0 is a #GP on Haswell-EP (Section IV).
-	if _, err := s.MSR().Read(0, msr.MSR_PP0_ENERGY_STATUS); err == nil {
+	if _, err := s.ReadMSR(0, msr.MSR_PP0_ENERGY_STATUS); err == nil {
 		t.Error("PP0 read succeeded on Haswell-EP")
 	}
 	// Platform info exposes the base ratio.
-	v, err := s.MSR().Read(0, msr.MSR_PLATFORM_INFO)
+	v, err := s.ReadMSR(0, msr.MSR_PLATFORM_INFO)
 	if err != nil || (v>>8)&0xFF != 25 {
 		t.Errorf("platform info = %#x, %v", v, err)
 	}
@@ -318,16 +319,36 @@ func TestMSRSurface(t *testing.T) {
 	if err := s.AssignKernel(0, workload.BusyWait(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MSR().Write(0, msr.IA32_PERF_CTL, 18<<8); err != nil {
+	if err := s.WriteMSR(0, msr.IA32_PERF_CTL, 18<<8); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(5 * sim.Millisecond)
 	if f := s.CoreFreqMHz(0); f != 1800 {
 		t.Errorf("PERF_CTL 18 -> %v, want 1.8 GHz", f)
 	}
-	st, err := s.MSR().Read(0, msr.IA32_PERF_STATUS)
+	st, err := s.ReadMSR(0, msr.IA32_PERF_STATUS)
 	if err != nil || (st>>8)&0xFF != 18 {
 		t.Errorf("PERF_STATUS = %#x, %v", st, err)
+	}
+}
+
+func TestUnimplementedRegisterFaults(t *testing.T) {
+	s := newSys(t)
+	if _, err := s.ReadMSR(0, 0xdead); err == nil {
+		t.Fatal("read of unimplemented register succeeded")
+	} else {
+		var gp *msr.GPFault
+		if !errors.As(err, &gp) || gp.Reg != 0xdead || gp.Write {
+			t.Fatalf("wrong fault: %v", err)
+		}
+	}
+	if err := s.WriteMSR(1, 0xdead, 1); err == nil {
+		t.Fatal("write of unimplemented register succeeded")
+	} else {
+		var gp *msr.GPFault
+		if !errors.As(err, &gp) || !gp.Write || gp.CPU != 1 {
+			t.Fatalf("wrong fault: %v", err)
+		}
 	}
 }
 

@@ -157,5 +157,5 @@ func (s *System) SetPowerLimitW(socket int, watts float64) error {
 	if watts > 0 {
 		v = uint64(watts*8) | 1<<15
 	}
-	return s.msrDev.Write(cpu, msr.MSR_PKG_POWER_LIMIT, v)
+	return s.WriteMSR(cpu, msr.MSR_PKG_POWER_LIMIT, v)
 }

@@ -35,9 +35,8 @@ type Options struct {
 	Seed uint64
 
 	// Fleet configures the fleet variation study. Zero values defer to
-	// scale-derived sizing and the suite seed; the struct is part of
-	// the cache key via %#v, so any fleet override keys its own cache
-	// entries.
+	// scale-derived sizing and Seed; only the fleet study reads it, so
+	// only its cache key includes it (see ResolveOptions).
 	Fleet FleetOptions
 
 	// liveID is the experiment RunLive is running. RunLive sets it
@@ -101,6 +100,31 @@ func (o Options) seed() uint64 {
 		return suiteSeed
 	}
 	return o.Seed
+}
+
+// ResolveOptions reduces o to what experiment id reads, spelled one
+// way: two option sets that render the same bytes for id resolve
+// equal, so the result cache and hswsimd's coalescing key on it. Seed 0
+// and Scale 0 resolve to what they stand for; the fleet study resolves
+// its variation seed and node cap, every other experiment drops the
+// fleet options, and tab1 and fig1, which read no options, resolve to
+// none. FleetVariationStudy takes its seed and node cap from here.
+func ResolveOptions(id string, o Options) Options {
+	switch id {
+	case "tab1", "fig1":
+		return Options{}
+	}
+	r := Options{Scale: o.scale(), Seed: o.seed()}
+	if id == "fleet" {
+		r.Fleet = o.Fleet
+		if r.Fleet.Nodes <= 0 {
+			r.Fleet.Nodes = max(int(float64(fleetSizes[len(fleetSizes)-1])*r.Scale), 16)
+		}
+		if r.Fleet.Seed == 0 {
+			r.Fleet.Seed = r.Seed
+		}
+	}
+	return r
 }
 
 func (o Options) scale() float64 {

@@ -18,7 +18,7 @@ type FleetOptions struct {
 	// Nodes caps the fleet-size ladder (0 = derived from Scale, up to
 	// 4096 at full scale).
 	Nodes int
-	// Seed overrides the variation seed (0 = the suite seed).
+	// Seed overrides the variation seed (0 = Options.Seed).
 	Seed uint64
 	// Variation sigmas; 0 = fleet.DefaultParams, negative disables a
 	// term.
@@ -80,27 +80,17 @@ func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
 	parent.RequestTurbo()
 	parent.Run(o.dur(50 * sim.Millisecond))
 
-	maxN := o.Fleet.Nodes
-	if maxN <= 0 {
-		maxN = int(float64(fleetSizes[len(fleetSizes)-1]) * o.scale())
-		if maxN < 16 {
-			maxN = 16
-		}
-	}
-	seed := o.Fleet.Seed
-	if seed == 0 {
-		seed = o.seed()
-	}
+	f := ResolveOptions("fleet", o).Fleet
 	params := fleet.Params{
-		LeakSigma:  o.Fleet.LeakSigma,
-		CeffSigma:  o.Fleet.CeffSigma,
-		VminSigmaV: o.Fleet.VminSigmaV,
+		LeakSigma:  f.LeakSigma,
+		CeffSigma:  f.CeffSigma,
+		VminSigmaV: f.VminSigmaV,
 	}
 
 	var points []FleetPoint
-	for _, n := range fleetLadder(maxN) {
+	for _, n := range fleetLadder(f.Nodes) {
 		fl, err := fleet.New(parent, fleet.Config{
-			Nodes: n, Seed: seed, Params: params,
+			Nodes: n, Seed: f.Seed, Params: params,
 			CapW: fleetCapW, Workers: parallelWorkers,
 		})
 		if err != nil {

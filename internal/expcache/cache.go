@@ -99,24 +99,20 @@ type entry struct {
 	CSV     bool   `json:"csv"`
 	BuildID string `json:"build_id"`
 	Output  string `json:"output"`
-	// Structured carries an optional machine-readable form of the
-	// result alongside the rendered text (unused today; the envelope
-	// reserves it so adding it later does not invalidate the format).
-	Structured json.RawMessage `json:"structured,omitempty"`
 }
 
-// optionsKey canonicalizes exp.Options for keying. %#v spells out every
-// field, so options added later automatically become part of the key —
-// provided they stay flat and comparable (TestOptionsFlatForCacheKey
-// guards this: a pointer/slice/map field would embed addresses and make
-// the key nondeterministic across processes). Seed 0 renders the suite
-// seed's bytes, so it keys as the suite seed: `experiments -seed 0`, a
-// flagless run and an hswsimd request share one entry and one flight.
-func optionsKey(o exp.Options) string {
-	if o.Seed == 0 {
-		o.Seed = exp.Defaults().Seed
-	}
-	return fmt.Sprintf("%#v", o)
+// optionsKey canonicalizes the options experiment id reads
+// (exp.ResolveOptions) for keying, so option sets that render the same
+// bytes — `experiments -seed 0` and a flagless run, a fleet option on a
+// non-fleet experiment, an explicit `-fleet-nodes` equal to the
+// scale-derived cap — share one entry and one hswsimd flight. %#v
+// spells out every field, so options added later automatically become
+// part of the key — provided they stay flat and comparable
+// (TestOptionsFlatForCacheKey guards this: a pointer/slice/map field
+// would embed addresses and make the key nondeterministic across
+// processes).
+func optionsKey(id string, o exp.Options) string {
+	return fmt.Sprintf("%#v", exp.ResolveOptions(id, o))
 }
 
 // TupleKey canonicalizes a request tuple (experiment id, options,
@@ -126,7 +122,7 @@ func optionsKey(o exp.Options) string {
 // with equal TupleKeys render byte-identical output, so one live run
 // can serve all of them.
 func TupleKey(id string, o exp.Options, csv bool) string {
-	return fmt.Sprintf("%s|%s|csv=%t", id, optionsKey(o), csv)
+	return fmt.Sprintf("%s|%s|csv=%t", id, optionsKey(id, o), csv)
 }
 
 // path returns the entry file for a key tuple: two-level fan-out under
@@ -156,7 +152,7 @@ func (d *Dir) Get(id string, o exp.Options, csv bool) ([]byte, bool) {
 		obs.CacheMisses.Inc()
 		return nil, false
 	}
-	if e.Version != entryVersion || e.ID != id || e.Options != optionsKey(o) ||
+	if e.Version != entryVersion || e.ID != id || e.Options != optionsKey(id, o) ||
 		e.CSV != csv || e.BuildID != d.buildID {
 		os.Remove(p)
 		obs.CacheEvictions.Inc()
@@ -174,7 +170,7 @@ func (d *Dir) Put(id string, o exp.Options, csv bool, output []byte) error {
 	raw, err := json.MarshalIndent(entry{
 		Version: entryVersion,
 		ID:      id,
-		Options: optionsKey(o),
+		Options: optionsKey(id, o),
 		CSV:     csv,
 		BuildID: d.buildID,
 		Output:  string(output),

@@ -66,8 +66,6 @@ func TestTupleKeyDistinguishesComponents(t *testing.T) {
 		"scale": TupleKey("tab3", exp.Options{Scale: 0.5, Seed: 0x5eed}, false),
 		"seed":  TupleKey("tab3", exp.Options{Scale: 0.25, Seed: 1}, false),
 		"csv":   TupleKey("tab3", base, true),
-		"fleet": TupleKey("tab3", exp.Options{Scale: 0.25, Seed: 0x5eed,
-			Fleet: exp.FleetOptions{Nodes: 64}}, false),
 	} {
 		if other == k {
 			t.Errorf("TupleKey ignores %s: %q", name, k)
@@ -75,5 +73,51 @@ func TestTupleKeyDistinguishesComponents(t *testing.T) {
 	}
 	if !strings.Contains(k, "tab3") {
 		t.Errorf("TupleKey %q does not embed the experiment id", k)
+	}
+	// Only the fleet study reads the fleet options, so they separate
+	// its keys.
+	fleet := TupleKey("fleet", base, false)
+	for name, o := range map[string]exp.FleetOptions{
+		"fleet nodes": {Nodes: 64},
+		"fleet seed":  {Seed: 7},
+		"fleet sigma": {LeakSigma: -1},
+	} {
+		if other := TupleKey("fleet", exp.Options{Scale: 0.25, Seed: 0x5eed, Fleet: o}, false); other == fleet {
+			t.Errorf("TupleKey ignores %s: %q", name, fleet)
+		}
+	}
+}
+
+// TestTupleKeySharedByEqualRenders: option sets that render the same
+// bytes for an experiment share one key, so the CLI stores one entry
+// and hswsimd runs one flight for them. Each pair spells the same
+// request two ways: an option at the value its zero stands for, or an
+// option the experiment does not read.
+func TestTupleKeySharedByEqualRenders(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		id   string
+		a, b exp.Options
+	}{
+		{"fleet seed 0 is the seed", "fleet",
+			exp.Options{Scale: 0.05, Fleet: exp.FleetOptions{Seed: 0x5eed}}, exp.Options{Scale: 0.05}},
+		{"fleet seed 0 follows -seed", "fleet",
+			exp.Options{Scale: 0.05, Seed: 7, Fleet: exp.FleetOptions{Seed: 7}}, exp.Options{Scale: 0.05, Seed: 7}},
+		{"fleet nodes 0 is the scale-derived cap", "fleet",
+			exp.Options{Scale: 0.05, Fleet: exp.FleetOptions{Nodes: 204}}, exp.Options{Scale: 0.05}},
+		{"fleet nodes 0 at the smallest cap", "fleet",
+			exp.Options{Scale: 0.001, Fleet: exp.FleetOptions{Nodes: 16}}, exp.Options{Scale: 0.001}},
+		{"tab3 reads no fleet options", "tab3",
+			exp.Options{Scale: 0.05, Fleet: exp.FleetOptions{Nodes: 64, Seed: 9}}, exp.Options{Scale: 0.05}},
+		{"scale 0 is full scale", "tab3",
+			exp.Options{Scale: 1}, exp.Options{}},
+		{"tab1 reads no options", "tab1",
+			exp.Options{Scale: 0.1}, exp.Options{Scale: 0.2, Seed: 7}},
+		{"fig1 reads no options", "fig1",
+			exp.Options{Scale: 0.1, Fleet: exp.FleetOptions{Nodes: 64}}, exp.Options{Scale: 0.2}},
+	} {
+		if a, b := TupleKey(c.id, c.a, false), TupleKey(c.id, c.b, false); a != b {
+			t.Errorf("%s: keys differ:\n%s\n%s", c.name, a, b)
+		}
 	}
 }

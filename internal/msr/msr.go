@@ -1,18 +1,14 @@
-// Package msr models the model-specific-register interface through which
-// the paper's tools observe and steer the processor: RAPL energy
-// counters, the energy/performance bias, p-state control, and the
-// (undocumented) uncore ratio limit. Platform components register
-// handlers for the registers they implement in a shared Layout; tools
-// issue Read/Write with rdmsr/wrmsr semantics, including #GP-style
-// errors for unimplemented registers — the awkward part of real MSR
-// access, reproduced faithfully but safely.
+// Package msr names the model-specific registers through which the
+// paper's tools observe and steer the processor: RAPL energy counters,
+// the energy/performance bias, p-state control, and the (undocumented)
+// uncore ratio limit. It holds the register numbers, the #GP-style
+// fault that rdmsr/wrmsr of an unimplemented or read-only register
+// raises — the awkward part of real MSR access, reproduced faithfully
+// but safely — and the RAPL unit decoding. The platform serves the
+// registers itself (core.System.ReadMSR and WriteMSR).
 package msr
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-)
+import "fmt"
 
 // Register numbers for the modeled MSRs (Intel SDM Vol. 4 numbering).
 const (
@@ -80,35 +76,6 @@ func (e *GPFault) Error() string {
 		op = "wrmsr"
 	}
 	return fmt.Sprintf("msr: #GP on %s %s (cpu %d)", op, Name(e.Reg), e.CPU)
-}
-
-// Device is the per-system MSR access multiplexer: a shared immutable
-// Layout plus this system's register file (see layout.go).
-type Device struct {
-	layout *Layout
-	owner  any
-	words  []uint64
-}
-
-// Implemented lists the implemented register numbers in ascending order.
-func (d *Device) Implemented() []uint32 { return slices.Sorted(maps.Keys(d.layout.regs)) }
-
-// Read performs rdmsr on the given logical CPU.
-func (d *Device) Read(cpu int, reg uint32) (uint64, error) {
-	h, ok := d.layout.regs[reg]
-	if !ok {
-		return 0, &GPFault{Reg: reg, CPU: cpu}
-	}
-	return h.ReadMSR(d, cpu)
-}
-
-// Write performs wrmsr on the given logical CPU.
-func (d *Device) Write(cpu int, reg uint32, v uint64) error {
-	h, ok := d.layout.regs[reg]
-	if !ok {
-		return &GPFault{Reg: reg, CPU: cpu, Write: true}
-	}
-	return h.WriteMSR(d, cpu, v)
 }
 
 // RAPL unit-register helpers (MSR_RAPL_POWER_UNIT layout):

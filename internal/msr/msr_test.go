@@ -1,30 +1,9 @@
 package msr
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
-
-func TestUnimplementedRegisterFaults(t *testing.T) {
-	d := NewLayout().Device(nil)
-	if _, err := d.Read(0, 0xdead); err == nil {
-		t.Fatal("read of unimplemented register succeeded")
-	} else {
-		var gp *GPFault
-		if !errors.As(err, &gp) || gp.Reg != 0xdead || gp.Write {
-			t.Fatalf("wrong fault: %v", err)
-		}
-	}
-	if err := d.Write(1, 0xdead, 1); err == nil {
-		t.Fatal("write of unimplemented register succeeded")
-	} else {
-		var gp *GPFault
-		if !errors.As(err, &gp) || !gp.Write || gp.CPU != 1 {
-			t.Fatalf("wrong fault: %v", err)
-		}
-	}
-}
 
 func TestPowerUnitRoundTrip(t *testing.T) {
 	// Typical Haswell-EP: power 1/8 W, energy ~61 uJ (2^-14 J), time 1/1024 s.
@@ -57,17 +36,6 @@ func TestNames(t *testing.T) {
 	}
 	if Name(0xabc) != "MSR_0xabc" {
 		t.Errorf("unknown Name = %q", Name(0xabc))
-	}
-}
-
-func TestImplementedSorted(t *testing.T) {
-	l := NewLayout()
-	l.Implement(MSR_PKG_ENERGY_STATUS, &LConst{Reg: MSR_PKG_ENERGY_STATUS})
-	l.Implement(IA32_APERF, &LConst{Reg: IA32_APERF})
-	l.Implement(MSR_RAPL_POWER_UNIT, &LConst{Reg: MSR_RAPL_POWER_UNIT})
-	got := l.Device(nil).Implemented()
-	if len(got) != 3 || got[0] != IA32_APERF || got[2] != MSR_PKG_ENERGY_STATUS {
-		t.Fatalf("Implemented = %#x", got)
 	}
 }
 

@@ -22,8 +22,9 @@ var (
 	// Platform forks: System.Fork cost and child reuse. The wall
 	// histogram is the fork latency budget gate (~10 us target); the
 	// bytes counter tracks the state each fork copies into its child
-	// (struct shells, residency, PCU bookkeeping, MSR file, meter
-	// samples, and the span ring and profile buckets when enabled).
+	// (struct shells with their MSR register words, residency, PCU
+	// bookkeeping, meter samples, and the span ring and profile
+	// buckets when enabled).
 	CoreForkReuse = std.Counter("core_fork_child_reuse_total",
 		"forks served from the released-child free list (no fresh allocation)")
 	CoreForkBytes = std.Counter("core_fork_copied_bytes_total",

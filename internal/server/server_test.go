@@ -400,7 +400,7 @@ func TestConcurrentLoadByteIdentical(t *testing.T) {
 		{`{"id":"tab1","scale":0.05}`, "tab1", false, exp.Options{Scale: 0.05, Seed: 0x5eed}},
 		{`{"id":"tab1","scale":0.05,"csv":true}`, "tab1", true, exp.Options{Scale: 0.05, Seed: 0x5eed}},
 		{`{"id":"fig1","scale":0.05}`, "fig1", false, exp.Options{Scale: 0.05, Seed: 0x5eed}},
-		{`{"id":"tab1","scale":0.05,"seed":7}`, "tab1", false, exp.Options{Scale: 0.05, Seed: 7}},
+		{`{"id":"tab2","scale":0.05,"seed":7}`, "tab2", false, exp.Options{Scale: 0.05, Seed: 7}},
 	}
 	want := map[int][]byte{}
 	for i, tc := range tuples {
