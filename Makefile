@@ -37,14 +37,15 @@ bench-compare:
 # golden: the determinism gate in isolation — the full suite rendered
 # with forked-parallel sweep points must be byte-identical to the
 # strictly serial reference, forked platforms must evolve
-# bitwise-identically to their parents, and a 256-node parallel fleet
-# study must render byte-identically to its serial reference, all under
-# the race detector.
+# bitwise-identically to their parents, a 256-node parallel fleet
+# study must render byte-identically to its serial reference, and a
+# streamed fleet (fleet.Sweep) must measure every node as the batch
+# fleet does, all under the race detector.
 golden:
 	$(GO) test -race -run 'TestSuiteSerialVsParallelByteIdentical' ./internal/exp
 	$(GO) test -race -run 'TestFork|TestEngineFork' ./internal/core ./internal/sim
 	$(GO) test -race -run 'TestFleetStudySerialVsParallel$$' ./internal/exp
-	$(GO) test -race -run 'TestFleetSerialVsParallelIdentical|TestFleetRepeatable' ./internal/fleet
+	$(GO) test -race -run 'TestFleetSerialVsParallelIdentical|TestFleetRepeatable|TestSweepMatchesBatch|TestSweepPrefixMatchesBatch' ./internal/fleet
 
 # golden-output: the committed reference output — a live (uncached)
 # scale-0.5 run of the whole suite must match

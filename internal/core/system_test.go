@@ -523,3 +523,60 @@ func TestSandyBridgeImmediateTransitions(t *testing.T) {
 		t.Errorf("SNB transition latency %v, want ~10 us (immediate)", lat)
 	}
 }
+
+// TestSetPowerLimitWRange pins the 15-bit limit field's range: the
+// ceiling, 4095.875 W, is programmed and reads back, and a limit the
+// field cannot hold (4096 W and up would wrap: 4100 W packed to a 4 W
+// limit), a negative one or a non-finite one is refused without
+// touching the register, the PCU limit or the socket's power.
+func TestSetPowerLimitWRange(t *testing.T) {
+	s := newSys(t)
+	for cpu := 0; cpu < s.CPUs(); cpu++ {
+		if err := s.AssignKernel(cpu, workload.Firestarter(), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RequestTurbo()
+	s.Run(20 * sim.Millisecond)
+
+	if err := s.SetPowerLimitW(0, 4095.875); err != nil {
+		t.Fatalf("4095.875 W refused: %v", err)
+	}
+	if v := readMSR(t, s, 0, msr.MSR_PKG_POWER_LIMIT); v != 0x7FFF|1<<15 {
+		t.Fatalf("4095.875 W reads back %#x, want %#x", v, 0x7FFF|1<<15)
+	}
+	if w := s.Socket(0).PCU.TDPWatts(); w != 4095.875 {
+		t.Fatalf("4095.875 W programs a %v W PCU limit", w)
+	}
+	if err := s.SetPowerLimitW(0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, w := range []float64{4096, 4100, 5000, math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		ref, err := s.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readMSR(t, n, 0, msr.MSR_PKG_POWER_LIMIT)
+		if err := n.SetPowerLimitW(0, w); err == nil {
+			t.Errorf("%v W accepted", w)
+		}
+		if v := readMSR(t, n, 0, msr.MSR_PKG_POWER_LIMIT); v != raw {
+			t.Errorf("refused %v W changed the register: %#x, was %#x", w, v, raw)
+		}
+		if got, want := n.Socket(0).PCU.TDPWatts(), ref.Socket(0).PCU.TDPWatts(); got != want {
+			t.Errorf("refused %v W changed the PCU limit: %v W, want %v W", w, got, want)
+		}
+		ref.Run(200 * sim.Millisecond)
+		n.Run(200 * sim.Millisecond)
+		if got, want := n.Socket(0).LastPkgPowerW(), ref.Socket(0).LastPkgPowerW(); got != want {
+			t.Errorf("refused %v W moved socket 0 to %.1f W, want %.1f W", w, got, want)
+		}
+		ref.Release()
+		n.Release()
+	}
+}

@@ -145,12 +145,21 @@ func (s *System) CoreCState(cpu int) cstate.State {
 // and the p-state domain).
 func (s *System) Core(cpu int) *Core { return s.coreOf(cpu) }
 
+// maxPowerLimitW is the largest limit MSR_PKG_POWER_LIMIT's 15-bit
+// field holds in 1/8 W units.
+const maxPowerLimitW = float64(0x7FFF) / 8
+
 // SetPowerLimitW programs a socket's enforced package power limit via
 // the MSR_PKG_POWER_LIMIT path (1/8 W granularity). Zero restores the
-// rated TDP.
+// rated TDP. A limit that is not finite, is negative or exceeds the
+// register field's 4095.875 W is refused and changes nothing: packed
+// unchecked, 4100 W would wrap to a 4 W limit.
 func (s *System) SetPowerLimitW(socket int, watts float64) error {
 	if socket < 0 || socket >= len(s.sockets) {
 		return fmt.Errorf("core: no socket %d", socket)
+	}
+	if !(watts >= 0 && watts <= maxPowerLimitW) {
+		return fmt.Errorf("core: socket %d power limit %g W outside [0, %g]", socket, watts, maxPowerLimitW)
 	}
 	cpu := socket * s.cfg.Spec.Cores
 	v := uint64(0)

@@ -60,9 +60,10 @@ func (o Options) profLabels() context.Context {
 // Validate checks the options domain. It is the one check the CLI, the
 // server and RunLive share, so a hostile or mistyped value fails before
 // any platform is built: the scale must be finite, the fleet ladder may
-// reach at most the full-scale 4096 nodes (a pooled fan-out allocates
-// ~0.5 KB per node, and each live node holds ~35 KB resident), and the
-// variation sigmas must be finite and at most 1.
+// reach at most the full-scale 4096 nodes, and the variation sigmas
+// must be finite and at most 1. The node bound caps CPU, not memory:
+// the study streams its nodes, one live node per worker, so its memory
+// does not grow with the ladder, but its CPU grows with every node.
 // Negative sigmas stay allowed: they are how a caller disables a term.
 func (o Options) Validate() error {
 	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) {

@@ -6,6 +6,7 @@ package exp
 // of simulated nodes (the Rountree et al. scenario the paper cites).
 
 import (
+	"hswsim/internal/core"
 	"hswsim/internal/fleet"
 	"hswsim/internal/report"
 	"hswsim/internal/sim"
@@ -60,75 +61,103 @@ func fleetLadder(maxN int) []int {
 	return append(out, maxN)
 }
 
-// FleetVariationStudy forks fleets of varied nodes from one warmed
-// FIRESTARTER-at-turbo parent and measures, per fleet size, the
-// frequency spread a shared package power cap induces — in particular
-// the tail slowdown a bulk-synchronous application would observe when
-// the slowest chip gates every rank. fleet.Measure returns one
-// NodeResult per node (4096 at the largest point), which the study
-// reduces through O(1) sketches.
-func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
+// fleetStep and fleetWindow are each node's settling run, which lets
+// its PCU clamp to the cap, and its measurement window, at full scale.
+const (
+	fleetStep   = 10 * sim.Millisecond
+	fleetWindow = 20 * sim.Millisecond
+)
+
+// fleetSetup warms the fleet study's FIRESTARTER-at-turbo parent and
+// returns it with the node configuration of the ladder's largest fleet
+// and the ladder itself.
+func fleetSetup(o Options) (*core.System, fleet.Config, []int, error) {
 	parent, err := o.newHSW()
 	if err != nil {
-		return nil, nil, err
+		return nil, fleet.Config{}, nil, err
 	}
 	for cpu := 0; cpu < parent.CPUs(); cpu++ {
 		if err := parent.AssignKernel(cpu, workload.Firestarter(), 2); err != nil {
-			return nil, nil, err
+			return nil, fleet.Config{}, nil, err
 		}
 	}
 	parent.RequestTurbo()
 	parent.Run(o.dur(50 * sim.Millisecond))
 
 	f := ResolveOptions("fleet", o).Fleet
-	params := fleet.Params{
-		LeakSigma:  f.LeakSigma,
-		CeffSigma:  f.CeffSigma,
-		VminSigmaV: f.VminSigmaV,
+	ladder := fleetLadder(f.Nodes)
+	cfg := fleet.Config{
+		Nodes: ladder[len(ladder)-1],
+		Seed:  f.Seed,
+		Params: fleet.Params{
+			LeakSigma:  f.LeakSigma,
+			CeffSigma:  f.CeffSigma,
+			VminSigmaV: f.VminSigmaV,
+		},
+		CapW:    fleetCapW,
+		Workers: parallelWorkers,
 	}
+	return parent, cfg, ladder, nil
+}
 
-	var points []FleetPoint
-	for _, n := range fleetLadder(f.Nodes) {
-		fl, err := fleet.New(parent, fleet.Config{
-			Nodes: n, Seed: f.Seed, Params: params,
-			CapW: fleetCapW, Workers: parallelWorkers,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// Let every node's PCU clamp to the cap, then measure.
-		fl.Step(o.dur(10 * sim.Millisecond))
-		res := fl.Measure(0, o.dur(20*sim.Millisecond))
-		fl.Release()
-
-		var ghz, watts stats.Online
-		med := stats.NewP2Quantile(0.5)
-		p1 := stats.NewP2Quantile(0.01)
-		for _, r := range res { // node index order: deterministic
-			ghz.Add(r.GHz)
-			watts.Add(r.PkgW)
-			med.Add(r.GHz)
-			p1.Add(r.GHz)
-		}
-		p := FleetPoint{
-			Nodes:   n,
-			MeanGHz: ghz.Mean(),
-			MinGHz:  ghz.Min(),
-			MeanW:   watts.Mean(),
-			MaxW:    watts.Max(),
-		}
-		if ghz.Mean() > 0 {
-			p.SpreadPct = 100 * (ghz.Max() - ghz.Min()) / ghz.Mean()
-		}
-		if ghz.Min() > 0 {
-			p.TailSlow = med.Value() / ghz.Min()
-		}
-		if v := p1.Value(); v > 0 {
-			p.P99Slow = med.Value() / v
-		}
-		points = append(points, p)
+// FleetVariationStudy forks varied nodes from one warmed
+// FIRESTARTER-at-turbo parent and measures, per fleet size, the
+// frequency spread a shared package power cap induces — in particular
+// the tail slowdown a bulk-synchronous application would observe when
+// the slowest chip gates every rank. One fleet.Sweep runs the ladder's
+// largest fleet, one node per worker from fork to release, and every
+// ladder point of n nodes reduces the sweep's first n results: node i's
+// result never depends on the fleet size, so that prefix is exactly
+// what an n-node fleet measures.
+func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
+	parent, cfg, ladder, err := fleetSetup(o)
+	if err != nil {
+		return nil, nil, err
 	}
+	res, err := fleet.Sweep(parent, cfg, o.dur(fleetStep), o.dur(fleetWindow))
+	if err != nil {
+		return nil, nil, err
+	}
+	points := make([]FleetPoint, len(ladder))
+	for i, n := range ladder {
+		points[i] = fleetPoint(res[:n])
+	}
+	return points, fleetTable(points), nil
+}
 
+// fleetPoint reduces one fleet's node results, in node index order,
+// through O(1) sketches: running mean/min/max and P² median and p1.
+func fleetPoint(res []fleet.NodeResult) FleetPoint {
+	var ghz, watts stats.Online
+	med := stats.NewP2Quantile(0.5)
+	p1 := stats.NewP2Quantile(0.01)
+	for _, r := range res {
+		ghz.Add(r.GHz)
+		watts.Add(r.PkgW)
+		med.Add(r.GHz)
+		p1.Add(r.GHz)
+	}
+	p := FleetPoint{
+		Nodes:   len(res),
+		MeanGHz: ghz.Mean(),
+		MinGHz:  ghz.Min(),
+		MeanW:   watts.Mean(),
+		MaxW:    watts.Max(),
+	}
+	if ghz.Mean() > 0 {
+		p.SpreadPct = 100 * (ghz.Max() - ghz.Min()) / ghz.Mean()
+	}
+	if ghz.Min() > 0 {
+		p.TailSlow = med.Value() / ghz.Min()
+	}
+	if v := p1.Value(); v > 0 {
+		p.P99Slow = med.Value() / v
+	}
+	return p
+}
+
+// fleetTable renders the study's ladder points.
+func fleetTable(points []FleetPoint) *report.Table {
 	t := report.NewTable("Fleet variation: frequency spread and bulk-synchronous tail under an 85 W package cap",
 		"Nodes", "Mean [GHz]", "Min [GHz]", "Spread [%]", "p99 slow [x]", "Tail slow [x]", "Mean pkg [W]", "Max pkg [W]")
 	for _, p := range points {
@@ -138,5 +167,5 @@ func FleetVariationStudy(o Options) ([]FleetPoint, *report.Table, error) {
 			report.F("%.3f", p.P99Slow), report.F("%.3f", p.TailSlow),
 			report.F("%.1f", p.MeanW), report.F("%.1f", p.MaxW))
 	}
-	return points, t, nil
+	return t
 }

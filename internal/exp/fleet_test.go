@@ -3,6 +3,9 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"hswsim/internal/fleet"
+	"hswsim/internal/obs"
 )
 
 // renderFleetStudy runs the fleet study and returns the rendered table.
@@ -31,10 +34,59 @@ func TestFleetStudySerialVsParallel(t *testing.T) {
 	}
 }
 
+// batchFleetStudy renders the fleet study from one batch fleet per
+// ladder point (fleet.New, Step, Measure, every node alive at once),
+// reduced and rendered by the study's own helpers.
+func batchFleetStudy(t *testing.T, o Options) []byte {
+	t.Helper()
+	parent, cfg, ladder, err := fleetSetup(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]FleetPoint, len(ladder))
+	for i, n := range ladder {
+		c := cfg
+		c.Nodes = n
+		fl, err := fleet.New(parent, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.Step(o.dur(fleetStep))
+		points[i] = fleetPoint(fl.Measure(0, o.dur(fleetWindow)))
+		fl.Release()
+	}
+	return []byte(fleetTable(points).String())
+}
+
+// TestFleetStudySweepMatchesBatch is the study's differential test:
+// reading every ladder point off one sweep of the largest fleet renders
+// the same bytes as running a batch fleet per ladder point.
+func TestFleetStudySweepMatchesBatch(t *testing.T) {
+	o := Quick()
+	o.Fleet.Nodes = 256
+	sweep := renderFleetStudy(t, o)
+	if batch := batchFleetStudy(t, o); !bytes.Equal(sweep, batch) {
+		t.Fatalf("fleet study from sweep prefixes diverges from one batch fleet per ladder point:\nsweep:\n%s\nbatch:\n%s", sweep, batch)
+	}
+}
+
+// countedFleetStudy renders the fleet study and returns how many nodes
+// it ran and how many of its forks were fresh (not recycled from the
+// free list).
+func countedFleetStudy(t *testing.T, o Options) (out []byte, nodes, fresh int64) {
+	t.Helper()
+	nodes0 := obs.FleetNodes.Value()
+	fresh0 := obs.SimForks.Value() - obs.CoreForkReuse.Value()
+	out = renderFleetStudy(t, o)
+	return out, obs.FleetNodes.Value() - nodes0, obs.SimForks.Value() - obs.CoreForkReuse.Value() - fresh0
+}
+
 // TestFleetStudy4096ByteIdentical scales the same gate to the full
-// 4096-node ladder — the acceptance bar for variation at scale. Too
-// heavy for the race detector build, which runs the 256-node gate
-// above instead.
+// 4096-node ladder — the acceptance bar for variation at scale. It
+// also pins the streamed study's cost: 4096 node runs for the five
+// ladder points (one per distinct chip), and no more live nodes, so no
+// more fresh forks, than there are compute slots. Too heavy for the
+// race detector build, which runs the 256-node gate above instead.
 func TestFleetStudy4096ByteIdentical(t *testing.T) {
 	if raceEnabled {
 		t.Skip("4096-node fleet is too heavy under the race detector (256-node gate covers it)")
@@ -44,10 +96,16 @@ func TestFleetStudy4096ByteIdentical(t *testing.T) {
 	}
 	o := Quick()
 	o.Fleet.Nodes = 4096
-	par := renderFleetStudy(t, o)
+	par, nodes, fresh := countedFleetStudy(t, o)
+	if nodes != 4096 || fresh > int64(sched.Cap()) {
+		t.Errorf("parallel 4096-node study: %d node runs and %d fresh forks, want 4096 and at most %d", nodes, fresh, sched.Cap())
+	}
 	parallelWorkers = 1
 	defer func() { parallelWorkers = 0 }()
-	ser := renderFleetStudy(t, o)
+	ser, nodes, fresh := countedFleetStudy(t, o)
+	if nodes != 4096 || fresh > 1 {
+		t.Errorf("serial 4096-node study: %d node runs and %d fresh forks, want 4096 and at most 1", nodes, fresh)
+	}
 	if !bytes.Equal(par, ser) {
 		t.Fatalf("4096-node fleet study diverges between parallel and serial runs")
 	}

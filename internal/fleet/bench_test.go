@@ -85,3 +85,24 @@ func BenchmarkFleetNodeCapBurst(b *testing.B) {
 		round()
 	}
 }
+
+// BenchmarkFleetSweep measures one streamed fleet: Sweep of 64 varied
+// nodes from the warmed parent under the 85 W cap, each forked from the
+// free list, run 2.5 ms, measured over 5 ms and released before the
+// next. Nodes swept per second is ns/op⁻¹ × 64. One untimed sweep
+// fills the free list first, so allocs/op does not depend on b.N.
+func BenchmarkFleetSweep(b *testing.B) {
+	parent := warmParent(b)
+	cfg := Config{Nodes: benchNodes, Seed: 0x5eed, CapW: 85, Workers: 1}
+	sweep := func() {
+		if _, err := Sweep(parent, cfg, 2500*sim.Microsecond, 5*sim.Millisecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}

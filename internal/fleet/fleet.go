@@ -20,9 +20,10 @@ type Config struct {
 	Seed uint64
 	// Params is the variation spread; zero fields take DefaultParams.
 	Params Params
-	// CapW, when positive, programs an enforced package power limit on
+	// CapW, when nonzero, programs an enforced package power limit on
 	// every socket of every node — the shared TDP policy the fleet
-	// runs under.
+	// runs under. A limit core.System.SetPowerLimitW refuses fails New
+	// and Sweep.
 	CapW float64
 	// Workers bounds the fan-out parallelism: 0 uses the compute-slot
 	// pool's capacity, 1 forces strictly serial stepping (the
@@ -42,11 +43,95 @@ type NodeResult struct {
 // cursor on the critical path of every round.
 const nodeBatch = 8
 
+// prepare gives node n, the fleet's node i, its chips' seeded variation
+// overlays and the power cap.
+func (cfg Config) prepare(n *core.System, i int) error {
+	for s := 0; s < n.Sockets(); s++ {
+		err := n.ApplyChipVariation(s, Draw(cfg.Seed, i, s, cfg.Params))
+		if err == nil && cfg.CapW != 0 {
+			err = n.SetPowerLimitW(s, cfg.CapW)
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: node %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// measure runs node n for window and returns what it did over it.
+// Frequency and throughput are sampled on the first core of each socket
+// (the converted experiments' convention).
+func measure(n *core.System, window sim.Time) NodeResult {
+	socks := n.Sockets()
+	perSock := n.Spec().Cores
+	var before [8]perfctr.Snapshot
+	if socks > len(before) {
+		socks = len(before)
+	}
+	for s := 0; s < socks; s++ {
+		before[s] = n.Core(s * perSock).Snapshot()
+	}
+	n.Run(window)
+	var r NodeResult
+	for s := 0; s < socks; s++ {
+		iv := perfctr.Delta(before[s], n.Core(s*perSock).Snapshot())
+		r.GHz += iv.FreqGHz() / float64(socks)
+		r.GIPS += iv.GIPS() * float64(perSock)
+	}
+	for s := 0; s < n.Sockets(); s++ {
+		r.PkgW += n.Socket(s).LastPkgPowerW()
+	}
+	return r
+}
+
+// Sweep runs every node of cfg from fork to release in one fan-out:
+// node i is forked from the warmed parent, prepared as New prepares it,
+// run for step, measured over window and released before its worker
+// takes the next node. So at most Workers nodes are alive at once,
+// whatever the fleet size, and the free list recycles them.
+//
+// Node i's result equals the batch fleet's (New, Step(step),
+// Measure(0, window)) bit for bit, and it depends only on the parent,
+// cfg.Seed, i, cfg.Params, cfg.CapW, step and window — never on
+// cfg.Nodes or Workers. So the first n results of one sweep are the
+// sweep of an n-node fleet. The first node that fails stops the sweep.
+func Sweep(parent *core.System, cfg Config, step, window sim.Time) ([]NodeResult, error) {
+	if cfg.Nodes <= 0 {
+		return nil, fmt.Errorf("fleet: need a positive node count, got %d", cfg.Nodes)
+	}
+	start := time.Now()
+	out := make([]NodeResult, cfg.Nodes)
+	errs := make([]error, cfg.Nodes)
+	slots.Default().Map(cfg.Nodes, cfg.Workers, nodeBatch, func(i int) bool {
+		n, err := parent.Fork()
+		if err != nil {
+			errs[i] = err
+			return false
+		}
+		if errs[i] = cfg.prepare(n, i); errs[i] == nil {
+			n.Run(step)
+			out[i] = measure(n, window)
+		}
+		n.Release()
+		return errs[i] == nil
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	// One fork and two runs per node, as New, Step and Measure count.
+	obs.FleetNodes.Add(int64(cfg.Nodes))
+	obs.FleetSteps.Add(2 * int64(cfg.Nodes))
+	obs.FleetWall.Observe(time.Since(start).Nanoseconds())
+	return out, nil
+}
+
 // Fleet is a population of independent forked nodes stepped in
 // lockstep rounds. The nodes are full core.System forks — same virtual
 // clock, same deterministic evolution — with per-chip manufacturing
 // variation applied on top, so under a binding power cap the fleet
 // develops the frequency spread the variation literature measures.
+// Every node stays alive until Release; Sweep runs the same nodes one
+// per worker instead.
 type Fleet struct {
 	cfg   Config
 	nodes []*core.System
@@ -74,21 +159,8 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 	}
 	errs := make([]error, len(nodes))
 	f.pool.Map(len(nodes), cfg.Workers, nodeBatch, func(i int) bool {
-		n := nodes[i]
-		for s := 0; s < n.Sockets(); s++ {
-			v := Draw(cfg.Seed, i, s, cfg.Params)
-			if err := n.ApplyChipVariation(s, v); err != nil {
-				errs[i] = err
-				return false
-			}
-			if cfg.CapW > 0 {
-				if err := n.SetPowerLimitW(s, cfg.CapW); err != nil {
-					errs[i] = err
-					return false
-				}
-			}
-		}
-		return true
+		errs[i] = cfg.prepare(nodes[i], i)
+		return errs[i] == nil
 	})
 	if err := errors.Join(errs...); err != nil {
 		f.Release()
@@ -118,8 +190,7 @@ func (f *Fleet) Step(d sim.Time) {
 
 // Measure runs settle then a measurement window on every node and
 // returns per-node results indexed by node — deterministic regardless
-// of Workers. Frequency and throughput are sampled on the first core
-// of each socket (the converted experiments' convention).
+// of Workers.
 func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 	start := time.Now()
 	out := make([]NodeResult, len(f.nodes))
@@ -128,26 +199,7 @@ func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 		if settle > 0 {
 			n.Run(settle)
 		}
-		socks := n.Sockets()
-		perSock := n.Spec().Cores
-		var before [8]perfctr.Snapshot
-		if socks > len(before) {
-			socks = len(before)
-		}
-		for s := 0; s < socks; s++ {
-			before[s] = n.Core(s * perSock).Snapshot()
-		}
-		n.Run(window)
-		var r NodeResult
-		for s := 0; s < socks; s++ {
-			iv := perfctr.Delta(before[s], n.Core(s*perSock).Snapshot())
-			r.GHz += iv.FreqGHz() / float64(socks)
-			r.GIPS += iv.GIPS() * float64(perSock)
-		}
-		for s := 0; s < n.Sockets(); s++ {
-			r.PkgW += n.Socket(s).LastPkgPowerW()
-		}
-		out[i] = r
+		out[i] = measure(n, window)
 		return true
 	})
 	obs.FleetSteps.Add(int64(len(f.nodes)))

@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"hswsim/internal/core"
+	"hswsim/internal/obs"
 	"hswsim/internal/sim"
+	"hswsim/internal/slots"
 	"hswsim/internal/workload"
 )
 
@@ -165,5 +168,137 @@ func TestFleetFanOutAllocs(t *testing.T) {
 	cycle()
 	if got := testing.AllocsPerRun(5, cycle) / float64(cfg.Nodes); got > 2 {
 		t.Fatalf("fleet New+Release allocates %.2f objects per node, want at most 2", got)
+	}
+}
+
+// sweepStep and sweepWindow are the per-node settling run and
+// measurement window of the Sweep tests.
+const (
+	sweepStep   = 2 * sim.Millisecond
+	sweepWindow = 2 * sim.Millisecond
+)
+
+// batchRun measures a batch fleet the way Sweep measures each node:
+// New, Step(step), Measure(0, window), Release.
+func batchRun(t *testing.T, parent *core.System, cfg Config) []NodeResult {
+	t.Helper()
+	fl, err := New(parent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Release()
+	fl.Step(sweepStep)
+	return fl.Measure(0, sweepWindow)
+}
+
+// sameResults fails unless got and want agree node for node.
+func sameResults(t *testing.T, what string, got, want []NodeResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: node %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSweepMatchesBatch is Sweep's differential test: streaming each
+// node from fork to release yields the batch fleet's per-node results
+// bit for bit, serially and at full width.
+func TestSweepMatchesBatch(t *testing.T) {
+	parent := warmParent(t)
+	for _, workers := range []int{1, 0} {
+		cfg := Config{Nodes: 48, Seed: 0x5eed, CapW: 85, Workers: workers}
+		got, err := Sweep(parent, cfg, sweepStep, sweepWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("Workers=%d sweep against batch", workers), got, batchRun(t, parent, cfg))
+	}
+}
+
+// TestSweepPrefixMatchesBatch pins what lets one sweep serve a whole
+// fleet-size ladder: node i's result does not depend on the fleet size,
+// so the first n results of a 256-node sweep are an n-node batch
+// fleet's.
+func TestSweepPrefixMatchesBatch(t *testing.T) {
+	parent := warmParent(t)
+	cfg := Config{Nodes: 256, Seed: 0x5eed, CapW: 85}
+	all, err := Sweep(parent, cfg, sweepStep, sweepWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{16, 64} {
+		c := cfg
+		c.Nodes = n
+		sameResults(t, fmt.Sprintf("%d-node prefix", n), all[:n], batchRun(t, parent, c))
+	}
+}
+
+// fleetRounds reads the fleet_round_wall_ns observation count.
+func fleetRounds() int64 {
+	for _, m := range obs.Snapshot() {
+		if m.Name == "fleet_round_wall_ns" {
+			return m.Count
+		}
+	}
+	return 0
+}
+
+// TestSweepLiveNodesBounded pins Sweep's memory bound without reading
+// RSS: a 256-node sweep from a warm parent whose free list starts empty
+// forks at most Workers fresh children, recycling the rest, and once
+// the free list is filled a sweep allocates at most two objects per
+// node. It also pins the fleet counters a sweep reports.
+func TestSweepLiveNodesBounded(t *testing.T) {
+	parent := warmParent(t)
+	cfg := Config{Nodes: 256, Seed: 0x5eed, CapW: 85}
+	workers := slots.Default().Cap()
+	forks, reused := obs.SimForks.Value(), obs.CoreForkReuse.Value()
+	nodes, steps := obs.FleetNodes.Value(), obs.FleetSteps.Value()
+	rounds := fleetRounds()
+	if _, err := Sweep(parent, cfg, sweepStep, sweepWindow); err != nil {
+		t.Fatal(err)
+	}
+	forks, reused = obs.SimForks.Value()-forks, obs.CoreForkReuse.Value()-reused
+	if forks != 256 || forks-reused < 1 || forks-reused > int64(workers) {
+		t.Errorf("256-node sweep: %d forks, %d fresh; want 256 forks, 1 to %d fresh", forks, forks-reused, workers)
+	}
+	if got := obs.FleetNodes.Value() - nodes; got != 256 {
+		t.Errorf("fleet_nodes_forked_total grew by %d, want 256", got)
+	}
+	if got := obs.FleetSteps.Value() - steps; got != 512 {
+		t.Errorf("fleet_node_steps_total grew by %d, want 512", got)
+	}
+	if got := fleetRounds() - rounds; got != 1 {
+		t.Errorf("fleet_round_wall_ns observed %d rounds, want 1", got)
+	}
+
+	sweep := func() {
+		if _, err := Sweep(parent, cfg, sweepStep, sweepWindow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(2, sweep) / float64(cfg.Nodes); got > 2 {
+		t.Fatalf("pooled sweep allocates %.2f objects per node, want at most 2", got)
+	}
+}
+
+// TestCapOutOfRangeFails pins that a power cap the package limit
+// register cannot hold fails the fleet instead of wrapping to a tiny
+// limit: New and Sweep both return the refusal.
+func TestCapOutOfRangeFails(t *testing.T) {
+	parent := warmParent(t)
+	for _, capW := range []float64{4100, math.NaN(), -1} {
+		cfg := Config{Nodes: 4, Seed: 0x5eed, CapW: capW, Workers: 1}
+		if fl, err := New(parent, cfg); err == nil {
+			fl.Release()
+			t.Errorf("New with a %v W cap succeeded", capW)
+		}
+		if _, err := Sweep(parent, cfg, sweepStep, sweepWindow); err == nil {
+			t.Errorf("Sweep with a %v W cap succeeded", capW)
+		}
 	}
 }

@@ -6,11 +6,15 @@
 // chip gates everyone (Rountree et al.; the paper's Section III
 // measures the per-part spread on its own two test processors).
 //
-// The package is built for throughput: one ForkN batch fans the parent
-// out with slab-allocated children, node stepping fans out across the
-// process-wide compute-slot pool in batches of nodes (internal/slots),
-// and the steady-state per-node step allocates nothing. Measure returns
-// one NodeResult per node; callers reduce them.
+// The package is built for throughput in bounded memory: Sweep fans
+// the node indices out across the process-wide compute-slot pool in
+// batches of nodes (internal/slots), and each worker forks, runs,
+// measures and releases one node at a time, so the fork free list
+// recycles a handful of children across the whole fleet and the
+// steady-state per-node step allocates nothing. The batch API (New,
+// Step, Measure, Release) keeps every node alive between rounds; it is
+// Sweep's differential reference. Both return one NodeResult per node;
+// callers reduce them.
 package fleet
 
 import (

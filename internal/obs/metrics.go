@@ -53,13 +53,15 @@ var (
 	SchedQueueSheds = std.Counter("sched_queue_shed_total",
 		"slot acquisitions rejected because the admission queue was at depth")
 
-	// Fleet driver: batch fork fan-out volume and round latency.
+	// Fleet driver: node volume and round latency. A sweep of N nodes
+	// counts N nodes and 2N steps, as New, Step and Measure of N nodes
+	// do, in one round.
 	FleetNodes = std.Counter("fleet_nodes_forked_total",
 		"fleet nodes forked (and varied) from a warmed parent platform")
 	FleetSteps = std.Counter("fleet_node_steps_total",
 		"per-node fleet step operations executed")
 	FleetWall = std.Histogram("fleet_round_wall_ns",
-		"wall-clock latency of one parallel fleet round (fan-out or whole-fleet step)",
+		"wall-clock latency of one parallel fleet round (sweep, fan-out or whole-fleet step)",
 		[]int64{100_000, 1_000_000, 10_000_000, 100_000_000,
 			1_000_000_000, 10_000_000_000, 60_000_000_000})
 
