@@ -102,9 +102,11 @@ serve-smoke:
 # resolve (no panic; every accepted request names a known experiment
 # with a scale in (0, max-scale] and valid options), the sockets'
 # kept operating-point tables against tables rebuilt on every full
-# segment (equal RAPL energy and counter snapshots bit for bit, equal
-# segment and point counts after up to 32 kernel, idle-state, p-state,
-# power-limit, run and fork operations), and System.ReadMSR/WriteMSR
+# segment, and runs with the constant-load steady check or the halted
+# steady tick switched off against the same reference (equal RAPL
+# energy and counter snapshots bit for bit, equal segment and point
+# counts after up to 32 kernel, idle-state, p-state, power-limit, run
+# and fork operations), and System.ReadMSR/WriteMSR
 # against the MSR handler layout they replaced (equal values and #GP
 # faults after each of up to 64 register, run and fork operations,
 # equal rendered outputs at the end); plain `go test` runs only the
@@ -152,5 +154,5 @@ ci:
 	@echo "==> ci step 12/13: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 13/13: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, a kept operating-point table diverged from one rebuilt every segment, or the MSR switch diverged from the handler layout it replaced, under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, a kept operating-point table or a steady fast path diverged from a table rebuilt every segment, or the MSR switch diverged from the handler layout it replaced, under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

@@ -47,6 +47,31 @@ func BenchmarkSystemRunSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemRunStream measures one millisecond of virtual time
+// under what Figure 8's DRAM points run: the 350 MB read kernel on all 12
+// cores of socket 0 at the base clock, socket 1 idle, after a 20 ms
+// warm-up. Its constant profile leaves almost nothing to integrate in
+// full, so the settled PCU grid tick and the steady replay are what it
+// times.
+func BenchmarkSystemRunStream(b *testing.B) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := sys.Spec()
+	k := workload.Stream(350<<20, spec.Cache.L2Bytes, spec.L3Bytes())
+	for cpu := 0; cpu < spec.Cores; cpu++ {
+		assignOrFail(b, sys, cpu, k)
+	}
+	sys.SetPStateAll(spec.BaseMHz)
+	sys.Run(20 * sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Run(sim.Millisecond)
+	}
+}
+
 // BenchmarkSystemRunMprime measures one millisecond of virtual time
 // under the phase-varying mprime load of Table V (all 24 cores, after a
 // 20 ms warm-up): its profile drifts every segment, so most segments

@@ -132,9 +132,10 @@ func (s *System) Fork() (*System, error) {
 // ForkN forks count children in one batch: recycled children are
 // drained from the free list in one lock acquisition, and the
 // remainder's shells are slab-allocated together (one System/Socket/Core
-// slab each for the whole batch instead of per-child allocations). This
-// is the fan-out path for fleet-scale forking (see internal/fleet); for
-// a single child it is equivalent to Fork.
+// slab each for the whole batch instead of per-child allocations). Its
+// one caller is the batch fleet, fleet.New, which keeps every node alive
+// at once; fleet.Sweep, which the fleet study runs, forks each node
+// singly with Fork. For a single child ForkN is equivalent to Fork.
 func (s *System) ForkN(count int) ([]*System, error) {
 	if count <= 0 {
 		return nil, nil
@@ -257,6 +258,7 @@ func (s *System) populateFork(n *System, reused bool) {
 		rng:           s.rng,
 		lastIntegrate: s.lastIntegrate,
 		tsc:           s.tsc,
+		tscGHz:        s.tscGHz,
 		acJoules:      s.acJoules,
 		lastACPower:   s.lastACPower,
 		epb:           s.epb,

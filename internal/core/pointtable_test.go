@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hswsim/internal/cstate"
+	"hswsim/internal/pcu"
 	"hswsim/internal/sim"
 	"hswsim/internal/workload"
 )
@@ -196,22 +197,38 @@ func TestPointTableForkMidBurst(t *testing.T) {
 }
 
 // FuzzPointTable decodes its input into at most 32 operations on the
-// default node (Hyper-Threading on), runs them once with the
-// operating-point table rebuilt on every full segment and once with it
-// kept, and requires the summed RAPL energy and every core's counter
-// snapshot to agree bit for bit, and each socket's full and replayed
-// segments, core loads and points to agree in count.
+// default node (Hyper-Threading on) and runs them with the
+// operating-point table rebuilt on every full segment, then with every
+// fast path on, then with the constant-load steady check off and with
+// the halted steady tick off. It requires the summed RAPL energy and
+// every core's counter snapshot to agree bit for bit, and each socket's
+// full and replayed segments, core loads and points to agree in count.
 func FuzzPointTable(f *testing.F) {
 	for _, seed := range pointTableSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		defer func() { debugRegroupEverySegment = false }()
+		defer func() {
+			debugRegroupEverySegment, debugNoConstSteady, pcu.DebugNoHaltedSteadyTick = false, false, false
+		}()
 		debugRegroupEverySegment = true
 		want := runPointTableOps(t, ops)
 		debugRegroupEverySegment = false
-		if got := runPointTableOps(t, ops); got != want {
-			t.Fatalf("kept table diverges from the table rebuilt every segment: %s", firstDiff(want, got))
+		for _, sw := range []struct {
+			off  *bool
+			name string
+		}{
+			{new(bool), "every fast path on"}, // a switch nothing reads
+			{&debugNoConstSteady, "the constant-load steady check off"},
+			{&pcu.DebugNoHaltedSteadyTick, "the halted steady tick off"},
+		} {
+			*sw.off = true
+			got := runPointTableOps(t, ops)
+			*sw.off = false
+			if got != want {
+				t.Fatalf("the run with %s diverges from the table rebuilt every segment: %s",
+					sw.name, firstDiff(want, got))
+			}
 		}
 	})
 }
@@ -235,8 +252,9 @@ func pointTableOp(op, a, b int) []byte { return []byte{byte(op), byte(a), byte(b
 func pointTableRun(us int) []byte { return pointTableOp(opRun, (us-50)>>8, (us-50)&0xff) }
 
 // pointTableSeeds are the differential scenarios above, cut to 32
-// operations: the 85 W landing burst, sleep and wake, and a fork chain
-// whose third fork recycles a child that ran another kernel.
+// operations: the 85 W landing burst, sleep and wake, a fork chain
+// whose third fork recycles a child that ran another kernel, and the
+// idle node in PC6 around one core's run.
 func pointTableSeeds() [][]byte {
 	cfg := DefaultConfig()
 	all := cfg.Sockets * cfg.Spec.Cores // a == CPUs: every CPU
@@ -257,6 +275,8 @@ func pointTableSeeds() [][]byte {
 			pointTableOp(opAssign, 0, 4), pointTableOp(opAssign, 5, 4+5), pointTableRun(1000),
 			pointTableOp(opFork, 0, 0), pointTableRun(600), pointTableOp(opFork, 0, 0),
 			pointTableOp(opPState, 7, 3), pointTableRun(3000), pointTableRun(2000)),
+		cat(pointTableRun(3000), pointTableRun(3000), pointTableOp(opAssign, 3, 4), pointTableRun(2000),
+			pointTableOp(opAssign, 3, 0), pointTableOp(opSleep, 3, 2), pointTableRun(3000), pointTableRun(3000)),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"hswsim/internal/cstate"
 	"hswsim/internal/msr"
+	"hswsim/internal/pcu"
 	"hswsim/internal/sim"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
@@ -18,18 +19,24 @@ import (
 
 // Per-segment and per-tick work follows the active cores: residency is
 // credited lazily, the TSC is one node-wide count, the leakage replay
-// visits only leaking cores, and a replayed PCU decision skips the
-// grant pass while the grants are settled. These tests pin the
-// contract: switching the grant skip off (debugNoGrantSkip) changes no
-// output byte, with the steady replay on and off, and the lazy counters
-// read exactly what per-segment accounting would.
+// visits only leaking cores, a replayed PCU decision skips the grant
+// pass while the grants are settled, a socket of constant kernels past
+// their AVX ramps passes the steady check without visiting a core, and
+// a package whose uncore is halted takes the PCU's steady tick. These
+// tests pin the contract: switching any of the last three off
+// (debugNoGrantSkip, debugNoConstSteady, pcu.DebugNoHaltedSteadyTick)
+// changes no output byte, with the steady replay on and off, and the
+// lazy counters read exactly what per-segment accounting would.
 
-// checkSegCostInvariant renders scenario with the grant skip on and
-// off, each with the steady replay on and forced off, and requires all
-// four renders to be identical.
+// checkSegCostInvariant renders scenario with each of the grant skip,
+// the constant-load steady check and the halted steady tick on and off,
+// each with the steady replay on and forced off, and requires every
+// render to be identical.
 func checkSegCostInvariant(t *testing.T, scenario func(t *testing.T) string) {
 	t.Helper()
 	checkOffSwitch(t, &debugNoGrantSkip, "grant skip off", scenario)
+	checkOffSwitch(t, &debugNoConstSteady, "constant steady check off", scenario)
+	checkOffSwitch(t, &pcu.DebugNoHaltedSteadyTick, "halted steady tick off", scenario)
 }
 
 // TestSegCostMixedLoad: the benchmark's mixed steady load, long enough
@@ -254,6 +261,82 @@ func TestSegCostForkWhileSettled(t *testing.T) {
 				firstDiff(childRef, got))
 		}
 		return parentRef + childRef
+	})
+}
+
+// TestSegCostAVXRampOnSettledSocket: FIRESTARTER assigned to an idle
+// core of a settled socket of constant kernels, at offsets spread over
+// one grid period on both sockets in turn. Each assignment starts a
+// 500 µs AVX ramp that lies ahead of the socket's next tick, and the
+// other socket's ticks cut the socket's segments inside the ramp: a
+// segment integrated in full at the ramp's slowdown may be followed by
+// an undirtied one that ends past the ramp, which must not replay the
+// slowed rate.
+func TestSegCostAVXRampOnSettledSocket(t *testing.T) {
+	checkSegCostInvariant(t, func(t *testing.T) string {
+		sys, err := NewSystem(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sys.Spec().Cores
+		for _, cpu := range []int{0, 1, n, n + 1} {
+			assignOrFail(t, sys, cpu, workload.Compute())
+		}
+		sys.Run(20 * sim.Millisecond)
+		for i := 0; i < sys.Sockets(); i++ {
+			if !sys.Socket(i).constSteady {
+				t.Fatalf("socket %d of constant kernels is not constSteady after the warm-up", i)
+			}
+		}
+		for k := 0; k < 10; k++ {
+			cpu := 2 + k/2 + k%2*n
+			sys.Run(sim.Time(50*k+37) * sim.Microsecond)
+			assignOrFail(t, sys, cpu, workload.Firestarter())
+			if sk := sys.Socket(k % 2); sk.cores[cpu%n].avxSlowUntil <= sys.Now() {
+				t.Fatalf("FIRESTARTER on cpu%d started no AVX ramp", cpu)
+			}
+			sys.Run(3 * sim.Millisecond)
+		}
+		sys.Run(10 * sim.Millisecond)
+		for i := 0; i < sys.Sockets(); i++ {
+			if !sys.Socket(i).constSteady {
+				t.Fatalf("socket %d is not constSteady once every ramp has ended", i)
+			}
+		}
+		return renderOutputs(t, sys)
+	})
+}
+
+// TestSegCostIdleNodeWake: the all-idle node sinks to PC6, where the
+// halted uncores take the PCU's steady tick; one core then runs a kernel
+// and sleeps again, so both packages leave PC6 and sink back into it.
+// Each state lasts long enough for the ticks to settle.
+func TestSegCostIdleNodeWake(t *testing.T) {
+	checkSegCostInvariant(t, func(t *testing.T) string {
+		sys, err := NewSystem(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inPC6 := func(want bool) {
+			t.Helper()
+			for i := 0; i < sys.Sockets(); i++ {
+				if got := sys.Socket(i).PkgCState(); (got == cstate.PC6) != want {
+					t.Fatalf("socket %d in %v at %v (want PC6: %v)", i, got, sys.Now(), want)
+				}
+			}
+		}
+		sys.Run(20 * sim.Millisecond)
+		inPC6(true)
+		assignOrFail(t, sys, 3, workload.Compute())
+		sys.Run(10 * sim.Millisecond)
+		inPC6(false)
+		assignOrFail(t, sys, 3, nil)
+		if err := sys.SleepCore(3, cstate.C6); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(30 * sim.Millisecond)
+		inPC6(true)
+		return renderOutputs(t, sys)
 	})
 }
 

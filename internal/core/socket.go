@@ -131,21 +131,30 @@ type Socket struct {
 	resultsBuf []cache.CoreResult
 	telCores   []pcu.CoreTelemetry
 
+	// tel is the PCU input each grid tick fills in place (see telemetry);
+	// its Cores always point at telCores.
+	tel pcu.Telemetry
 	// Telemetry version cache: telVersion is bumped by every mutation
 	// that can move a per-core telemetry field (kernel assignment,
 	// c-state change, p-state request, EPB write, a full integration
 	// segment refreshing the stall fractions). While the version holds
 	// and every active core runs a constant-profile kernel
-	// (telCacheable), the per-core telemetry slice is reused as-is and
-	// the PCU is told so (Telemetry.Unchanged), skipping both the
-	// rebuild and the PCU's own per-core comparison. telBuilt == 0 means
-	// never built (versions start at 1); forkInto resets it because the
-	// harvested child buffer holds stale contents.
+	// (telCacheable), the per-core telemetry slice and tel's
+	// MemoryStalls are reused as-is and the PCU is told so
+	// (Telemetry.Unchanged), skipping both the rebuild and the PCU's own
+	// per-core comparison. telBuilt == 0 means never built (versions
+	// start at 1); forkInto resets it because the harvested child buffer
+	// holds stale contents.
 	telVersion   uint64
 	telBuilt     uint64
 	telCacheable bool
-	telMemSt     bool
-	telSysMax    uarch.MHz
+
+	// constSteady: at the last full segment every active core ran a
+	// constant-profile kernel at slowdown 1. Neither can change before
+	// the next full segment (only Core.assign changes a kernel or starts
+	// an AVX ramp, and it dirties the socket), so steadyAt holds without
+	// visiting a core (see debugNoConstSteady).
+	constSteady bool
 }
 
 // telChanged invalidates the cached per-core telemetry.
@@ -272,8 +281,7 @@ func (sk *Socket) pcuTick(now sim.Time) {
 	// its power estimate (Section II-B).
 	sk.mbvr.UpdateLoad(sk.lastPkgPowW)
 
-	tel := sk.telemetry(now)
-	dec := sk.PCU.Tick(now, tel)
+	dec := sk.PCU.Evaluate(now, sk.telemetry(now))
 	if debugNoGrantSkip || !dec.Replayed || !sk.grantsSettled {
 		sk.applyGrants(now, dec)
 	}
@@ -296,7 +304,7 @@ var debugNoGrantSkip = false
 
 // applyGrants applies a PCU decision's AVX modes and core frequency
 // grants, then marks the grants settled.
-func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
+func (sk *Socket) applyGrants(now sim.Time, dec *pcu.Decision) {
 	single := uarch.MHz(0)
 	if !sk.sys.cfg.PCPSEnabled {
 		// Single frequency domain: everyone gets the fastest grant.
@@ -325,26 +333,30 @@ func (sk *Socket) applyGrants(now sim.Time, dec pcu.Decision) {
 	sk.grantsSettled = true
 }
 
-// telemetry gathers the PCU inputs.
-func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
+// telemetry gathers the PCU inputs into the socket's own Telemetry and
+// returns it.
+func (sk *Socket) telemetry(now sim.Time) *pcu.Telemetry {
 	if sk.telCores == nil {
 		sk.telCores = make([]pcu.CoreTelemetry, len(sk.cores))
 	}
-	tel := pcu.Telemetry{
-		Cores:               sk.telCores,
-		PkgPowerW:           sk.lastPkgPowW,
-		PkgCState:           sk.pkgCState,
-		TempC:               sk.Power.TempC(),
-		SystemMaxRequestMHz: sk.sys.maxActiveRequest(),
-	}
-	if sk.telCacheable && sk.telBuilt == sk.telVersion &&
-		tel.SystemMaxRequestMHz == sk.telSysMax {
+	tel := &sk.tel
+	// Re-pointed on every build: a fork's struct copy leaves the parent's
+	// slice here.
+	tel.Cores = sk.telCores
+	tel.PkgPowerW = sk.lastPkgPowW
+	tel.PkgCState = sk.pkgCState
+	tel.TempC = sk.Power.TempC()
+	sysMax := sk.sys.maxActiveRequest()
+	if sk.telCacheable && sk.telBuilt == sk.telVersion && sysMax == tel.SystemMaxRequestMHz {
 		// Constant-profile kernels and an unchanged version: the per-core
-		// slice still holds exactly what this function would rebuild.
-		tel.MemoryStalls = sk.telMemSt
+		// slice and MemoryStalls still hold exactly what this function
+		// would rebuild.
 		tel.Unchanged = true
 		return tel
 	}
+	tel.SystemMaxRequestMHz = sysMax
+	tel.MemoryStalls = false
+	tel.Unchanged = false
 	for i, c := range sk.cores {
 		active := c.cstateNow == cstate.C0 && c.kernel != nil
 		avxNow, memBound := false, false
@@ -367,8 +379,6 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 		}
 	}
 	sk.telBuilt = sk.telVersion
-	sk.telMemSt = tel.MemoryStalls
-	sk.telSysMax = tel.SystemMaxRequestMHz
 	return tel
 }
 
@@ -387,14 +397,16 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 // experiment outputs do not depend on which path ran. Neither path
 // touches a sleeping core: the TSC is node-wide (System.integrateTo)
 // and residency is credited lazily (Core.creditResidency).
-func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
+//
+// sec is dt.Seconds(), which the caller has computed already.
+func (sk *Socket) integrate(from sim.Time, dt sim.Time, sec float64) float64 {
 	if !debugForceFullIntegration && sk.segValid && !sk.opDirty && sk.steadyAt(from) {
 		sk.statReplay++
-		return sk.integrateSteady(dt)
+		return sk.integrateSteady(dt, sec)
 	}
 	sk.opDirty = false
 	sk.statFull++
-	return sk.integrateFull(from, dt)
+	return sk.integrateFull(from, dt, sec)
 }
 
 // debugForceFullIntegration disables the steady-segment replay (test
@@ -402,11 +414,23 @@ func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
 // without it and requires identical output).
 var debugForceFullIntegration = false
 
+// debugNoConstSteady makes steadyAt visit every core even on a socket
+// whose last full segment found only constant-profile kernels at
+// slowdown 1 (test seam: the equivalence tests run the same scenario
+// with and without it and require identical output).
+var debugNoConstSteady = false
+
 // steadyAt reports whether the memoized operating point still holds at
 // segment start from. Profiles (phase-varying kernels) and the AVX ramp
 // slowdown are the only integration inputs that drift without an
-// explicit state-change event, so they are re-checked each segment.
+// explicit state-change event, so they are re-checked each segment —
+// except on a constSteady socket, where neither can drift: a core's
+// slowdown is 1 from its avxSlowUntil on, and it was 1 at the last full
+// segment.
 func (sk *Socket) steadyAt(from sim.Time) bool {
+	if sk.constSteady && !debugNoConstSteady {
+		return true
+	}
 	leader, point := -1, -1
 	for j, c := range sk.coresBuf {
 		if c.slowdown() != c.lastSD {
@@ -426,10 +450,9 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 	return true
 }
 
-// integrateSteady replays the memoized segment over dt.
-func (sk *Socket) integrateSteady(dt sim.Time) float64 {
-	sec := dt.Seconds()
-	tscGHz := sk.Spec.BaseMHz.GHz()
+// integrateSteady replays the memoized segment over dt (sec seconds).
+func (sk *Socket) integrateSteady(dt sim.Time, sec float64) float64 {
+	tscGHz := sk.sys.tscGHz
 	for j, c := range sk.coresBuf {
 		c.ctr.Advance(sec, sk.pointsBuf[sk.pointOf[j]].FreqGHz, tscGHz, c.lastRate, c.lastStall)
 	}
@@ -442,8 +465,8 @@ func (sk *Socket) integrateSteady(dt sim.Time) float64 {
 		ep.Apply(&sk.eplan, sec, int64(dt), sk.Power.TempFactor())
 	}
 	sk.Power.UpdateTemp(pkgW, dt)
-	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, sk.segEV, dt)
-	sk.uncoreCtr.Advance(dt, sk.segUncGHz)
+	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, sk.segEV, sec)
+	sk.uncoreCtr.Advance(sec, sk.segUncGHz)
 	sk.tickJoules += pkgW * sec
 	return sk.RAPLDomainsPowerW(pkgW, dramW)
 }
@@ -623,7 +646,7 @@ func (sk *Socket) dropPoint(q int) {
 // in clock, ring class, threads and profile share one operating point:
 // the solver and every per-core derivation that depends only on the
 // point run once per point.
-func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
+func (sk *Socket) integrateFull(from sim.Time, dt sim.Time, sec float64) float64 {
 	sk.groupPoints(from)
 	cores, of, loads, pts := sk.coresBuf, sk.pointOf, sk.pointsBuf, sk.pointsMeta
 	sk.statLoads += uint64(len(cores))
@@ -638,9 +661,9 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		sk.statesBuf = make([]power.CoreState, len(sk.cores))
 	}
 	states := sk.statesBuf[:len(sk.cores)]
-	sec := dt.Seconds()
-	tscGHz := sk.Spec.BaseMHz.GHz()
+	tscGHz := sk.sys.tscGHz
 	var ev rapl.ModelInputs
+	constSteady := true
 	j := 0
 	for i, c := range sk.cores {
 		st := &states[i]
@@ -653,6 +676,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		j++
 		ld, pt, r := &loads[q], &pts[q], &results[q]
 		c.lastSD = c.slowdown()
+		constSteady = constSteady && c.constProf && c.lastSD == 1
 		if c.lastSD != pt.sd {
 			pt.sd = c.lastSD
 			pt.rate = r.Rate * pt.sd
@@ -691,8 +715,8 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		ep.Apply(&sk.eplan, sec, int64(dt), sk.Power.TempFactor())
 	}
 	sk.Power.UpdateTemp(pkgW, dt)
-	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, ev, dt)
-	sk.uncoreCtr.Advance(dt, uncoreGHz)
+	sk.RAPL.Integrate(pkgW, pkg.CoresDynamic+pkg.Leakage, dramW, ev, sec)
+	sk.uncoreCtr.Advance(sec, uncoreGHz)
 	sk.tickJoules += pkgW * sec
 
 	// Refresh the segment memo for steady replays.
@@ -700,6 +724,7 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 	sk.segDRAMW = dramW
 	sk.segUncGHz = uncoreGHz
 	sk.segValid = true
+	sk.constSteady = constSteady
 	// A full segment rewrites every core's stall fraction — a telemetry
 	// input — so the cached per-core telemetry no longer matches.
 	sk.telChanged()

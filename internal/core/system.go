@@ -110,7 +110,9 @@ type System struct {
 	// tsc is the node's invariant time-stamp counter, in (fractional)
 	// cycles. Every core reads the same TSC, so the node advances one
 	// count per integration step instead of one per core per segment.
-	tsc float64
+	// It runs at tscGHz, the base clock (Spec.BaseMHz.GHz(), derived once).
+	tsc    float64
+	tscGHz float64
 	// AC energy accumulated since the last meter sample, for averaging.
 	acJoules    float64
 	lastACPower float64
@@ -251,6 +253,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Engine: sim.NewEngine(),
 		cfg:    cfg,
 		epb:    pcu.EPBBalanced,
+		tscGHz: cfg.Spec.BaseMHz.GHz(),
 	}
 	s.rng = *sim.NewRNG(cfg.Seed)
 	s.meter = *power.NewLMG450(s.rng.Fork(0xAC))
@@ -423,14 +426,15 @@ func (s *System) integrateTo(now sim.Time) {
 		s.lastIntegrate = now
 		return
 	}
+	sec := dt.Seconds()
 	totalRAPL := 0.0
 	for _, sk := range s.sockets {
-		totalRAPL += sk.integrate(s.lastIntegrate, dt)
+		totalRAPL += sk.integrate(s.lastIntegrate, dt, sec)
 	}
-	s.tsc += s.cfg.Spec.BaseMHz.GHz() * 1e9 * dt.Seconds()
-	s.raplJoules += totalRAPL * dt.Seconds()
+	s.tsc += s.tscGHz * 1e9 * sec
+	s.raplJoules += totalRAPL * sec
 	ac := s.cfg.Node.ACWatts(totalRAPL)
-	s.acJoules += ac * dt.Seconds()
+	s.acJoules += ac * sec
 	s.lastACPower = ac
 	s.lastIntegrate = now
 }

@@ -10,6 +10,7 @@ package expcache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -203,10 +204,10 @@ func (d *Dir) Put(id string, o exp.Options, csv bool, output []byte) error {
 
 // buildID derives the producing binary's identity. Preference order:
 // the VCS stamp from the build info (clean builds of a commit share
-// entries), then a hash of the executable itself (dev builds and `go
-// run` from a dirty tree — a rebuild changes the hash, so stale model
-// output can never replay). If neither is available the id is unique
-// per process, which disables cross-run reuse rather than risk it.
+// entries), then the executable's own identity (dev builds and `go run`
+// from a dirty tree — a rebuild changes it, so stale model output can
+// never replay; see exeID). If neither is available the id is unique per
+// process, which disables cross-run reuse rather than risk it.
 func buildID() string {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		var rev, modified string
@@ -223,13 +224,92 @@ func buildID() string {
 		}
 	}
 	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return "exe-" + hex.EncodeToString(h.Sum(nil)[:16])
-			}
+		if id := exeID(exe); id != "" {
+			return id
 		}
 	}
 	return fmt.Sprintf("pid-%d", os.Getpid())
+}
+
+// exeID identifies the executable at path by the Go linker's build ID,
+// the descriptor of the "Go" note of type 4 (.note.go.buildid) that the
+// linker writes into every ELF executable: the ID's last part hashes
+// the binary's content, so it changes whenever the binary does, and it
+// sits in the file's first 32 KB, which is all that is read. A file
+// with no such note there, or an empty one, is identified by the sha256
+// of its bytes instead; "" means it could not be read.
+func exeID(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	head := make([]byte, 32<<10)
+	n, err := io.ReadFull(f, head)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return ""
+	}
+	if id := goBuildID(head[:n]); id != "" {
+		return "go-" + id
+	}
+	h := sha256.New()
+	h.Write(head[:n])
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return "exe-" + hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// goBuildID returns the Go build-ID note's descriptor from head, the
+// start of an ELF file, or "" if head is not ELF or holds no such note
+// in a PT_NOTE segment. It reads the note as `go tool buildid` does,
+// without debug/elf, whose tables every process would otherwise carry.
+func goBuildID(head []byte) string {
+	if len(head) < 64 || string(head[:4]) != "\x7fELF" {
+		return ""
+	}
+	var bo binary.ByteOrder = binary.LittleEndian
+	if head[5] == 2 { // ELFDATA2MSB
+		bo = binary.BigEndian
+	}
+	// The program header table: offset, entry size and count sit at
+	// class-dependent offsets of the file header (ELFCLASS64 = 2).
+	is64 := head[4] == 2
+	phoff, phentsize, phnum := uint64(bo.Uint32(head[28:])), uint64(bo.Uint16(head[42:])), uint64(bo.Uint16(head[44:]))
+	if is64 {
+		phoff, phentsize, phnum = bo.Uint64(head[32:]), uint64(bo.Uint16(head[54:])), uint64(bo.Uint16(head[56:]))
+	}
+	for i := uint64(0); i < phnum; i++ {
+		ph := phoff + i*phentsize
+		if ph > uint64(len(head)) || uint64(len(head))-ph < 40 {
+			return ""
+		}
+		const ptNote = 4
+		if bo.Uint32(head[ph:]) != ptNote {
+			continue
+		}
+		off, size := uint64(bo.Uint32(head[ph+4:])), uint64(bo.Uint32(head[ph+16:]))
+		if is64 {
+			off, size = bo.Uint64(head[ph+8:]), bo.Uint64(head[ph+32:])
+		}
+		if off > uint64(len(head)) || size > uint64(len(head))-off {
+			continue
+		}
+		// Each note: name size, descriptor size, type, then the name and
+		// the descriptor, each padded to 4 bytes.
+		for note := head[off : off+size]; len(note) >= 16; {
+			namesz, descsz := uint64(bo.Uint32(note)), uint64(bo.Uint32(note[4:]))
+			const goBuildIDNote = 4
+			if namesz == 4 && bo.Uint32(note[8:]) == goBuildIDNote &&
+				string(note[12:16]) == "Go\x00\x00" && descsz <= uint64(len(note))-16 {
+				return string(note[16 : 16+descsz])
+			}
+			next := 12 + (namesz+3)&^3 + (descsz+3)&^3
+			if next > uint64(len(note)) {
+				break
+			}
+			note = note[next:]
+		}
+	}
+	return ""
 }

@@ -1,8 +1,14 @@
 package expcache
 
 import (
+	"crypto/sha256"
+	"debug/elf"
+	"encoding/hex"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +219,66 @@ func TestBuildIDStable(t *testing.T) {
 	d1, d2 := open(t), open(t)
 	if d1.buildID != d2.buildID {
 		t.Fatal("Open derives different build ids in one process")
+	}
+}
+
+// TestExeIDIsGoBuildID: an unstamped binary is identified by the Go
+// build ID its ELF note carries, exactly what `go tool buildid` prints
+// for it.
+func TestExeIDIsGoBuildID(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := elf.Open(exe); err != nil {
+		t.Skipf("test binary is not ELF: %v", err)
+	} else {
+		f.Close()
+	}
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	out, err := exec.Command(gobin, "tool", "buildid", exe).Output()
+	if err != nil {
+		t.Skipf("go tool buildid: %v", err)
+	}
+	want := strings.TrimSpace(string(out))
+	if want == "" {
+		t.Fatal("go tool buildid printed nothing")
+	}
+	if got := exeID(exe); got != "go-"+want {
+		t.Fatalf("exeID = %q, want %q", got, "go-"+want)
+	}
+}
+
+// TestExeIDHashesNonELF: a file without a Go build-ID note — not ELF,
+// or an ELF header whose program headers lie past the end of the file —
+// is identified by the hash of its bytes.
+func TestExeIDHashesNonELF(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := make([]byte, 100)
+	_, err = io.ReadFull(f, truncated)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{[]byte("#!/bin/sh\necho not an ELF binary\n"), truncated} {
+		path := filepath.Join(t.TempDir(), "exe")
+		if err := os.WriteFile(path, body, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(body)
+		if got, want := exeID(path), "exe-"+hex.EncodeToString(sum[:16]); got != want {
+			t.Fatalf("exeID of %q = %q, want %q", body[:4], got, want)
+		}
+	}
+	if got := exeID(filepath.Join(t.TempDir(), "missing")); got != "" {
+		t.Fatalf("exeID of a missing file = %q, want \"\"", got)
 	}
 }
 

@@ -23,6 +23,7 @@ package pcu
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"hswsim/internal/cstate"
@@ -168,9 +169,12 @@ type PCU struct {
 	lastEETPoll sim.Time
 
 	// Scratch buffers for Tick (the Decision is valid until the next
-	// Tick call).
+	// Tick call). dec is the Decision Evaluate returns, always over
+	// decCore and decAVX: a full evaluation rebuilds it, a replay only
+	// flags it, and ForkInto reseats its slices with the copy's own.
 	decCore []uarch.MHz
 	decAVX  []bool
+	dec     Decision
 
 	// Steady-tick memo: when this tick's telemetry matches the last
 	// tick's and the controller state is provably at a fixed point, Tick
@@ -182,6 +186,7 @@ type PCU struct {
 	// check. Invalidated by SetTDPWatts and SetUncoreLimits.
 	lastValid     bool
 	lastSteady    bool // previous tick took the steady path
+	lastAVXAny    bool // some core of lastCores reported AVXNow
 	lastCores     []CoreTelemetry
 	lastPkgPowW   float64
 	lastPkgC      cstate.PkgState
@@ -212,10 +217,10 @@ func New(cfg Config) *PCU {
 
 // ForkInto overwrites dst with a copy of the PCU, reusing dst's slice
 // storage: same controller state (throttle depth, uncore clock, AVX/EET
-// bookkeeping), steady-tick memo and Decision scratch, so the copy's
-// future Tick decisions match the original's exactly for identical
-// telemetry. cfg is copied as-is — its Spec pointer is immutable and
-// safe to share.
+// bookkeeping), steady-tick memo and Decision, the latter over dst's own
+// scratch, so the copy's future Tick decisions match the original's
+// exactly for identical telemetry. cfg is copied as-is — its Spec
+// pointer is immutable and safe to share.
 func (p *PCU) ForkInto(dst *PCU) {
 	lastAVX, eetStall, decCore, decAVX, lastCores :=
 		dst.lastAVX, dst.eetStall, dst.decCore, dst.decAVX, dst.lastCores
@@ -224,6 +229,7 @@ func (p *PCU) ForkInto(dst *PCU) {
 	dst.eetStall = append(eetStall[:0], p.eetStall...)
 	dst.decCore = append(decCore[:0], p.decCore...)
 	dst.decAVX = append(decAVX[:0], p.decAVX...)
+	dst.dec.CoreTargetMHz, dst.dec.AVXMode = dst.decCore, dst.decAVX
 	dst.lastCores = append(lastCores[:0], p.lastCores...)
 }
 
@@ -316,14 +322,17 @@ func (p *PCU) eetPeriod() sim.Time {
 
 // Tick runs one grid evaluation and returns the new operating targets.
 // The returned slices are reused by the next Tick call.
-func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
+func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision { return *p.Evaluate(now, &tel) }
+
+// Evaluate is Tick without the copies: it reads tel in place and returns
+// the PCU's own Decision, which, like its slices, is valid until the next
+// Evaluate or Tick call.
+func (p *PCU) Evaluate(now sim.Time, tel *Telemetry) *Decision {
 	if p.steadyTick(now, tel) {
-		return Decision{
-			CoreTargetMHz: p.decCore,
-			AVXMode:       p.decAVX,
-			UncoreMHz:     p.uncoreMHz,
-			Replayed:      true,
-		}
+		// The previous Decision stands: its targets, AVX modes and uncore
+		// clock (p.uncoreMHz) are what this tick would decide.
+		p.dec.Replayed = true
+		return &p.dec
 	}
 	n := p.cfg.Spec.Cores
 	if len(p.decCore) == 0 {
@@ -332,10 +341,11 @@ func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
 	}
 	clear(p.decCore)
 	clear(p.decAVX)
-	dec := Decision{
+	p.dec = Decision{
 		CoreTargetMHz: p.decCore,
 		AVXMode:       p.decAVX,
 	}
+	dec := &p.dec
 
 	// AVX mode bookkeeping: enter immediately, leave 1 ms after the
 	// last 256-bit operation (Section II-F).
@@ -403,8 +413,9 @@ func (p *PCU) Tick(now sim.Time, tel Telemetry) Decision {
 }
 
 // storeSteady records this tick's telemetry for the steady-tick memo.
-func (p *PCU) storeSteady(tel Telemetry) {
+func (p *PCU) storeSteady(tel *Telemetry) {
 	p.lastCores = append(p.lastCores[:0], tel.Cores...)
+	p.lastAVXAny = slices.ContainsFunc(tel.Cores, func(c CoreTelemetry) bool { return c.AVXNow })
 	p.lastPkgPowW = tel.PkgPowerW
 	p.lastPkgC = tel.PkgCState
 	p.lastMemSt = tel.MemoryStalls
@@ -429,13 +440,15 @@ func (p *PCU) storeSteady(tel Telemetry) {
 //     limit, with the temperature below the PROCHOT trip — so the
 //     thermal and budget controllers would not move;
 //   - the uncore already at or above the memoized UFS target — so the
-//     budget controller's headroom climb would not move it either;
+//     budget controller's headroom climb would not move it either — or
+//     halted by the package c-state, whose zero selectUncore returns
+//     whatever the climb did (see DebugNoHaltedSteadyTick);
 //   - every core's AVX activity equal to its granted AVX mode — an
 //     active core refreshes its hold timer (done below, as the full
 //     path would), and an inactive, expired one stays expired;
 //   - EET's stall samples already equal the incoming stall telemetry —
 //     so a due poll (clock advanced below) rewrites identical values.
-func (p *PCU) steadyTick(now sim.Time, tel Telemetry) bool {
+func (p *PCU) steadyTick(now sim.Time, tel *Telemetry) bool {
 	// Package power is compared by threshold side, not value: the
 	// controllers read it only against the TDP (budget engage), 0.8×TDP
 	// (uncore snap-to-target) and the headroom deadband, so ulp-level
@@ -453,7 +466,8 @@ func (p *PCU) steadyTick(now sim.Time, tel Telemetry) bool {
 		return false
 	}
 	if p.cfg.UFSEnabled && p.uncoreMHz < p.lastUncTarget &&
-		p.tdp-tel.PkgPowerW > p.tdp*0.005 {
+		p.tdp-tel.PkgPowerW > p.tdp*0.005 &&
+		(DebugNoHaltedSteadyTick || !cstate.UncoreHalted(tel.PkgCState)) {
 		return false
 	}
 	// With the caller asserting identical per-core inputs and the
@@ -469,10 +483,14 @@ func (p *PCU) steadyTick(now sim.Time, tel Telemetry) bool {
 			}
 		}
 	}
-	// Steady: perform only the timestamp bookkeeping.
-	for i := range tel.Cores {
-		if tel.Cores[i].AVXNow {
-			p.lastAVX[i] = now
+	// Steady: perform only the timestamp bookkeeping. The per-core
+	// telemetry equals lastCores, so lastAVXAny says whether any core
+	// has a hold timer to refresh.
+	if p.lastAVXAny {
+		for i := range tel.Cores {
+			if tel.Cores[i].AVXNow {
+				p.lastAVX[i] = now
+			}
 		}
 	}
 	if per := p.eetPeriod(); p.cfg.EETEnabled && per > 0 && now-p.lastEETPoll >= per {
@@ -481,6 +499,15 @@ func (p *PCU) steadyTick(now sim.Time, tel Telemetry) bool {
 	p.lastSteady = true
 	return true
 }
+
+// DebugNoHaltedSteadyTick makes a package whose uncore is halted by its
+// c-state take the full evaluation on every tick, as if the halted
+// uncore's 0 MHz were below the UFS target the steady tick checks (test
+// seam: the core package's equivalence tests run the same scenario with
+// and without it and require identical output). On the full path the
+// budget controller's uncore climb is undone when selectUncore returns 0
+// for the halted uncore, so no PCU state moves.
+var DebugNoHaltedSteadyTick = false
 
 // coreTarget picks a core's pre-throttle frequency target.
 func (p *PCU) coreTarget(ct CoreTelemetry, avxMode bool, activeCores, idx int) uarch.MHz {
@@ -586,7 +613,7 @@ func (p *PCU) mcUncBinW() float64 {
 // restores cores first (optimistically, so the grant duty-cycles around
 // the fractional operating point), then hands the remaining watts to
 // the uncore — the Table IV core/uncore budget trade.
-func (p *PCU) updateBudget(tel Telemetry, maxGranted uarch.MHz, activeCores int, avx bool) {
+func (p *PCU) updateBudget(tel *Telemetry, maxGranted uarch.MHz, activeCores int, avx bool) {
 	spec := p.cfg.Spec
 	if tel.PkgPowerW <= 0 {
 		return
@@ -747,7 +774,7 @@ func (p *PCU) uncorePressureFloor(maxCoreTarget uarch.MHz) uarch.MHz {
 }
 
 // uncoreUnconstrained is the UFS target ignoring the power budget.
-func (p *PCU) uncoreUnconstrained(tel Telemetry) uarch.MHz {
+func (p *PCU) uncoreUnconstrained(tel *Telemetry) uarch.MHz {
 	spec := p.cfg.Spec
 	if tel.MemoryStalls {
 		// Memory-stall scenarios drive the uncore to its maximum
@@ -805,7 +832,7 @@ func (p *PCU) uncoreUnconstrained(tel Telemetry) uarch.MHz {
 }
 
 // selectUncore resolves the final uncore clock for this tick.
-func (p *PCU) selectUncore(tel Telemetry, dec Decision) uarch.MHz {
+func (p *PCU) selectUncore(tel *Telemetry, dec *Decision) uarch.MHz {
 	spec := p.cfg.Spec
 	if cstate.UncoreHalted(tel.PkgCState) {
 		return 0

@@ -1,6 +1,7 @@
 package pcu
 
 import (
+	"reflect"
 	"testing"
 
 	"hswsim/internal/cstate"
@@ -206,6 +207,38 @@ func TestUncoreHaltedInPackageSleep(t *testing.T) {
 	}
 }
 
+// TestHaltedPackageReplays: a package in PC6 settles into the steady
+// tick although its halted uncore reads 0 MHz, below the UFS target,
+// and every replayed Decision equals the recomputed one that
+// DebugNoHaltedSteadyTick forces.
+func TestHaltedPackageReplays(t *testing.T) {
+	defer func() { DebugNoHaltedSteadyTick = false }()
+	tel := Telemetry{Cores: activeCores(0, 12, 0, false), PkgPowerW: 5, PkgCState: cstate.PC6, SystemMaxRequestMHz: 2500}
+	var want []Decision
+	for _, off := range []bool{true, false} {
+		DebugNoHaltedSteadyTick = off
+		p := newPCU()
+		for i := 0; i < 4; i++ {
+			now := sim.Time(i) * 500 * sim.Microsecond
+			dec := *p.Evaluate(now, &tel)
+			if dec.UncoreMHz != 0 {
+				t.Fatalf("tick %d: uncore in PC6 = %v, want halted", i, dec.UncoreMHz)
+			}
+			if replay := i > 0 && !off; dec.Replayed != replay {
+				t.Fatalf("tick %d with the halted steady tick off=%v: replayed %v, want %v", i, off, dec.Replayed, replay)
+			}
+			dec.Replayed = false
+			dec.CoreTargetMHz = append([]uarch.MHz(nil), dec.CoreTargetMHz...)
+			dec.AVXMode = append([]bool(nil), dec.AVXMode...)
+			if off {
+				want = append(want, dec)
+			} else if !reflect.DeepEqual(dec, want[i]) {
+				t.Fatalf("tick %d: replayed decision %+v, recomputed %+v", i, dec, want[i])
+			}
+		}
+	}
+}
+
 func TestEPBPerformanceUncorePin(t *testing.T) {
 	// Table III asterisks: 3.0 GHz if EPB is set to performance.
 	p := newPCU()
@@ -368,6 +401,51 @@ func TestDecisionReportsReplay(t *testing.T) {
 	p.SetTDPWatts(100)
 	if p.Tick(3*sim.Millisecond, tel).Replayed {
 		t.Fatal("reprogrammed power limit replayed the previous decision")
+	}
+}
+
+// TestForkIntoDecisionOwnsItsSlices: a forked PCU's Decision, replayed
+// or recomputed, fresh or into recycled storage, holds the fork's own
+// slices, and the child's evaluation leaves the parent's Decision as it
+// was.
+func TestForkIntoDecisionOwnsItsSlices(t *testing.T) {
+	parent := newPCU()
+	tel := Telemetry{Cores: activeCores(2, 12, 2000, false), PkgPowerW: 30, SystemMaxRequestMHz: 2000}
+	parent.Evaluate(0, &tel)
+	pdec := parent.Evaluate(500*sim.Microsecond, &tel)
+	if !pdec.Replayed {
+		t.Fatal("the parent's second tick at a fixed point was not a replay")
+	}
+	wantCore := append([]uarch.MHz(nil), pdec.CoreTargetMHz...)
+	wantAVX := append([]bool(nil), pdec.AVXMode...)
+	owns := func(what string, d *Decision) {
+		t.Helper()
+		if &d.CoreTargetMHz[0] == &parent.decCore[0] || &d.AVXMode[0] == &parent.decAVX[0] {
+			t.Fatalf("%s decision holds the parent's slices", what)
+		}
+	}
+
+	recycled := newPCU()
+	recycled.Evaluate(0, &Telemetry{Cores: activeCores(12, 12, 2500, true), PkgPowerW: 120})
+	for _, child := range []*PCU{new(PCU), recycled} {
+		parent.ForkInto(child)
+		if d := child.Evaluate(sim.Millisecond, &tel); !d.Replayed {
+			t.Fatal("the child's first tick at the parent's fixed point was not a replay")
+		} else {
+			owns("the child's replayed", d)
+		}
+		changed := tel
+		changed.Cores = activeCores(4, 12, 1500, true)
+		d := child.Evaluate(1500*sim.Microsecond, &changed)
+		if d.Replayed {
+			t.Fatal("the child's tick on changed telemetry replayed")
+		}
+		owns("the child's recomputed", d)
+		if !reflect.DeepEqual(pdec.CoreTargetMHz, wantCore) || !reflect.DeepEqual(pdec.AVXMode, wantAVX) ||
+			&pdec.CoreTargetMHz[0] != &parent.decCore[0] {
+			t.Fatalf("the child's ticks moved the parent's decision to %v %v, want %v %v",
+				pdec.CoreTargetMHz, pdec.AVXMode, wantCore, wantAVX)
+		}
 	}
 }
 

@@ -133,10 +133,11 @@ type Uncore struct {
 	clock float64
 }
 
-// Advance accumulates uncore cycles (a halted uncore contributes none).
-func (u *Uncore) Advance(dt sim.Time, uncoreGHz float64) {
+// Advance accumulates uncore cycles over sec seconds (a halted uncore
+// contributes none).
+func (u *Uncore) Advance(sec, uncoreGHz float64) {
 	if uncoreGHz > 0 {
-		u.clock += uncoreGHz * 1e9 * dt.Seconds()
+		u.clock += uncoreGHz * 1e9 * sec
 	}
 }
 

@@ -60,13 +60,13 @@ func TestIntervalDegenerate(t *testing.T) {
 func TestUncoreCounter(t *testing.T) {
 	var u Uncore
 	a := u.Snapshot(0)
-	u.Advance(10*sim.Second, 3.0)
+	u.Advance((10 * sim.Second).Seconds(), 3.0)
 	b := u.Snapshot(10 * sim.Second)
 	if f := UncoreFreqGHz(a, b); math.Abs(f-3.0) > 1e-9 {
 		t.Fatalf("uncore frequency = %v, want 3.0", f)
 	}
 	// Halted uncore: counter frozen.
-	u.Advance(sim.Second, 0)
+	u.Advance(sim.Second.Seconds(), 0)
 	c := u.Snapshot(11 * sim.Second)
 	if c.Clock != b.Clock {
 		t.Fatal("halted uncore advanced its clock")

@@ -30,9 +30,9 @@ type Domain struct {
 	joules     float64
 }
 
-// Add integrates watts over dt.
-func (d *Domain) Add(watts float64, dt sim.Time) {
-	d.joules += watts * dt.Seconds()
+// Add integrates watts over sec seconds.
+func (d *Domain) Add(watts, sec float64) {
+	d.joules += watts * sec
 }
 
 // EnergyJoules returns the exact accumulated energy.
@@ -127,23 +127,23 @@ func NewPackage(spec *uarch.Spec, seedGain float64) *Package {
 	return p
 }
 
-// Integrate advances the counters over dt. truePkgW/truePP0W/trueDRAMW
-// come from the physical power model (PP0 = core plane: dynamic +
-// leakage); ev carries the event counts the modeled variant estimates
-// from.
-func (p *Package) Integrate(truePkgW, truePP0W, trueDRAMW float64, ev ModelInputs, dt sim.Time) {
+// Integrate advances the counters over sec seconds.
+// truePkgW/truePP0W/trueDRAMW come from the physical power model (PP0 =
+// core plane: dynamic + leakage); ev carries the event counts the
+// modeled variant estimates from.
+func (p *Package) Integrate(truePkgW, truePP0W, trueDRAMW float64, ev ModelInputs, sec float64) {
 	switch p.Mode {
 	case uarch.RAPLMeasured:
-		p.Pkg.Add(truePkgW*p.gain, dt)
-		p.DRAM.Add(trueDRAMW*p.gain, dt)
-		p.PP0.Add(truePP0W*p.gain, dt)
+		p.Pkg.Add(truePkgW*p.gain, sec)
+		p.DRAM.Add(trueDRAMW*p.gain, sec)
+		p.PP0.Add(truePP0W*p.gain, sec)
 	default:
 		est := p.Estimate(ev)
 		p.lastModeledW = est
-		p.Pkg.Add(est, dt)
+		p.Pkg.Add(est, sec)
 		// Pre-Haswell core-plane and DRAM estimates are event-based too.
-		p.PP0.Add(est-p.static-snbWeights.perUncVVF*ev.UncoreVVF, dt)
-		p.DRAM.Add(4.0+0.45*ev.MemGBs, dt)
+		p.PP0.Add(est-p.static-snbWeights.perUncVVF*ev.UncoreVVF, sec)
+		p.DRAM.Add(4.0+0.45*ev.MemGBs, sec)
 	}
 }
 

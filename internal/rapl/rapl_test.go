@@ -11,7 +11,7 @@ import (
 
 func TestDomainAccumulation(t *testing.T) {
 	d := Domain{UnitJoules: msr.EnergyUnitJoules(msr.PowerUnitValue(3, 14, 10))}
-	d.Add(100, sim.Second) // 100 J
+	d.Add(100, sim.Second.Seconds()) // 100 J
 	if math.Abs(d.EnergyJoules()-100) > 1e-9 {
 		t.Fatalf("energy = %v, want 100 J", d.EnergyJoules())
 	}
@@ -36,7 +36,7 @@ func TestCounterWraparound(t *testing.T) {
 func TestDomainCounterWraps(t *testing.T) {
 	d := Domain{UnitJoules: 1e-6}
 	// 2^32 uJ plus 5 uJ => counter must show 5.
-	d.Add((math.Pow(2, 32)+5)*1e-6, sim.Second)
+	d.Add((math.Pow(2, 32)+5)*1e-6, sim.Second.Seconds())
 	if c := d.Counter(); c != 5 {
 		t.Fatalf("counter = %d, want 5 after wrap", c)
 	}
@@ -45,7 +45,7 @@ func TestDomainCounterWraps(t *testing.T) {
 func TestMeasuredModeTracksTruth(t *testing.T) {
 	p := NewPackage(uarch.E52680v3(), 0.002)
 	for i := 0; i < 100; i++ {
-		p.Integrate(118, 95, 12, ModelInputs{}, 10*sim.Millisecond)
+		p.Integrate(118, 95, 12, ModelInputs{}, (10 * sim.Millisecond).Seconds())
 	}
 	pkgW := p.Pkg.EnergyJoules() / 1.0
 	if math.Abs(pkgW-118)/118 > 0.01 {
@@ -60,7 +60,7 @@ func TestMeasuredModeTracksTruth(t *testing.T) {
 func TestModeledModeIgnoresTruth(t *testing.T) {
 	p := NewPackage(uarch.E52670SNB(), 0)
 	ev := ModelInputs{ActiveVVF: 8 * 3.03, GIPS: 8 * 5.7, UncoreVVF: 3.03}
-	p.Integrate(999, 800, 20, ev, sim.Second)
+	p.Integrate(999, 800, 20, ev, sim.Second.Seconds())
 	est := p.Pkg.EnergyJoules()
 	if math.Abs(est-999) < 100 {
 		t.Fatalf("modeled RAPL %v should not track the true 999 W", est)
@@ -104,8 +104,8 @@ func TestModeledBiasIsWorkloadDependent(t *testing.T) {
 	// Measured mode: both read the same given equal true power.
 	hswA := NewPackage(uarch.E52680v3(), 0)
 	hswB := NewPackage(uarch.E52680v3(), 0)
-	hswA.Integrate(100, 80, 10, busy, sim.Second)
-	hswB.Integrate(100, 80, 10, dgemm, sim.Second)
+	hswA.Integrate(100, 80, 10, busy, sim.Second.Seconds())
+	hswB.Integrate(100, 80, 10, dgemm, sim.Second.Seconds())
 	if hswA.Pkg.EnergyJoules() != hswB.Pkg.EnergyJoules() {
 		t.Error("measured RAPL must be workload-independent at equal true power")
 	}
@@ -117,7 +117,7 @@ func TestDRAMUnitConfusion(t *testing.T) {
 	// DRAM power; the correct fixed 15.3 uJ unit gives the true value.
 	p := NewPackage(uarch.E52680v3(), 0)
 	prev := p.DRAM.Counter()
-	p.Integrate(100, 80, 15, ModelInputs{}, sim.Second)
+	p.Integrate(100, 80, 15, ModelInputs{}, sim.Second.Seconds())
 	cur := p.DRAM.Counter()
 
 	right := PowerFromCounter(prev, cur, msr.DRAMEnergyUnitJoulesHaswellEP, sim.Second)
@@ -135,7 +135,7 @@ func TestGainErrorIsBounded(t *testing.T) {
 	// Per-part sensing gain: a 1% part still stays within a few watts at
 	// TDP — matching the paper's <3 W residuals.
 	p := NewPackage(uarch.E52680v3(), 0.008)
-	p.Integrate(120, 100, 0, ModelInputs{}, sim.Second)
+	p.Integrate(120, 100, 0, ModelInputs{}, sim.Second.Seconds())
 	got := p.Pkg.EnergyJoules()
 	if math.Abs(got-120) > 3 {
 		t.Fatalf("gain error too large: %v vs 120", got)
