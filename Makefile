@@ -106,17 +106,20 @@ serve-smoke:
 # steady tick switched off against the same reference (equal RAPL
 # energy and counter snapshots bit for bit, equal segment and point
 # counts after up to 32 kernel, idle-state, p-state, power-limit, run
-# and fork operations), and System.ReadMSR/WriteMSR
+# and fork operations), System.ReadMSR/WriteMSR
 # against the MSR handler layout they replaced (equal values and #GP
 # faults after each of up to 64 register, run and fork operations,
-# equal rendered outputs at the end); plain `go test` runs only the
-# committed seed corpora.
+# equal rendered outputs at the end), and corrupt result-cache entry
+# files through expcache's Get (no panic; a hit only on the tuple's
+# exact envelope, which returns its output, and every miss evicts the
+# file); plain `go test` runs only the committed seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDispatchOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLastTransition$$' -fuzztime 10s ./internal/pstate
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPointTable$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMSR$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/expcache
 
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a data race in the fork/Release paths should
@@ -127,7 +130,7 @@ fuzz-smoke:
 # serial-vs-forked-parallel golden comparison, the committed reference
 # output, the energy-profiler gate, the hswsimd server lifecycle smoke,
 # the bench/ module build and smoke test, and the event-engine, p-state,
-# run-request, point-table and MSR fuzz smoke.
+# run-request, point-table, MSR and cache-entry fuzz smoke.
 ci:
 	@echo "==> ci step 1/13: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
@@ -154,5 +157,5 @@ ci:
 	@echo "==> ci step 12/13: bench-module"
 	@$(MAKE) --no-print-directory bench-module || { echo "ci: gate 'bench-module' failed — bench/ no longer builds or its smoke test fails" >&2; exit 1; }
 	@echo "==> ci step 13/13: fuzz-smoke"
-	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, a kept operating-point table or a steady fast path diverged from a table rebuilt every segment, or the MSR switch diverged from the handler layout it replaced, under fuzzing" >&2; exit 1; }
+	@$(MAKE) --no-print-directory fuzz-smoke || { echo "ci: gate 'fuzz-smoke' failed — the event engine or the p-state domain diverged from its reference, hswsimd accepted or panicked on a hostile run request, a kept operating-point table or a steady fast path diverged from a table rebuilt every segment, the MSR switch diverged from the handler layout it replaced, or the result cache served or kept a corrupt entry, under fuzzing" >&2; exit 1; }
 	@echo "ci: all gates passed"

@@ -138,13 +138,11 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	c.sk.regroup = true
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
-	cacheable := true
 	for i, cc := range c.sk.cores {
 		cc.profLeader = i
 		if cc.kernel == nil || cc.constProf {
 			continue
 		}
-		cacheable = false
 		if debugNoProfileShare || !reflect.ValueOf(cc.kernel).Comparable() {
 			// A kernel whose == would panic (a user kernel type holding
 			// a slice, say) does not share.
@@ -157,7 +155,6 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 			}
 		}
 	}
-	c.sk.telCacheable = cacheable
 	if k == nil {
 		prev := c.cstateNow
 		c.cstateNow = c.sk.sys.cfg.IdleState

@@ -42,22 +42,6 @@ func (p *forkPool) get() *System {
 	return c
 }
 
-// getN pops up to max released children in one lock acquisition.
-func (p *forkPool) getN(dst []*System, max int) int {
-	p.mu.Lock()
-	n := len(p.free)
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = p.free[len(p.free)-1-i]
-		p.free[len(p.free)-1-i] = nil
-	}
-	p.free = p.free[:len(p.free)-n]
-	p.mu.Unlock()
-	return n
-}
-
 func (p *forkPool) put(c *System) {
 	p.mu.Lock()
 	if len(p.free) < forkPoolMax {
@@ -117,7 +101,7 @@ func (s *System) Fork() (*System, error) {
 	n := s.pool.get()
 	reused := n != nil
 	if !reused {
-		n = s.newChildShells(1)[0]
+		n = s.newChildShell()
 	}
 	s.populateFork(n, reused)
 
@@ -127,37 +111,6 @@ func (s *System) Fork() (*System, error) {
 	obs.CoreForkBytes.Add(s.forkCopiedBytes())
 	obs.CoreForkWall.Observe(time.Since(start).Nanoseconds())
 	return n, nil
-}
-
-// ForkN forks count children in one batch: recycled children are
-// drained from the free list in one lock acquisition, and the
-// remainder's shells are slab-allocated together (one System/Socket/Core
-// slab each for the whole batch instead of per-child allocations). Its
-// one caller is the batch fleet, fleet.New, which keeps every node alive
-// at once; fleet.Sweep, which the fleet study runs, forks each node
-// singly with Fork. For a single child ForkN is equivalent to Fork.
-func (s *System) ForkN(count int) ([]*System, error) {
-	if count <= 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	if err := s.forkPrep(); err != nil {
-		return nil, err
-	}
-	out := make([]*System, count)
-	reusedN := s.pool.getN(out, count)
-	if reusedN < count {
-		copy(out[reusedN:], s.newChildShells(count-reusedN))
-	}
-	for i, n := range out {
-		s.populateFork(n, i < reusedN)
-	}
-	if reusedN > 0 {
-		obs.CoreForkReuse.Add(int64(reusedN))
-	}
-	obs.CoreForkBytes.Add(s.forkCopiedBytes() * int64(count))
-	obs.CoreForkWall.Observe(time.Since(start).Nanoseconds())
-	return out, nil
 }
 
 // forkPrep catches the parent's accounting up to now and inventories
@@ -191,45 +144,32 @@ func (s *System) forkPrep() error {
 	return nil
 }
 
-// newChildShells bulk-allocates count fresh child skeletons: the
-// System/Socket/Core structs and their pointer slices come from one
-// slab each for the whole batch, so a 1000-child fan-out costs six
-// slice allocations instead of six allocations per child. Pool
-// membership guarantees shape — the pool is only reachable from forks
-// of this root, so a pooled child always has this root's socket/core
-// geometry; shells built here enter the pool on Release and uphold the
-// same guarantee.
-func (s *System) newChildShells(count int) []*System {
-	nsk := len(s.sockets)
+// newChildShell allocates a fresh child skeleton: one System, one
+// socket slab and one core slab. Pool membership guarantees shape —
+// the pool is only reachable from forks of this root, so a pooled child
+// always has this root's socket/core geometry; shells built here enter
+// the pool on Release and uphold the same guarantee.
+func (s *System) newChildShell() *System {
 	totalCores := 0
 	for _, sk := range s.sockets {
 		totalCores += len(sk.cores)
 	}
-	sysSlab := make([]System, count)
-	sockSlab := make([]Socket, count*nsk)
-	coreSlab := make([]Core, count*totalCores)
-	sockPtrs := make([]*Socket, count*nsk)
-	corePtrs := make([]*Core, count*totalCores)
-	out := make([]*System, count)
+	n := &System{sockets: make([]*Socket, len(s.sockets))}
+	sockSlab := make([]Socket, len(s.sockets))
+	coreSlab := make([]Core, totalCores)
+	corePtrs := make([]*Core, totalCores)
 	ci := 0
-	for k := range sysSlab {
-		n := &sysSlab[k]
-		sockets := sockPtrs[k*nsk : (k+1)*nsk : (k+1)*nsk]
-		for i := 0; i < nsk; i++ {
-			sk := &sockSlab[k*nsk+i]
-			ncore := len(s.sockets[i].cores)
-			cores := corePtrs[ci : ci+ncore : ci+ncore]
-			for j := 0; j < ncore; j++ {
-				cores[j] = &coreSlab[ci+j]
-			}
-			ci += ncore
-			sk.cores = cores
-			sockets[i] = sk
+	for i, sk := range s.sockets {
+		ncore := len(sk.cores)
+		cores := corePtrs[ci : ci+ncore : ci+ncore]
+		for j := range cores {
+			cores[j] = &coreSlab[ci+j]
 		}
-		n.sockets = sockets
-		out[k] = n
+		ci += ncore
+		sockSlab[i].cores = cores
+		n.sockets[i] = &sockSlab[i]
 	}
-	return out
+	return n
 }
 
 // populateFork overwrites child n (a recycled pooled child or a fresh

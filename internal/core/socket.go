@@ -138,22 +138,21 @@ type Socket struct {
 	// that can move a per-core telemetry field (kernel assignment,
 	// c-state change, p-state request, EPB write, a full integration
 	// segment refreshing the stall fractions). While the version holds
-	// and every active core runs a constant-profile kernel
-	// (telCacheable), the per-core telemetry slice and tel's
-	// MemoryStalls are reused as-is and the PCU is told so
-	// (Telemetry.Unchanged), skipping both the rebuild and the PCU's own
-	// per-core comparison. telBuilt == 0 means never built (versions
-	// start at 1); forkInto resets it because the harvested child buffer
-	// holds stale contents.
-	telVersion   uint64
-	telBuilt     uint64
-	telCacheable bool
+	// on a constSteady socket, whose active cores' profiles cannot
+	// drift, the per-core telemetry slice and tel's MemoryStalls are
+	// reused as-is and the PCU is told so (Telemetry.Unchanged),
+	// skipping both the rebuild and the PCU's own per-core comparison.
+	// telBuilt == 0 means never built (versions start at 1); forkInto
+	// resets it because the harvested child buffer holds stale contents.
+	telVersion uint64
+	telBuilt   uint64
 
 	// constSteady: at the last full segment every active core ran a
 	// constant-profile kernel at slowdown 1. Neither can change before
 	// the next full segment (only Core.assign changes a kernel or starts
 	// an AVX ramp, and it dirties the socket), so steadyAt holds without
-	// visiting a core (see debugNoConstSteady).
+	// visiting a core (see debugNoConstSteady), and it keys the
+	// telemetry version cache.
 	constSteady bool
 }
 
@@ -217,7 +216,6 @@ func newSocket(sys *System, index int, topo *ring.Topology) *Socket {
 	sk.opDirty = true
 	sk.regroup = true
 	sk.telVersion = 1
-	sk.telCacheable = true
 	return sk
 }
 
@@ -347,7 +345,7 @@ func (sk *Socket) telemetry(now sim.Time) *pcu.Telemetry {
 	tel.PkgCState = sk.pkgCState
 	tel.TempC = sk.Power.TempC()
 	sysMax := sk.sys.maxActiveRequest()
-	if sk.telCacheable && sk.telBuilt == sk.telVersion && sysMax == tel.SystemMaxRequestMHz {
+	if sk.constSteady && sk.telBuilt == sk.telVersion && sysMax == tel.SystemMaxRequestMHz {
 		// Constant-profile kernels and an unchanged version: the per-core
 		// slice and MemoryStalls still hold exactly what this function
 		// would rebuild.

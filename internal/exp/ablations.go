@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"hswsim/internal/core"
 	"hswsim/internal/perfctr"
@@ -36,7 +37,7 @@ func (r *AblationResult) Render() string {
 	for k := range keys {
 		cols = append(cols, k)
 	}
-	sortStrings(cols)
+	slices.Sort(cols)
 	t := report.NewTable("Ablation: "+r.Name, append([]string{"variant"}, cols...)...)
 	for _, v := range r.Variants {
 		row := []string{v.Label}
@@ -46,14 +47,6 @@ func (r *AblationResult) Render() string {
 		t.AddRow(row...)
 	}
 	return t.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // AblationPstateGrid compares p-state transition latencies with the

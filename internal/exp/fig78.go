@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"hswsim/internal/core"
 	"hswsim/internal/perfctr"
@@ -270,18 +271,11 @@ func Fig8(o Options) (*Fig8Result, error) {
 func (r *Fig8Result) At(level Level, cores, threads int, freqGHz float64) float64 {
 	for _, p := range r.Points {
 		if p.Level == level && p.Cores == cores && p.Threads == threads &&
-			abs(p.FreqGHz-freqGHz) < 1e-9 {
+			math.Abs(p.FreqGHz-freqGHz) < 1e-9 {
 			return p.GBs
 		}
 	}
 	return 0
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Render prints the two bandwidth grids (2 threads/core view, plus a

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"debug/elf"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
@@ -163,6 +164,69 @@ func TestMismatchedEnvelopeIsEvicted(t *testing.T) {
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
 		t.Fatal("mismatched entry not evicted")
 	}
+}
+
+// FuzzCacheEntry writes hostile bytes as one tuple's entry file and
+// reads the tuple back. Get must not panic. It may hit only when the
+// bytes decode to that tuple's exact envelope (version, id, options
+// key, csv flag and build id), and then it returns the envelope's
+// output and keeps the file; any other bytes miss and evict the file.
+// The seed corpus holds the entry Put writes and corruptions of it.
+func FuzzCacheEntry(f *testing.F) {
+	const id = "fig2"
+	o := exp.Options{Scale: 0.25, Seed: 7}
+	d := &Dir{root: f.TempDir(), buildID: "go-fuzz"}
+	if err := d.Put(id, o, false, []byte("==== Figure 2 ====\nrow 1\n")); err != nil {
+		f.Fatal(err)
+	}
+	p := d.path(id, o, false)
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ok := d.Get(id, o, false); !ok {
+		f.Fatal("the entry Put wrote misses")
+	}
+	want := entry{Version: entryVersion, ID: id, Options: optionsKey(id, o), BuildID: d.buildID}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add([]byte("null"))
+	// One envelope field off at a time, then a field of the wrong type.
+	for _, r := range [][2]string{
+		{`"version": 1`, `"version": 2`},
+		{`"fig2"`, `"fig3"`},
+		{`Seed:0x7`, `Seed:0x8`},
+		{`"csv": false`, `"csv": true`},
+		{`"go-fuzz"`, `"go-other"`},
+		{`"csv": false`, `"csv": "no"`},
+	} {
+		if !strings.Contains(string(raw), r[0]) {
+			f.Fatalf("the entry Put wrote lacks %s", r[0])
+		}
+		f.Add([]byte(strings.Replace(string(raw), r[0], r[1], 1)))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, hit := d.Get(id, o, false)
+		var e entry
+		exact := json.Unmarshal(raw, &e) == nil
+		output := e.Output
+		e.Output = ""
+		exact = exact && e == want
+		_, statErr := os.Stat(p)
+		switch {
+		case hit != exact:
+			t.Fatalf("%q: hit %v, want %v (whether it decodes to the tuple's envelope)", raw, hit, exact)
+		case hit && string(out) != output:
+			t.Fatalf("%q: hit returned %q, want %q", raw, out, output)
+		case hit && statErr != nil:
+			t.Fatalf("%q: hit, but its entry is gone: %v", raw, statErr)
+		case !hit && !os.IsNotExist(statErr):
+			t.Fatalf("%q: missed, but its entry was not evicted: %v", raw, statErr)
+		}
+	})
 }
 
 // TestOrphanTempSweep plants writer temp files as a crashed process

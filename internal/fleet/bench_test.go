@@ -12,10 +12,11 @@ import (
 const benchNodes = 64
 
 // BenchmarkFleetFork measures one full fleet fan-out and teardown:
-// ForkN of 64 varied nodes from the warmed parent (recycled from the
-// free list), variation overlays, power caps, release. Nodes forked
-// per second is ns/op⁻¹ × 64. One untimed fan-out fills the free list
-// first, so allocs/op does not depend on b.N.
+// New forks 64 varied nodes from the warmed parent one by one (each
+// recycled from the free list), with variation overlays and power
+// caps, and Release returns them. Nodes forked per second is
+// ns/op⁻¹ × 64. One untimed fan-out fills the free list first, so
+// allocs/op does not depend on b.N.
 func BenchmarkFleetFork(b *testing.B) {
 	parent := warmParent(b)
 	cfg := Config{Nodes: benchNodes, Seed: 0x5eed, CapW: 85, Workers: 1}

@@ -43,19 +43,25 @@ type NodeResult struct {
 // cursor on the critical path of every round.
 const nodeBatch = 8
 
-// prepare gives node n, the fleet's node i, its chips' seeded variation
-// overlays and the power cap.
-func (cfg Config) prepare(n *core.System, i int) error {
+// forkNode forks the fleet's node i from parent and gives it its
+// chips' seeded variation overlays and the power cap. A node that
+// cannot be prepared is released, not returned.
+func (cfg Config) forkNode(parent *core.System, i int) (*core.System, error) {
+	n, err := parent.Fork()
+	if err != nil {
+		return nil, err
+	}
 	for s := 0; s < n.Sockets(); s++ {
 		err := n.ApplyChipVariation(s, Draw(cfg.Seed, i, s, cfg.Params))
 		if err == nil && cfg.CapW != 0 {
 			err = n.SetPowerLimitW(s, cfg.CapW)
 		}
 		if err != nil {
-			return fmt.Errorf("fleet: node %d: %w", i, err)
+			n.Release()
+			return nil, fmt.Errorf("fleet: node %d: %w", i, err)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // measure runs node n for window and returns what it did over it.
@@ -85,10 +91,12 @@ func measure(n *core.System, window sim.Time) NodeResult {
 }
 
 // Sweep runs every node of cfg from fork to release in one fan-out:
-// node i is forked from the warmed parent, prepared as New prepares it,
+// node i is forked from the warmed parent and prepared as New does it,
 // run for step, measured over window and released before its worker
 // takes the next node. So at most Workers nodes are alive at once,
-// whatever the fleet size, and the free list recycles them.
+// whatever the fleet size, and the free list recycles them. The parent
+// must be integrated and quiescent (see core.System.Fork), since every
+// worker forks it concurrently.
 //
 // Node i's result equals the batch fleet's (New, Step(step),
 // Measure(0, window)) bit for bit, and it depends only on the parent,
@@ -103,17 +111,15 @@ func Sweep(parent *core.System, cfg Config, step, window sim.Time) ([]NodeResult
 	out := make([]NodeResult, cfg.Nodes)
 	errs := make([]error, cfg.Nodes)
 	slots.Default().Map(cfg.Nodes, cfg.Workers, nodeBatch, func(i int) bool {
-		n, err := parent.Fork()
+		n, err := cfg.forkNode(parent, i)
 		if err != nil {
 			errs[i] = err
 			return false
 		}
-		if errs[i] = cfg.prepare(n, i); errs[i] == nil {
-			n.Run(step)
-			out[i] = measure(n, window)
-		}
+		n.Run(step)
+		out[i] = measure(n, window)
 		n.Release()
-		return errs[i] == nil
+		return true
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -135,31 +141,24 @@ func Sweep(parent *core.System, cfg Config, step, window sim.Time) ([]NodeResult
 type Fleet struct {
 	cfg   Config
 	nodes []*core.System
-	pool  *slots.Pool
 }
 
-// New forks cfg.Nodes children from the warmed parent in one batch,
-// applies each chip's seeded variation overlay and programs the power
-// cap. The parent is left untouched (it can seed any number of
-// fleets); variation application fans out across the slot pool since
-// every node is independent, and the first node that fails stops it.
+// New forks cfg.Nodes children from the warmed parent, applies each
+// chip's seeded variation overlay and programs the power cap. The nodes
+// fan out across the slot pool, each forked and prepared as Sweep does
+// it, so the parent must be integrated and quiescent (see
+// core.System.Fork); it is left untouched and can seed any number of
+// fleets. The first node that fails stops the fan-out, and New releases
+// every node it forked before returning the error.
 func New(parent *core.System, cfg Config) (*Fleet, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("fleet: need a positive node count, got %d", cfg.Nodes)
 	}
 	start := time.Now()
-	nodes, err := parent.ForkN(cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fleet{
-		cfg:   cfg,
-		nodes: nodes,
-		pool:  slots.Default(),
-	}
-	errs := make([]error, len(nodes))
-	f.pool.Map(len(nodes), cfg.Workers, nodeBatch, func(i int) bool {
-		errs[i] = cfg.prepare(nodes[i], i)
+	f := &Fleet{cfg: cfg, nodes: make([]*core.System, cfg.Nodes)}
+	errs := make([]error, cfg.Nodes)
+	slots.Default().Map(cfg.Nodes, cfg.Workers, nodeBatch, func(i int) bool {
+		f.nodes[i], errs[i] = cfg.forkNode(parent, i)
 		return errs[i] == nil
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -180,7 +179,7 @@ func (f *Fleet) StepNode(i int, d sim.Time) { f.nodes[i].Run(d) }
 // a Workers=1 fleet evolves byte-identically.
 func (f *Fleet) Step(d sim.Time) {
 	start := time.Now()
-	f.pool.Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
+	slots.Default().Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
 		f.StepNode(i, d)
 		return true
 	})
@@ -194,7 +193,7 @@ func (f *Fleet) Step(d sim.Time) {
 func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 	start := time.Now()
 	out := make([]NodeResult, len(f.nodes))
-	f.pool.Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
+	slots.Default().Map(len(f.nodes), f.cfg.Workers, nodeBatch, func(i int) bool {
 		n := f.nodes[i]
 		if settle > 0 {
 			n.Run(settle)
@@ -207,11 +206,14 @@ func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 	return out
 }
 
-// Release returns every node's storage to the fork free list. The
-// fleet must not be used afterwards.
+// Release returns every node's storage to the fork free list, skipping
+// the nodes a refused New never forked. The fleet must not be used
+// afterwards.
 func (f *Fleet) Release() {
 	for _, n := range f.nodes {
-		n.Release()
+		if n != nil {
+			n.Release()
+		}
 	}
 	f.nodes = nil
 }

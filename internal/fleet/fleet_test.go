@@ -302,3 +302,43 @@ func TestCapOutOfRangeFails(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedNewReleasesNodes pins the batch fan-out's failure path. A
+// New whose cap is refused returns the refusal without releasing the
+// nodes it never forked (a nil node would panic) and releases every
+// node it did fork: each worker forks one node before its refusal
+// stops the fan-out, so refusing the same fleet again and again
+// recycles those nodes and forks at most one fresh child per compute
+// slot in all. The valid New of the same size that follows recycles
+// every one of them and forks fresh only the rest.
+func TestRefusedNewReleasesNodes(t *testing.T) {
+	parent := warmParent(t)
+	cfg := Config{Nodes: 64, Seed: 0x5eed, CapW: math.NaN()}
+	workers := int64(slots.Default().Cap())
+	forks, reused := obs.SimForks.Value(), obs.CoreForkReuse.Value()
+	for round := int64(0); round <= workers; round++ {
+		if fl, err := New(parent, cfg); err == nil {
+			fl.Release()
+			t.Fatalf("round %d: New with a NaN cap succeeded", round)
+		}
+	}
+	forks, reused = obs.SimForks.Value()-forks, obs.CoreForkReuse.Value()-reused
+	refusedFresh := forks - reused
+	if forks < workers+1 || refusedFresh < 1 || refusedFresh > workers {
+		t.Fatalf("%d refused %d-node fleets: %d forks, %d fresh; want at least %d forks, 1 to %d fresh",
+			workers+1, cfg.Nodes, forks, refusedFresh, workers+1, workers)
+	}
+
+	cfg.CapW = 85
+	forks, reused = obs.SimForks.Value(), obs.CoreForkReuse.Value()
+	fl, err := New(parent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.Release()
+	forks, reused = obs.SimForks.Value()-forks, obs.CoreForkReuse.Value()-reused
+	if forks != int64(cfg.Nodes) || reused != refusedFresh {
+		t.Errorf("valid %d-node fleet after the refusals: %d forks, %d recycled; want %d forks, %d recycled",
+			cfg.Nodes, forks, reused, cfg.Nodes, refusedFresh)
+	}
+}

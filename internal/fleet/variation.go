@@ -12,9 +12,10 @@
 // measures and releases one node at a time, so the fork free list
 // recycles a handful of children across the whole fleet and the
 // steady-state per-node step allocates nothing. The batch API (New,
-// Step, Measure, Release) keeps every node alive between rounds; it is
-// Sweep's differential reference. Both return one NodeResult per node;
-// callers reduce them.
+// Step, Measure, Release) forks and prepares each node the same way,
+// one core.System.Fork per node in one fan-out, but keeps every node
+// alive between rounds; it is Sweep's differential reference. Both
+// return one NodeResult per node; callers reduce them.
 package fleet
 
 import (

@@ -155,6 +155,12 @@ type Decision struct {
 type PCU struct {
 	cfg Config
 	tdp float64
+	// The spec's periods as virtual time, derived once in New: the
+	// transition opportunity grid (0 = immediate), the AVX mode hold
+	// after the last 256-bit op and the EET stall polling period.
+	gridPeriod sim.Time
+	avxRelax   sim.Time
+	eetPeriod  sim.Time
 
 	throttleBins int
 	thermalBins  int
@@ -203,11 +209,14 @@ func New(cfg Config) *PCU {
 	}
 	n := cfg.Spec.Cores
 	p := &PCU{
-		cfg:       cfg,
-		tdp:       tdp,
-		uncoreMHz: cfg.Spec.UncoreMinMHz,
-		lastAVX:   make([]sim.Time, n),
-		eetStall:  make([]float64, n),
+		cfg:        cfg,
+		tdp:        tdp,
+		gridPeriod: sim.Time(cfg.Spec.PStateGridPeriodUS * float64(sim.Microsecond)),
+		avxRelax:   sim.Time(cfg.Spec.AVXRelaxUS * float64(sim.Microsecond)),
+		eetPeriod:  sim.Time(cfg.Spec.EETPollPeriodUS * float64(sim.Microsecond)),
+		uncoreMHz:  cfg.Spec.UncoreMinMHz,
+		lastAVX:    make([]sim.Time, n),
+		eetStall:   make([]float64, n),
 	}
 	for i := range p.lastAVX {
 		p.lastAVX[i] = -sim.Second
@@ -288,14 +297,12 @@ func (p *PCU) clampUncoreUser(f uarch.MHz) uarch.MHz {
 }
 
 // GridPeriod returns the transition opportunity period (0 = immediate).
-func (p *PCU) GridPeriod() sim.Time {
-	return sim.Time(p.cfg.Spec.PStateGridPeriodUS * float64(sim.Microsecond))
-}
+func (p *PCU) GridPeriod() sim.Time { return p.gridPeriod }
 
 // NextOpportunity returns the first grid point at or after now. With no
 // grid (pre-Haswell parts) it returns now.
 func (p *PCU) NextOpportunity(now sim.Time) sim.Time {
-	period := p.GridPeriod()
+	period := p.gridPeriod
 	if period <= 0 {
 		return now
 	}
@@ -308,16 +315,6 @@ func (p *PCU) NextOpportunity(now sim.Time) sim.Time {
 		return now
 	}
 	return p.cfg.GridPhase + (k+1)*period
-}
-
-// avxRelax returns the AVX mode hold time after the last 256-bit op.
-func (p *PCU) avxRelax() sim.Time {
-	return sim.Time(p.cfg.Spec.AVXRelaxUS * float64(sim.Microsecond))
-}
-
-// eetPeriod returns the EET stall polling period.
-func (p *PCU) eetPeriod() sim.Time {
-	return sim.Time(p.cfg.Spec.EETPollPeriodUS * float64(sim.Microsecond))
 }
 
 // Tick runs one grid evaluation and returns the new operating targets.
@@ -353,12 +350,12 @@ func (p *PCU) Evaluate(now sim.Time, tel *Telemetry) *Decision {
 		if tel.Cores[i].AVXNow {
 			p.lastAVX[i] = now
 		}
-		dec.AVXMode[i] = now-p.lastAVX[i] <= p.avxRelax()
+		dec.AVXMode[i] = now-p.lastAVX[i] <= p.avxRelax
 	}
 
 	// EET: refresh the stall sample only at its own (1 ms) cadence —
 	// the sporadic polling the paper warns about.
-	if per := p.eetPeriod(); p.cfg.EETEnabled && per > 0 && now-p.lastEETPoll >= per {
+	if per := p.eetPeriod; p.cfg.EETEnabled && per > 0 && now-p.lastEETPoll >= per {
 		p.lastEETPoll = now
 		for i := 0; i < n && i < len(tel.Cores); i++ {
 			p.eetStall[i] = tel.Cores[i].StallFrac
@@ -493,7 +490,7 @@ func (p *PCU) steadyTick(now sim.Time, tel *Telemetry) bool {
 			}
 		}
 	}
-	if per := p.eetPeriod(); p.cfg.EETEnabled && per > 0 && now-p.lastEETPoll >= per {
+	if per := p.eetPeriod; p.cfg.EETEnabled && per > 0 && now-p.lastEETPoll >= per {
 		p.lastEETPoll = now
 	}
 	p.lastSteady = true
@@ -871,5 +868,5 @@ func (p *PCU) ThrottleBins() int { return p.throttleBins }
 
 func (p *PCU) String() string {
 	return fmt.Sprintf("PCU[socket %d]: grid %v, TDP %.0f W, throttle %d bins, uncore %v",
-		p.cfg.Socket, p.GridPeriod(), p.tdp, p.throttleBins, p.uncoreMHz)
+		p.cfg.Socket, p.gridPeriod, p.tdp, p.throttleBins, p.uncoreMHz)
 }

@@ -398,10 +398,3 @@ func (m *LMG450) MaxWindowAverage(window sim.Time) float64 {
 	}
 	return best
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
